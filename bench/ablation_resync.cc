@@ -1,13 +1,15 @@
 // Ablation: RM-cell loss, drift, and periodic absolute-rate resync
 // (Sec. III-B, footnote 2). For each (cell loss probability, resync
-// period) pair, a source renegotiates through a lossy channel for the
-// length of a movie's schedule; we report the mean and max absolute
-// drift between the port's and the source's view of the reserved rate.
+// period) pair, a source renegotiates through a lossy channel to a single
+// port (a 1-hop signaling path) for the length of a movie's schedule; we
+// report the mean and max absolute drift between the port's and the
+// source's view of the reserved rate.
 #include <cmath>
 #include <vector>
 
 #include "experiment_lib.h"
 #include "signaling/lossy_channel.h"
+#include "signaling/path.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
@@ -36,7 +38,9 @@ int main(int argc, char** argv) {
       signaling::LossyChannelOptions options;
       options.cell_loss_probability = loss;
       options.resync_every_cells = resync_every;
-      signaling::LossyRenegotiator source(&port, 1, initial, options, &rng);
+      signaling::SignalingPath path({&port}, 0.0);
+      signaling::LossyPathRenegotiator source(&path, 1, initial, options,
+                                              &rng);
       double drift_sum = 0;
       double drift_max = 0;
       std::int64_t samples = 0;
@@ -45,7 +49,7 @@ int main(int argc, char** argv) {
           source.Renegotiate(steps[i].value,
                              replay * setup.profile.duration_seconds() +
                                  steps[i].start * setup.profile.slot_seconds);
-          const double drift = std::abs(source.DriftBps());
+          const double drift = std::abs(source.DriftBps(0));
           drift_sum += drift;
           drift_max = std::max(drift_max, drift);
           ++samples;

@@ -20,8 +20,8 @@
 
 #include "core/rcbr_source.h"
 #include "experiment_lib.h"
-#include "sim/fault/fault_injector.h"
 #include "sim/fault/fault_plan.h"
+#include "sim/fault/fault_timeline.h"
 #include "util/rng.h"
 
 namespace {

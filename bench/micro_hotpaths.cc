@@ -43,13 +43,12 @@ BENCHMARK(BM_PortControllerDelta);
 
 // The classic hold model: keep `range(0)` events pending, repeatedly pop
 // the earliest and schedule a replacement a random offset ahead. This is
-// what the simulator's steady state looks like, and it is where the
-// calendar queue's O(1) amortized schedule/pop beats the binary heap's
-// O(log n) — visible directly in the Arg sweep.
-void EventQueueHold(benchmark::State& state,
-                    sim::engine::EventQueue::Impl impl) {
+// what the simulator's steady state looks like; the calendar queue's
+// O(1) amortized schedule/pop keeps the per-op cost flat across the Arg
+// sweep.
+void BM_EventQueueHold(benchmark::State& state) {
   const std::size_t pending = static_cast<std::size_t>(state.range(0));
-  sim::engine::EventQueue queue(impl);
+  sim::engine::EventQueue queue;
   queue.Reserve(pending);
   Rng rng(3);
   std::vector<double> holds(4096);
@@ -74,21 +73,11 @@ void EventQueueHold(benchmark::State& state,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
-
-void BM_EventQueueHoldCalendar(benchmark::State& state) {
-  EventQueueHold(state, sim::engine::EventQueue::Impl::kCalendar);
-}
-BENCHMARK(BM_EventQueueHoldCalendar)->Arg(1024)->Arg(262144);
-
-void BM_EventQueueHoldHeap(benchmark::State& state) {
-  EventQueueHold(state, sim::engine::EventQueue::Impl::kBinaryHeap);
-}
-BENCHMARK(BM_EventQueueHoldHeap)->Arg(1024)->Arg(262144);
+BENCHMARK(BM_EventQueueHold)->Arg(1024)->Arg(262144);
 
 // Pure burst: schedule n events, then drain them all — call setup storms
 // and end-of-run teardowns.
-void EventQueueScheduleDrain(benchmark::State& state,
-                             sim::engine::EventQueue::Impl impl) {
+void BM_EventQueueScheduleDrain(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   std::vector<double> times(n);
@@ -96,7 +85,7 @@ void EventQueueScheduleDrain(benchmark::State& state,
   sim::engine::EventPayload payload;
   payload.kind = 1;
   for (auto _ : state) {
-    sim::engine::EventQueue queue(impl);
+    sim::engine::EventQueue queue;
     queue.Reserve(n);
     for (double t : times) queue.Post(t, payload);
     double last = 0;
@@ -106,16 +95,7 @@ void EventQueueScheduleDrain(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n));
 }
-
-void BM_EventQueueScheduleDrainCalendar(benchmark::State& state) {
-  EventQueueScheduleDrain(state, sim::engine::EventQueue::Impl::kCalendar);
-}
-BENCHMARK(BM_EventQueueScheduleDrainCalendar)->Arg(65536);
-
-void BM_EventQueueScheduleDrainHeap(benchmark::State& state) {
-  EventQueueScheduleDrain(state, sim::engine::EventQueue::Impl::kBinaryHeap);
-}
-BENCHMARK(BM_EventQueueScheduleDrainHeap)->Arg(65536);
+BENCHMARK(BM_EventQueueScheduleDrain)->Arg(65536);
 
 void BM_HeuristicStep(benchmark::State& state) {
   core::HeuristicOptions options;

@@ -13,14 +13,17 @@
 // StateQuery audit found the client and server byte-exact on rate and
 // rung. The canonical session log written by --session-out is a pure
 // function of the seeds: CI runs this binary twice and byte-compares.
+// A malformed or out-of-range flag value exits 2 before anything runs.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "net/chaos.h"
 #include "obs/recorder.h"
+#include "util/error.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -36,6 +39,7 @@ bool WriteText(const std::string& path, const std::string& text) {
 int main(int argc, char** argv) {
   using rcbr::sim::fault::FaultEvent;
   using rcbr::sim::fault::FaultKind;
+  using rcbr::ParseFlagInt;
 
   rcbr::net::ChaosOptions options;
   options.client.seed = 42;
@@ -57,35 +61,42 @@ int main(int argc, char** argv) {
   std::string json_out;
   std::string session_out;
   bool print_session = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (std::strcmp(arg, "--seed") == 0 && value != nullptr) {
-      options.client.seed = static_cast<std::uint64_t>(std::atoll(value));
-      ++i;
-    } else if (std::strcmp(arg, "--proxy-seed") == 0 && value != nullptr) {
-      options.proxy_seed = static_cast<std::uint64_t>(std::atoll(value));
-      ++i;
-    } else if (std::strcmp(arg, "--slots") == 0 && value != nullptr) {
-      options.client.slots = std::atoll(value);
-      ++i;
-    } else if (std::strcmp(arg, "--crashes") == 0 && value != nullptr) {
-      crashes = std::atoi(value);
-      ++i;
-    } else if (std::strcmp(arg, "--no-drain") == 0) {
-      drain = false;
-    } else if (std::strcmp(arg, "--json-out") == 0 && value != nullptr) {
-      json_out = value;
-      ++i;
-    } else if (std::strcmp(arg, "--session-out") == 0 && value != nullptr) {
-      session_out = value;
-      ++i;
-    } else if (std::strcmp(arg, "--print-session") == 0) {
-      print_session = true;
-    } else {
-      std::fprintf(stderr, "rcbr_chaos: unknown argument %s\n", arg);
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+      if (std::strcmp(arg, "--seed") == 0 && value != nullptr) {
+        options.client.seed =
+            static_cast<std::uint64_t>(ParseFlagInt(value, arg));
+        ++i;
+      } else if (std::strcmp(arg, "--proxy-seed") == 0 && value != nullptr) {
+        options.proxy_seed =
+            static_cast<std::uint64_t>(ParseFlagInt(value, arg));
+        ++i;
+      } else if (std::strcmp(arg, "--slots") == 0 && value != nullptr) {
+        options.client.slots = ParseFlagInt(value, arg);
+        ++i;
+      } else if (std::strcmp(arg, "--crashes") == 0 && value != nullptr) {
+        crashes = static_cast<int>(ParseFlagInt(value, arg, INT_MAX));
+        ++i;
+      } else if (std::strcmp(arg, "--no-drain") == 0) {
+        drain = false;
+      } else if (std::strcmp(arg, "--json-out") == 0 && value != nullptr) {
+        json_out = value;
+        ++i;
+      } else if (std::strcmp(arg, "--session-out") == 0 && value != nullptr) {
+        session_out = value;
+        ++i;
+      } else if (std::strcmp(arg, "--print-session") == 0) {
+        print_session = true;
+      } else {
+        std::fprintf(stderr, "rcbr_chaos: unknown argument %s\n", arg);
+        return 2;
+      }
     }
+  } catch (const rcbr::Error& e) {
+    std::fprintf(stderr, "rcbr_chaos: %s\n", e.what());
+    return 2;
   }
 
   // The fault schedule, in sim seconds on the client's slot clock. The

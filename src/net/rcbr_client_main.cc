@@ -7,15 +7,17 @@
 // Drives the seeded multi-time-scale source + AR(1) heuristic + rate
 // ladder against a live daemon and prints the session outcome. Exit
 // status 0 iff the session completed with an acknowledged Bye and zero
-// desyncs.
+// desyncs; 2 on a malformed or out-of-range flag value.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "net/client.h"
+#include "util/error.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -40,6 +42,7 @@ bool WriteText(const std::string& path, const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using rcbr::ParseFlagInt;
   rcbr::net::ClientOptions options;
   options.heuristic.initial_rate_bits_per_slot = 32e3;
   options.heuristic.granularity_bits_per_slot = 4e3;
@@ -48,42 +51,51 @@ int main(int argc, char** argv) {
   int ladder_depth = 3;
   std::string session_out;
   bool print_jsonl = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (std::strcmp(arg, "--host") == 0 && value != nullptr) {
-      options.host = value;
-      ++i;
-    } else if (std::strcmp(arg, "--port") == 0 && value != nullptr) {
-      options.port = static_cast<std::uint16_t>(std::atoi(value));
-      ++i;
-    } else if (std::strcmp(arg, "--vci") == 0 && value != nullptr) {
-      options.vci = static_cast<std::uint64_t>(std::atoll(value));
-      ++i;
-    } else if (std::strcmp(arg, "--slots") == 0 && value != nullptr) {
-      options.slots = std::atoll(value);
-      ++i;
-    } else if (std::strcmp(arg, "--seed") == 0 && value != nullptr) {
-      options.seed = static_cast<std::uint64_t>(std::atoll(value));
-      ++i;
-    } else if (std::strcmp(arg, "--slot-ms") == 0 && value != nullptr) {
-      options.slot_seconds = std::atoi(value) * 1e-3;
-      ++i;
-    } else if (std::strcmp(arg, "--ladder-depth") == 0 && value != nullptr) {
-      ladder_depth = std::atoi(value);
-      ++i;
-    } else if (std::strcmp(arg, "--upgrade-every") == 0 && value != nullptr) {
-      options.upgrade_every_slots = std::atoll(value);
-      ++i;
-    } else if (std::strcmp(arg, "--session-out") == 0 && value != nullptr) {
-      session_out = value;
-      ++i;
-    } else if (std::strcmp(arg, "--jsonl") == 0) {
-      print_jsonl = true;
-    } else {
-      std::fprintf(stderr, "rcbr_client: unknown argument %s\n", arg);
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+      if (std::strcmp(arg, "--host") == 0 && value != nullptr) {
+        options.host = value;
+        ++i;
+      } else if (std::strcmp(arg, "--port") == 0 && value != nullptr) {
+        options.port =
+            static_cast<std::uint16_t>(ParseFlagInt(value, arg, 65535));
+        ++i;
+      } else if (std::strcmp(arg, "--vci") == 0 && value != nullptr) {
+        options.vci = static_cast<std::uint64_t>(ParseFlagInt(value, arg));
+        ++i;
+      } else if (std::strcmp(arg, "--slots") == 0 && value != nullptr) {
+        options.slots = ParseFlagInt(value, arg);
+        ++i;
+      } else if (std::strcmp(arg, "--seed") == 0 && value != nullptr) {
+        options.seed = static_cast<std::uint64_t>(ParseFlagInt(value, arg));
+        ++i;
+      } else if (std::strcmp(arg, "--slot-ms") == 0 && value != nullptr) {
+        options.slot_seconds =
+            static_cast<double>(ParseFlagInt(value, arg, INT_MAX)) * 1e-3;
+        ++i;
+      } else if (std::strcmp(arg, "--ladder-depth") == 0 &&
+                 value != nullptr) {
+        ladder_depth = static_cast<int>(ParseFlagInt(value, arg, INT_MAX));
+        ++i;
+      } else if (std::strcmp(arg, "--upgrade-every") == 0 &&
+                 value != nullptr) {
+        options.upgrade_every_slots = ParseFlagInt(value, arg);
+        ++i;
+      } else if (std::strcmp(arg, "--session-out") == 0 && value != nullptr) {
+        session_out = value;
+        ++i;
+      } else if (std::strcmp(arg, "--jsonl") == 0) {
+        print_jsonl = true;
+      } else {
+        std::fprintf(stderr, "rcbr_client: unknown argument %s\n", arg);
+        return 2;
+      }
     }
+  } catch (const rcbr::Error& e) {
+    std::fprintf(stderr, "rcbr_client: %s\n", e.what());
+    return 2;
   }
   if (options.port == 0) {
     std::fprintf(stderr, "rcbr_client: --port is required\n");

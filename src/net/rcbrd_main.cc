@@ -7,14 +7,18 @@
 // protocol (src/net/wire.h). SIGTERM or SIGINT starts a graceful drain:
 // no new sessions, rate increases denied, every session gets a Drain
 // notice and finishes with Bye/ByeAck; the daemon exits when the last
-// session is gone. A second signal stops immediately.
+// session is gone. A second signal stops immediately. A malformed flag
+// value (non-numeric, negative, overflowing, or a port past 65535) exits
+// 2 before anything is bound.
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "net/server.h"
+#include "util/error.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -32,36 +36,46 @@ void HandleSignal(int) {
   }
 }
 
-double ParseDouble(const char* text) { return std::strtod(text, nullptr); }
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using rcbr::ParseFlagInt;
   rcbr::net::ServerOptions options;
   options.port = 4790;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (std::strcmp(arg, "--port") == 0 && value != nullptr) {
-      options.port = static_cast<std::uint16_t>(std::atoi(value));
-      ++i;
-    } else if (std::strcmp(arg, "--capacity-bps") == 0 && value != nullptr) {
-      options.capacity_bps = ParseDouble(value);
-      ++i;
-    } else if (std::strcmp(arg, "--tolerance-bps") == 0 && value != nullptr) {
-      options.admission_tolerance_bps = ParseDouble(value);
-      ++i;
-    } else if (std::strcmp(arg, "--client-deadline-ms") == 0 &&
-               value != nullptr) {
-      options.client_deadline_ms = std::atoi(value);
-      ++i;
-    } else if (std::strcmp(arg, "--drain-at-slot") == 0 && value != nullptr) {
-      options.drain_at_slot = std::atoll(value);
-      ++i;
-    } else {
-      std::fprintf(stderr, "rcbrd: unknown argument %s\n", arg);
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+      if (std::strcmp(arg, "--port") == 0 && value != nullptr) {
+        options.port =
+            static_cast<std::uint16_t>(ParseFlagInt(value, arg, 65535));
+        ++i;
+      } else if (std::strcmp(arg, "--capacity-bps") == 0 &&
+                 value != nullptr) {
+        options.capacity_bps = rcbr::ParseFlagPositiveDouble(value, arg);
+        ++i;
+      } else if (std::strcmp(arg, "--tolerance-bps") == 0 &&
+                 value != nullptr) {
+        options.admission_tolerance_bps =
+            rcbr::ParseFlagNonNegativeDouble(value, arg);
+        ++i;
+      } else if (std::strcmp(arg, "--client-deadline-ms") == 0 &&
+                 value != nullptr) {
+        options.client_deadline_ms =
+            static_cast<int>(ParseFlagInt(value, arg, INT_MAX));
+        ++i;
+      } else if (std::strcmp(arg, "--drain-at-slot") == 0 &&
+                 value != nullptr) {
+        options.drain_at_slot = ParseFlagInt(value, arg);
+        ++i;
+      } else {
+        std::fprintf(stderr, "rcbrd: unknown argument %s\n", arg);
+        return 2;
+      }
     }
+  } catch (const rcbr::Error& e) {
+    std::fprintf(stderr, "rcbrd: %s\n", e.what());
+    return 2;
   }
 
   rcbr::net::Server server(options);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/error.h"
 #include "util/json.h"
 
 namespace rcbr::obs {
@@ -43,34 +42,6 @@ GaugeValue Gauge::value() const {
   return value_;
 }
 
-void HistogramValue::Merge(const HistogramValue& other) {
-  if (other.values.empty()) return;
-  if (values.empty()) {
-    *this = other;
-    return;
-  }
-  Require(values == other.values,
-          "HistogramValue::Merge: bucket grid mismatch");
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] += other.weights[i];
-  }
-  total_weight += other.total_weight;
-}
-
-MetricHistogram::MetricHistogram(std::vector<double> bucket_values)
-    : histogram_(std::move(bucket_values)) {}
-
-void MetricHistogram::Observe(double value, double weight) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  histogram_.AddNearest(value, weight);
-}
-
-HistogramValue MetricHistogram::value() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {histogram_.values(), histogram_.weights(),
-          histogram_.total_weight()};
-}
-
 void SpanHistogram::Record(double seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (seen_ % sample_every_ == 0) histogram_.Record(seconds);
@@ -85,24 +56,8 @@ SpanValue SpanHistogram::value() const {
 void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   for (const auto& [name, value] : other.counters) counters[name] += value;
   for (const auto& [name, value] : other.gauges) gauges[name].Merge(value);
-  for (const auto& [name, value] : other.histograms) {
-    histograms[name].Merge(value);
-  }
   for (const auto& [name, value] : other.spans) spans[name].Merge(value);
 }
-
-namespace {
-
-std::string NumberArray(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json::Number(values[i]);
-  }
-  return out + "]";
-}
-
-}  // namespace
 
 std::string MetricsSnapshot::ToJson(const std::string& indent) const {
   const std::string pad = indent + "  ";
@@ -136,19 +91,6 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
              ", \"sum\": " + json::Number(g.sum) +
              ", \"min\": " + json::Number(g.min) +
              ", \"max\": " + json::Number(g.max) + "}";
-    }
-    out += "\n" + pad + "}";
-  }
-  if (!histograms.empty()) {
-    open_section("histograms");
-    bool first = true;
-    for (const auto& [name, h] : histograms) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += pad2 + json::Quote(name) +
-             ": {\"values\": " + NumberArray(h.values) +
-             ", \"weights\": " + NumberArray(h.weights) +
-             ", \"total_weight\": " + json::Number(h.total_weight) + "}";
     }
     out += "\n" + pad + "}";
   }
@@ -198,14 +140,6 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   return *slot;
 }
 
-MetricHistogram& MetricsRegistry::GetHistogram(
-    const std::string& name, const std::vector<double>& bucket_values) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<MetricHistogram>(bucket_values);
-  return *slot;
-}
-
 SpanHistogram& MetricsRegistry::GetSpan(const std::string& name,
                                         std::int64_t sample_every) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -222,9 +156,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   for (const auto& [name, gauge] : gauges_) {
     snapshot.gauges[name] = gauge->value();
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    snapshot.histograms[name] = histogram->value();
   }
   for (const auto& [name, span] : spans_) {
     SpanValue value = span->value();

@@ -1,10 +1,10 @@
-// Thread-safe metrics: counters, gauges, and fixed-bucket histograms.
+// Thread-safe metrics: counters, gauges, and span histograms.
 //
 // A MetricsRegistry is a named collection of instruments. Registration
 // (name -> instrument) takes a mutex; the returned references are stable
 // for the registry's lifetime, so hot loops resolve an instrument once and
 // then update it lock-free (counters) or under a tiny uncontended mutex
-// (gauges, histograms).
+// (gauges, spans).
 //
 // Determinism contract: instruments record only *simulation* quantities
 // (event counts, sim-time values, occupancies) — never wall-clock time,
@@ -21,11 +21,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/enabled.h"
 #include "obs/log_histogram.h"
-#include "util/histogram.h"
 
 namespace rcbr::obs {
 
@@ -69,32 +67,6 @@ class Gauge {
   GaugeValue value_;
 };
 
-/// Snapshot of a fixed-bucket histogram: the grid, per-bucket mass, and
-/// total weight (the same representation as rcbr::Histogram).
-struct HistogramValue {
-  std::vector<double> values;
-  std::vector<double> weights;
-  double total_weight = 0;
-
-  /// Requires an identical grid (instruments sharing a name are created
-  /// from the same code path, so grids always match).
-  void Merge(const HistogramValue& other);
-};
-
-/// Fixed-bucket histogram over an explicit value grid; observations land
-/// on the nearest grid value (rcbr::Histogram semantics).
-class MetricHistogram {
- public:
-  explicit MetricHistogram(std::vector<double> bucket_values);
-
-  void Observe(double value, double weight = 1.0);
-  HistogramValue value() const;
-
- private:
-  mutable std::mutex mutex_;
-  Histogram histogram_;
-};
-
 /// Snapshot of a span histogram: the log-bucketed latency distribution
 /// plus `seen`, the pre-sampling stream length (== value.count when the
 /// span is unsampled, larger when --span-sample N keeps every Nth).
@@ -132,23 +104,20 @@ class SpanHistogram {
 struct MetricsSnapshot {
   std::map<std::string, std::int64_t> counters;
   std::map<std::string, GaugeValue> gauges;
-  std::map<std::string, HistogramValue> histograms;
   std::map<std::string, SpanValue> spans;
 
   bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty() &&
-           spans.empty();
+    return counters.empty() && gauges.empty() && spans.empty();
   }
 
-  /// Folds `other` in: counters add, gauges fold sequentially, histogram
-  /// weights and span buckets add. Callers needing determinism must merge
-  /// in a fixed order (the sweep engine merges by point index).
+  /// Folds `other` in: counters add, gauges fold sequentially, span
+  /// buckets add. Callers needing determinism must merge in a fixed
+  /// order (the sweep engine merges by point index).
   void Merge(const MetricsSnapshot& other);
 
-  /// One JSON object {"counters": {...}, "gauges": {...},
-  /// "histograms": {...}, "spans": {...}}, each map sorted by name;
-  /// sections that are empty are omitted. Deterministic for equal
-  /// snapshots.
+  /// One JSON object {"counters": {...}, "gauges": {...}, "spans": {...}},
+  /// each map sorted by name; sections that are empty are omitted.
+  /// Deterministic for equal snapshots.
   std::string ToJson(const std::string& indent = "") const;
 };
 
@@ -160,11 +129,6 @@ class MetricsRegistry {
 
   /// Returns the gauge named `name`, creating it on first use.
   Gauge& GetGauge(const std::string& name);
-
-  /// Returns the histogram named `name`, creating it over `bucket_values`
-  /// on first use (later calls ignore the grid argument).
-  MetricHistogram& GetHistogram(const std::string& name,
-                                const std::vector<double>& bucket_values);
 
   /// Returns the span histogram named `name`, creating it with
   /// `sample_every` on first use (later calls ignore the argument —
@@ -179,7 +143,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<MetricHistogram>> histograms_;
   std::map<std::string, std::unique_ptr<SpanHistogram>> spans_;
 };
 

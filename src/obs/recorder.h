@@ -129,17 +129,6 @@ inline void SetGauge(Recorder* recorder, const char* name, double value) {
   }
 }
 
-inline void Observe(Recorder* recorder, const char* name,
-                    const std::vector<double>& bucket_values, double value,
-                    double weight = 1.0) {
-  if constexpr (kEnabled) {
-    if (recorder != nullptr) {
-      recorder->metrics().GetHistogram(name, bucket_values)
-          .Observe(value, weight);
-    }
-  }
-}
-
 /// The time series named `name`, or nullptr when the recorder has no
 /// sampler (no --ts-dir, recording off). Sampling through the resolved
 /// handle costs one branch when telemetry is disabled.

@@ -12,44 +12,11 @@
 
 #include "runtime/emit.h"
 #include "util/error.h"
+#include "util/flags.h"
 
 namespace rcbr::runtime {
 
 namespace {
-
-/// Strict base-10 integer: the whole value must parse, fit, and be
-/// non-negative (every shared flag is a count or a seed).
-std::int64_t ParseFlagInt(const char* text, const char* flag) {
-  Require(*text != '\0',
-          std::string(flag) + " expects an integer value");
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  Require(*end == '\0', std::string(flag) + ": '" + text +
-                            "' is not an integer");
-  Require(errno != ERANGE, std::string(flag) + ": '" + text +
-                               "' is out of range");
-  Require(value >= 0, std::string(flag) + " must be >= 0 (got " +
-                          std::string(text) + ")");
-  return static_cast<std::int64_t>(value);
-}
-
-/// Strict double: the whole value must parse and be a finite positive
-/// number (window widths).
-double ParseFlagPositiveDouble(const char* text, const char* flag) {
-  Require(*text != '\0', std::string(flag) + " expects a number");
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  Require(*end == '\0',
-          std::string(flag) + ": '" + text + "' is not a number");
-  Require(errno != ERANGE,
-          std::string(flag) + ": '" + text + "' is out of range");
-  Require(std::isfinite(value) && value > 0,
-          std::string(flag) + " must be a finite positive number (got " +
-              std::string(text) + ")");
-  return value;
-}
 
 /// Strict comma-separated doubles: every element must parse fully and be
 /// finite; the list must be non-empty (a depth-0 ladder is an error, not

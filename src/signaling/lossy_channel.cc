@@ -18,65 +18,6 @@ void ValidateChannelOptions(const LossyChannelOptions& options) {
           "LossyChannelOptions: negative resync period");
 }
 
-LossyRenegotiator::LossyRenegotiator(PortController* port, std::uint64_t vci,
-                                     double initial_rate_bps,
-                                     const LossyChannelOptions& options,
-                                     Rng* rng)
-    : port_(port),
-      vci_(vci),
-      options_(options),
-      rng_(rng),
-      believed_(initial_rate_bps) {
-  Require(port != nullptr, "LossyRenegotiator: null port");
-  Require(rng != nullptr, "LossyRenegotiator: null rng");
-  ValidateChannelOptions(options);
-  Require(initial_rate_bps >= 0, "LossyRenegotiator: negative rate");
-}
-
-bool LossyRenegotiator::Renegotiate(double new_rate_bps, double now_seconds) {
-  Require(new_rate_bps >= 0, "LossyRenegotiator: negative rate");
-  const double delta = new_rate_bps - believed_;
-  ++stats_.cells_sent;
-  ++cells_since_resync_;
-  bool accepted = true;
-  if (rng_->Bernoulli(EffectiveLossProbability(options_))) {
-    // The cell vanished; an unacknowledged scheme cannot tell a lost cell
-    // from an accepted one, so the source's belief moves anyway.
-    ++stats_.cells_lost;
-    if constexpr (obs::kEnabled) {
-      obs::Count(options_.recorder, "signaling.cells_lost");
-      obs::Emit(options_.recorder, now_seconds,
-                obs::EventKind::kRmCellLoss, vci_, {"delta_bps", delta},
-                {"believed_bps", new_rate_bps});
-    }
-  } else {
-    accepted = port_->Handle(RmCell::Delta(vci_, delta, rung_),
-                           now_seconds)
-                   .accepted;
-  }
-  if (accepted) believed_ = new_rate_bps;
-  if (options_.resync_every_cells > 0 &&
-      cells_since_resync_ >= options_.resync_every_cells) {
-    Resync(now_seconds);
-  }
-  return accepted;
-}
-
-void LossyRenegotiator::Resync(double now_seconds) {
-  if constexpr (obs::kEnabled) {
-    obs::Count(options_.recorder, "signaling.resyncs");
-    obs::Emit(options_.recorder, now_seconds, obs::EventKind::kResync, vci_,
-              {"believed_bps", believed_}, {"drift_bps", DriftBps()});
-  }
-  port_->Handle(RmCell::Resync(vci_, believed_, rung_), now_seconds);
-  ++stats_.resyncs_sent;
-  cells_since_resync_ = 0;
-}
-
-double LossyRenegotiator::DriftBps() const {
-  return port_->TrackedRate(vci_) - believed_;
-}
-
 LossyPathRenegotiator::LossyPathRenegotiator(
     SignalingPath* path, std::uint64_t vci, double initial_rate_bps,
     const LossyChannelOptions& options, Rng* rng)

@@ -5,17 +5,18 @@
 // of RM cell loss. To overcome this, we can resynchronize rates by
 // periodically sending an RM cell with the true explicit rate."
 //
-// LossyRenegotiator models exactly that failure mode on a single port:
-// delta cells are dropped with a configurable probability before reaching
-// the port (an unacknowledged lightweight scheme, so the source proceeds
+// LossyPathRenegotiator models exactly that failure mode along a
+// SignalingPath: delta cells are dropped with a configurable probability
+// per hop (an unacknowledged lightweight scheme, so the source proceeds
 // on its own view of the rate), and the source periodically emits an
-// absolute-rate resync cell that repairs the port's per-connection and
-// aggregate state. LossyPathRenegotiator generalizes it to a multi-hop
-// SignalingPath: a cell lost in flight at hop k leaves hops 0..k-1
+// absolute-rate resync cell that repairs every hop's per-connection and
+// aggregate state. A cell lost in flight at hop k leaves hops 0..k-1
 // granted but the rest drifted, and the rollback cells of an explicit
 // denial can themselves be lost — both repaired by the periodic resync.
-// The ablation bench sweeps loss probability against resync period and
-// reports the residual drift.
+// A 1-hop path is the single-port case of the paper's footnote: one
+// Bernoulli draw per delta cell, and a denial there has no upstream
+// grants to roll back. The ablation bench sweeps loss probability against
+// resync period on such a path and reports the residual drift.
 #pragma once
 
 #include <cstdint>
@@ -83,49 +84,6 @@ struct DriftStats {
   std::int64_t resyncs_sent = 0;
 };
 
-class LossyRenegotiator {
- public:
-  /// `port` is borrowed and must outlive the renegotiator. The connection
-  /// must already be admitted at `initial_rate_bps`.
-  LossyRenegotiator(PortController* port, std::uint64_t vci,
-                    double initial_rate_bps,
-                    const LossyChannelOptions& options, Rng* rng);
-
-  /// Renegotiates to `new_rate_bps` by sending a delta cell relative to
-  /// the source's *believed* rate. Lost cells silently skip the port (the
-  /// source still updates its belief — that is the drift). Returns true
-  /// if the port accepted (or never saw) the request. `now_seconds`
-  /// stamps any trace events with simulation time.
-  bool Renegotiate(double new_rate_bps, double now_seconds);
-
-  /// Sends an absolute-rate resync immediately.
-  void Resync(double now_seconds);
-
-  /// The source's view of its reserved rate.
-  double believed_rate_bps() const { return believed_; }
-
-  /// Ladder rung the connection occupies; carried on every subsequent
-  /// cell so the port's upgrade queue follows the call's resolution
-  /// (scalar contracts leave it at 0).
-  void set_rung(std::uint32_t rung) { rung_ = rung; }
-  std::uint32_t rung() const { return rung_; }
-
-  /// Port belief minus source belief, bits/s (0 when synchronized).
-  double DriftBps() const;
-
-  const DriftStats& stats() const { return stats_; }
-
- private:
-  PortController* port_;
-  std::uint64_t vci_;
-  LossyChannelOptions options_;
-  Rng* rng_;
-  double believed_;
-  std::uint32_t rung_ = 0;
-  std::int64_t cells_since_resync_ = 0;
-  DriftStats stats_;
-};
-
 /// The multi-hop composition the unified engine runs its calls on: one
 /// renegotiating source whose delta cells traverse a SignalingPath hop by
 /// hop through a lossy channel. Loss in flight at hop k means hops
@@ -150,8 +108,9 @@ class LossyPathRenegotiator {
 
   double believed_rate_bps() const { return believed_; }
 
-  /// Ladder rung carried on every subsequent cell (see
-  /// LossyRenegotiator::set_rung).
+  /// Ladder rung the connection occupies; carried on every subsequent
+  /// cell so each port's upgrade queue follows the call's resolution
+  /// (scalar contracts leave it at 0).
   void set_rung(std::uint32_t rung) { rung_ = rung; }
   std::uint32_t rung() const { return rung_; }
 

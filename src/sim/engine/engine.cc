@@ -17,14 +17,9 @@ void Engine::RunUntil(double end_time) {
     const ScheduledEvent event = queue_.Pop();
     AdvanceTo(when);
     ++events_processed_;
-    if (event.payload.kind == kHandlerEvent) {
-      EventQueue::Handler handler = queue_.TakeHandler(event.payload);
-      handler();
-    } else {
-      Require(static_cast<bool>(dispatcher_),
-              "Engine: payload event fired with no dispatcher installed");
-      dispatcher_(event.payload);
-    }
+    Require(static_cast<bool>(dispatcher_),
+            "Engine: event fired with no dispatcher installed");
+    dispatcher_(event.payload);
   }
   AdvanceTo(end_time);
 }

@@ -15,10 +15,10 @@
 //  * after the last due event, the clock advances to `end` (so the final
 //    partial measurement interval is integrated too).
 //
-// Events come in two flavors sharing one total order: closure events
-// (At), convenient for cold paths, and POD payload events (Post), which
-// allocate nothing and are routed to the owner's dispatcher — the hot
-// path that lets RunSimulation sustain 10^8+ events.
+// Every event is a POD payload (Post) routed to the one dispatcher the
+// owner installs: scheduling allocates nothing, which is what lets
+// RunSimulation sustain 10^8+ events. Owners tag payloads with their own
+// kinds and switch on them (see simulation.cc).
 #pragma once
 
 #include <cstdint>
@@ -35,22 +35,15 @@ class Engine {
   /// Observes every clock movement; `from < to` always holds.
   using AdvanceHook = std::function<void(double from, double to)>;
 
-  /// Receives every POD payload event at its fire time (engine clock
-  /// already advanced). Installed once per simulation, so hot events pay
-  /// one indirect call instead of one heap-allocated closure each.
+  /// Receives every event at its fire time (engine clock already
+  /// advanced). Installed once per simulation, so each event pays one
+  /// indirect call.
   using Dispatcher = std::function<void(const EventPayload&)>;
-
-  explicit Engine(EventQueue::Impl impl = EventQueue::Impl::kCalendar)
-      : queue_(impl) {}
 
   double now() const { return clock_.now(); }
   const SimClock& clock() const { return clock_; }
 
-  void At(double time, EventQueue::Handler handler) {
-    queue_.At(time, std::move(handler));
-  }
-
-  /// Schedules a POD payload event; requires a dispatcher before it fires.
+  /// Schedules an event; requires a dispatcher before it fires.
   void Post(double time, const EventPayload& payload) {
     queue_.Post(time, payload);
   }
@@ -63,8 +56,8 @@ class Engine {
   /// Pre-sizes the event queue for about `n` pending events.
   void Reserve(std::size_t n) { queue_.Reserve(n); }
 
-  /// Events fired so far (closure and payload alike) across all RunUntil
-  /// calls — the numerator of the macro-capacity events/sec metric.
+  /// Events fired so far across all RunUntil calls — the numerator of
+  /// the macro-capacity events/sec metric.
   std::int64_t events_processed() const { return events_processed_; }
 
   /// Drains events with time < end_time, then advances to end_time.

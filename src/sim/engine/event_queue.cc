@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/error.h"
 
@@ -17,52 +16,22 @@ constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
 
 }  // namespace
 
-EventQueue::EventQueue(Impl impl) : impl_(impl) {}
-
-void EventQueue::At(double time, Handler handler) {
-  Require(static_cast<bool>(handler), "EventQueue::At: empty handler");
-  std::uint64_t slot;
-  if (!free_handler_slots_.empty()) {
-    slot = free_handler_slots_.back();
-    free_handler_slots_.pop_back();
-    handlers_[static_cast<std::size_t>(slot)] = std::move(handler);
-  } else {
-    slot = handlers_.size();
-    handlers_.push_back(std::move(handler));
-  }
-  EventPayload payload;
-  payload.kind = kHandlerEvent;
-  payload.a = slot;
-  Push({time, next_seq_++, payload});
-  ++size_;
-}
-
 void EventQueue::Post(double time, const EventPayload& payload) {
-  Require(payload.kind != kHandlerEvent,
-          "EventQueue::Post: kHandlerEvent is reserved for At()");
-  Push({time, next_seq_++, payload});
-  ++size_;
-}
-
-void EventQueue::Push(const ScheduledEvent& record) {
-  Require(!std::isnan(record.time), "EventQueue: event time is NaN");
-  if (impl_ == Impl::kBinaryHeap) {
-    heap_.push_back(record);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return;
-  }
-  if (record.time < run_limit_) {
+  Require(!std::isnan(time), "EventQueue: event time is NaN");
+  const ScheduledEvent record{time, next_seq_++, payload};
+  if (time < run_limit_) {
     // Into the sorted run (descending by fire order; back() earliest).
     // Same-time bursts land here with increasing seq, so the insertion
     // point is usually the very end — the scan is effectively O(1).
     const auto it =
         std::lower_bound(run_.begin(), run_.end(), record, Later{});
     run_.insert(it, record);
-  } else if (window_active_ && record.time < window_end_) {
-    buckets_[BucketIndex(record.time)].push_back(record);
+  } else if (window_active_ && time < window_end_) {
+    buckets_[BucketIndex(time)].push_back(record);
   } else {
     overflow_.push_back(record);
   }
+  ++size_;
 }
 
 std::size_t EventQueue::BucketIndex(double time) const {
@@ -142,52 +111,20 @@ void EventQueue::Repartition() {
 
 double EventQueue::next_time() {
   Require(!empty(), "EventQueue::next_time: empty queue");
-  if (impl_ == Impl::kBinaryHeap) return heap_.front().time;
   SettleRun();
   return run_.back().time;
 }
 
 ScheduledEvent EventQueue::Pop() {
   Require(!empty(), "EventQueue::Pop: empty queue");
-  ScheduledEvent record;
-  if (impl_ == Impl::kBinaryHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    record = heap_.back();
-    heap_.pop_back();
-  } else {
-    SettleRun();
-    record = run_.back();
-    run_.pop_back();
-  }
+  SettleRun();
+  const ScheduledEvent record = run_.back();
+  run_.pop_back();
   --size_;
   return record;
 }
 
-EventQueue::Handler EventQueue::PopNext() {
-  Require(!empty(), "EventQueue::PopNext: empty queue");
-  const ScheduledEvent record = Pop();
-  Require(record.payload.kind == kHandlerEvent,
-          "EventQueue::PopNext: front event has no handler");
-  return TakeHandler(record.payload);
-}
-
-EventQueue::Handler EventQueue::TakeHandler(const EventPayload& payload) {
-  Require(payload.kind == kHandlerEvent,
-          "EventQueue::TakeHandler: not a handler event");
-  const std::size_t slot = static_cast<std::size_t>(payload.a);
-  Require(slot < handlers_.size() && static_cast<bool>(handlers_[slot]),
-          "EventQueue::TakeHandler: stale handler slot");
-  Handler handler = std::move(handlers_[slot]);
-  handlers_[slot] = nullptr;
-  free_handler_slots_.push_back(payload.a);
-  return handler;
-}
-
 void EventQueue::Reserve(std::size_t n) {
-  if (impl_ == Impl::kBinaryHeap) {
-    heap_.reserve(n);
-    return;
-  }
   // New events land in overflow until the next repartition sweeps them
   // into buckets, so overflow is the array that must absorb the burst.
   overflow_.reserve(n);

@@ -7,32 +7,28 @@
 // produce identical event orders, which is what makes every seeded
 // simulation bit-reproducible.
 //
-// Two backends implement the same total order:
-//  * kCalendar (default) — a calendar/ladder queue: a sorted "run" of the
-//    earliest events, a window of constant-width buckets ahead of it, and
-//    an unsorted overflow list that is repartitioned into a fresh window
-//    when the current one drains. Schedule and pop are O(1) amortized at
-//    any pending-event count, which is what lets RunSimulation sustain
-//    10^6+ concurrent calls (bench/macro_capacity).
-//  * kBinaryHeap — the legacy binary min-heap, kept behind this runtime
-//    switch for differential testing (tests/sim/event_queue_diff_test.cc
-//    pins the two backends to identical pop sequences).
+// The queue is a calendar/ladder queue: a sorted "run" of the earliest
+// events, a window of constant-width buckets ahead of it, and an unsorted
+// overflow list that is repartitioned into a fresh window when the
+// current one drains. Schedule and pop are O(1) amortized at any
+// pending-event count, which is what lets RunSimulation sustain 10^6+
+// concurrent calls (bench/macro_capacity). A binary heap over the same
+// `Later` comparator is the reference oracle in
+// tests/sim/event_queue_diff_test.cc, which pins the two to identical
+// pop sequences.
 //
-// Payloads are tagged PODs dispatched by the owner (see Engine); the
-// legacy std::function API survives on top of a recycled handler slab,
-// so cold-path users (fault injection, tests) keep closures while the
-// hot call paths schedule plain records with zero allocation.
+// Payloads are tagged PODs dispatched by the owner (see Engine), so
+// scheduling an event allocates nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace rcbr::sim::engine {
 
 /// Tagged POD payload of one scheduled event. `kind` values are
-/// owner-defined (the engine routes them to its dispatcher), except
-/// kHandlerEvent, which the queue reserves for the std::function API.
+/// owner-defined (the engine routes them to its dispatcher).
 /// `gen` is conventionally a slot-map generation counter so owners can
 /// detect stale events for recycled handles without a hash lookup.
 struct EventPayload {
@@ -41,9 +37,6 @@ struct EventPayload {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
 };
-
-/// Reserved payload kind: `a` indexes the queue's handler slab.
-inline constexpr std::uint32_t kHandlerEvent = 0xffffffffu;
 
 /// One queued event: fire time, the (time, seq) tie-break counter, and
 /// the owner's payload.
@@ -55,23 +48,19 @@ struct ScheduledEvent {
 
 class EventQueue {
  public:
-  using Handler = std::function<void()>;
+  /// Orders records by "fires later": a heap over it has the earliest
+  /// (time, seq) at the front, and the sorted run keeps it at the back.
+  /// This is the ordering the pre-engine simulator loops used, preserved
+  /// verbatim for the regression pins.
+  struct Later {
+    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
 
-  /// Queue backend. kCalendar is the default; kBinaryHeap preserves the
-  /// pre-calendar heap for differential testing. Both implement the
-  /// identical (time, seq) pop order, so results never depend on the
-  /// choice — only throughput does.
-  enum class Impl { kCalendar, kBinaryHeap };
-
-  explicit EventQueue(Impl impl = Impl::kCalendar);
-
-  /// Schedules `handler` at absolute time `time`; same-time events fire
-  /// in scheduling order. The handler lives in a recycled slab slot; the
-  /// queued record is POD like any other event.
-  void At(double time, Handler handler);
-
-  /// Schedules a POD payload at absolute time `time` — the allocation-free
-  /// hot path. `payload.kind` must not be kHandlerEvent.
+  /// Schedules a POD payload at absolute time `time` (not NaN); same-time
+  /// events fire in scheduling order.
   void Post(double time, const EventPayload& payload);
 
   bool empty() const { return size_ == 0; }
@@ -80,24 +69,13 @@ class EventQueue {
   /// Fire time of the earliest event. Requires a non-empty queue.
   double next_time();
 
-  /// Removes and returns the earliest event. Handler events must be
-  /// resolved with TakeHandler before the record is dropped.
+  /// Removes and returns the earliest event. Requires a non-empty queue.
   ScheduledEvent Pop();
-
-  /// Legacy API: removes the earliest event, which must be a handler
-  /// event, and returns its handler.
-  Handler PopNext();
-
-  /// Moves the handler of a popped kHandlerEvent record out of the slab
-  /// and recycles its slot.
-  Handler TakeHandler(const EventPayload& payload);
 
   /// Pre-sizes internal storage for about `n` simultaneously pending
   /// events, so large runs do not pay repeated reallocation. Purely a
   /// capacity hint: never affects ordering.
   void Reserve(std::size_t n);
-
-  Impl impl() const { return impl_; }
 
   /// Test hook: restarts the schedule counter at `next_seq`. The counter
   /// is 64-bit, so a real run cannot exhaust it (~1.8e19 schedules); the
@@ -107,19 +85,7 @@ class EventQueue {
   std::uint64_t next_sequence() const { return next_seq_; }
 
  private:
-  // Max-heap comparator on "fires later", which makes the heap front /
-  // the sorted run's back the earliest (time, seq) — the same ordering
-  // the legacy simulator loops used, preserved verbatim for the
-  // regression pins.
-  struct Later {
-    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  void Push(const ScheduledEvent& record);
-  // Calendar internals. The invariants are:
+  // The invariants are:
   //  * run_ is sorted descending by (time, seq) (back() = earliest) and
   //    holds every queued event with time < run_limit_;
   //  * active bucket i (cur_bucket_ <= i < buckets_.size()) holds only
@@ -132,18 +98,9 @@ class EventQueue {
     return bucket_base_ + bucket_width_ * static_cast<double>(i);
   }
 
-  Impl impl_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
 
-  // Handler slab for the std::function API (slots recycled LIFO).
-  std::vector<Handler> handlers_;
-  std::vector<std::uint64_t> free_handler_slots_;
-
-  // kBinaryHeap backend.
-  std::vector<ScheduledEvent> heap_;
-
-  // kCalendar backend.
   std::vector<ScheduledEvent> run_;
   std::vector<std::vector<ScheduledEvent>> buckets_;
   std::size_t cur_bucket_ = 0;

@@ -10,8 +10,8 @@
 #include "sim/engine/call_store.h"
 #include "sim/engine/engine.h"
 #include "sim/engine/measurement.h"
-#include "sim/fault/fault_injector.h"
 #include "sim/fault/fault_plan.h"
+#include "sim/fault/fault_timeline.h"
 #include "signaling/lossy_channel.h"
 #include "signaling/path.h"
 #include "signaling/port_shards.h"
@@ -28,11 +28,13 @@ using TraceStyle = SimulationOptions::TraceStyle;
 // handle in `a` (+ its generation in `gen`, the stale-event filter) and,
 // for transitions, the step index in `b`. Upgrade passes carry the link
 // index in `a`: they ride the same calendar queue so promotions happen
-// at a deterministic point in the (time, seq) order.
+// at a deterministic point in the (time, seq) order. Fault events carry
+// nothing: each advances the fault timeline to the engine clock.
 constexpr std::uint32_t kEvArrival = 1;
 constexpr std::uint32_t kEvTransition = 2;
 constexpr std::uint32_t kEvDeparture = 3;
 constexpr std::uint32_t kEvUpgradePass = 4;
+constexpr std::uint32_t kEvFault = 5;
 
 class Simulation {
  public:
@@ -40,10 +42,7 @@ class Simulation {
              const SimulationOptions& options, Rng& rng)
       : profiles_(profiles), options_(options), rng_(rng),
         window_(options.warmup_seconds, options.sample_intervals,
-                options.interval_seconds),
-        engine_(options.use_legacy_event_heap
-                    ? EventQueue::Impl::kBinaryHeap
-                    : EventQueue::Impl::kCalendar) {
+                options.interval_seconds) {
     Validate();
     const std::size_t num_links = options_.link_capacities_bps.size();
     ports_.emplace(options_.link_capacities_bps, options_.track_connections,
@@ -103,8 +102,7 @@ class Simulation {
     result_.util_total.assign(num_links, 0.0);
 
     if (options_.fault_plan != nullptr && !options_.fault_plan->empty()) {
-      injector_ = std::make_unique<fault::FaultInjector>(
-          options_.fault_plan, &engine_, num_links, options_.recorder);
+      faults_.emplace(options_.fault_plan, num_links, options_.recorder);
       ctr_rerouted_ =
           obs::FindCounter(obs, (prefix + ".rerouted_calls").c_str());
       ctr_dropped_ =
@@ -175,13 +173,16 @@ class Simulation {
         case kEvUpgradePass:
           RunUpgradePass(static_cast<std::size_t>(event.a));
           break;
+        case kEvFault:
+          faults_->AdvanceTo(engine_.now());
+          break;
         default:
           Require(false, "engine: unknown event payload kind");
       }
     });
-    // Arm the fault plan before seeding arrivals, so a fault scheduled at
-    // the same instant as a call event fires first (fixed order).
-    if (injector_ != nullptr) {
+    // Post the fault plan before seeding arrivals, so a fault scheduled
+    // at the same instant as a call event fires first (fixed order).
+    if (faults_.has_value()) {
       fault::FaultCallbacks callbacks;
       callbacks.on_link_down = [this](std::size_t link, double now) {
         OnLinkDown(link, now);
@@ -189,7 +190,16 @@ class Simulation {
       callbacks.on_controller_crash = [this](std::size_t link, double now) {
         OnControllerCrash(link, now);
       };
-      injector_->Arm(std::move(callbacks));
+      faults_->set_callbacks(std::move(callbacks));
+      EventPayload payload;
+      payload.kind = kEvFault;
+      for (const fault::FaultEvent& event : options_.fault_plan->events()) {
+        engine_.Post(event.time_s, payload);
+        if (event.kind == fault::FaultKind::kRmLossBurst &&
+            event.duration_s > 0) {
+          engine_.Post(event.time_s + event.duration_s, payload);
+        }
+      }
     }
     // Seed one arrival per class, in class order (pinned draw order).
     for (std::size_t c = 0; c < options_.classes.size(); ++c) {
@@ -273,7 +283,7 @@ class Simulation {
 
   /// True unless an injected fault has the link down right now.
   bool LinkUp(std::size_t link) const {
-    return injector_ == nullptr || injector_->timeline().link_up(link);
+    return !faults_.has_value() || faults_->link_up(link);
   }
 
   void ScheduleArrival(std::size_t c) {
@@ -378,9 +388,7 @@ class Simulation {
     lossy.cell_loss_probability = options_.cell_loss_probability;
     lossy.resync_every_cells = options_.resync_every_cells;
     lossy.recorder = options_.signaling_recorder;
-    if (injector_ != nullptr) {
-      lossy.conditions = &injector_->timeline().conditions();
-    }
+    if (faults_.has_value()) lossy.conditions = &faults_->conditions();
     if (handle >= renegotiators_.size()) {
       renegotiators_.resize(static_cast<std::size_t>(handle) + 1);
     }
@@ -889,7 +897,7 @@ class Simulation {
   std::vector<std::optional<signaling::LossyPathRenegotiator>>
       renegotiators_;
   std::uint64_t next_call_id_ = 1;
-  std::unique_ptr<fault::FaultInjector> injector_;
+  std::optional<fault::FaultTimeline> faults_;
   SimulationResult result_;
   /// Ladder accounting. `ladders_on_` = some class carries a ladder
   /// (delivered-utility integration active); `upgrades_enabled_` = some

@@ -104,11 +104,6 @@ struct SimulationOptions {
   /// reallocation. 0 = derive from offered load (arrival rates × mean
   /// profile duration). Purely a capacity hint — never affects results.
   std::size_t expected_peak_calls = 0;
-  /// Run on the legacy binary-heap event queue instead of the calendar
-  /// queue. Both implement the identical (time, seq) order, so outputs
-  /// are bit-identical either way (pinned by the engine tests); the
-  /// switch exists for differential testing and A/B throughput runs.
-  bool use_legacy_event_heap = false;
 };
 
 /// Per-class tallies plus the per-interval samples the drivers turn into

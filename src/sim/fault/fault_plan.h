@@ -9,8 +9,10 @@
 // thread count: faults are inputs to the determinism contract
 // (docs/algorithms.md §7), not perturbations of it.
 //
-// The plan is pure data. FaultTimeline/FaultInjector (fault_injector.h)
-// interpret it against a running simulation.
+// The plan is pure data. FaultTimeline (fault_timeline.h) interprets it
+// against a running simulation: RunSimulation posts one engine event per
+// plan entry (plus one per loss-burst expiry), and each of those events
+// advances the timeline to the engine clock.
 #pragma once
 
 #include <cstddef>

@@ -1,4 +1,4 @@
-#include "sim/fault/fault_injector.h"
+#include "sim/fault/fault_timeline.h"
 
 #include <algorithm>
 #include <limits>
@@ -133,26 +133,6 @@ double FaultTimeline::NextEventTime() const {
     next = std::min(next, burst.end_s);
   }
   return next;
-}
-
-FaultInjector::FaultInjector(const FaultPlan* plan, engine::Engine* engine,
-                             std::size_t num_links, obs::Recorder* recorder)
-    : engine_(engine), timeline_(plan, num_links, recorder) {
-  Require(engine != nullptr, "FaultInjector: null engine");
-}
-
-void FaultInjector::Arm(FaultCallbacks callbacks) {
-  Require(!armed_, "FaultInjector: already armed");
-  armed_ = true;
-  timeline_.set_callbacks(std::move(callbacks));
-  for (const FaultEvent& event : timeline_.plan()->events()) {
-    engine_->At(event.time_s,
-                [this] { timeline_.AdvanceTo(engine_->now()); });
-    if (event.kind == FaultKind::kRmLossBurst && event.duration_s > 0) {
-      engine_->At(event.time_s + event.duration_s,
-                  [this] { timeline_.AdvanceTo(engine_->now()); });
-    }
-  }
 }
 
 }  // namespace rcbr::sim::fault

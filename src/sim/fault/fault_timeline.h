@@ -1,7 +1,7 @@
 // Interpreting a FaultPlan against a running simulation.
 //
-// FaultTimeline is the engine-free core: a cursor over the plan that the
-// owner advances along simulation time. As it crosses events it
+// FaultTimeline is a cursor over the plan that the owner advances along
+// simulation time. As it crosses events it
 //  * opens/closes RM-cell loss/delay bursts, maintaining a single
 //    ChannelConditions the signaling channels read per cell (overlapping
 //    bursts combine by max, so closing one burst cannot erase another);
@@ -10,11 +10,12 @@
 //    and drives the resync repair — the timeline never touches ports
 //    itself, keeping the repair path explicit and testable).
 //
-// FaultInjector adapts the timeline to the unified engine: it schedules
+// The timeline knows nothing about the event engine. RunSimulation posts
 // one engine event per plan entry (and per burst end), each of which just
-// advances the timeline to the engine clock. Injectors are armed before
+// advances the timeline to the engine clock. They are posted before
 // arrival seeding, so a fault at time t fires before any same-time call
-// event — a fixed order, which is all determinism needs.
+// event — a fixed order, which is all determinism needs. A slot-clocked
+// owner (bench/fig_fault_sweep) advances it directly instead.
 //
 // Nothing here draws randomness: the plan is fixed data, so a run with a
 // given plan is as deterministic as one without.
@@ -23,12 +24,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "obs/recorder.h"
 #include "signaling/lossy_channel.h"
-#include "sim/engine/engine.h"
 #include "sim/fault/fault_plan.h"
 
 namespace rcbr::sim::fault {
@@ -70,7 +69,6 @@ class FaultTimeline {
 
   bool link_up(std::size_t link) const { return link_up_[link]; }
   std::size_t num_links() const { return link_up_.size(); }
-  const FaultPlan* plan() const { return plan_; }
 
   /// Earliest unapplied event or burst-end time (+infinity when drained).
   double NextEventTime() const;
@@ -96,26 +94,6 @@ class FaultTimeline {
   FaultCallbacks callbacks_;
   FaultStats stats_;
   obs::Recorder* obs_ = nullptr;
-};
-
-/// Hooks a FaultTimeline into the engine's event loop: every plan event
-/// (and burst expiry) gets an engine event that advances the timeline.
-class FaultInjector {
- public:
-  FaultInjector(const FaultPlan* plan, engine::Engine* engine,
-                std::size_t num_links, obs::Recorder* recorder = nullptr);
-
-  /// Schedules the engine events. Call once, before seeding the rest of
-  /// the simulation, so same-time faults fire first.
-  void Arm(FaultCallbacks callbacks);
-
-  FaultTimeline& timeline() { return timeline_; }
-  const FaultTimeline& timeline() const { return timeline_; }
-
- private:
-  engine::Engine* engine_;
-  FaultTimeline timeline_;
-  bool armed_ = false;
 };
 
 }  // namespace rcbr::sim::fault

@@ -1,6 +1,6 @@
 // Replaying a FaultPlan outside the discrete-event engine.
 //
-// FaultTimeline (fault_injector.h) interprets a plan against the sim
+// FaultTimeline (fault_timeline.h) interprets a plan against the sim
 // engine's clock. The socket daemon (src/net) has no engine: its time
 // axis is the client's logical slot counter, stamped onto every wire
 // frame, and its enforcement mechanism is wall-clock deadline timers.

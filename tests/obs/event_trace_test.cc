@@ -101,7 +101,6 @@ TEST(RecorderHelpers, AreNullSafe) {
   EXPECT_EQ(FindCounter(nullptr, "x"), nullptr);
   Count(nullptr, "x");
   SetGauge(nullptr, "x", 1.0);
-  Observe(nullptr, "x", {0.0, 1.0}, 0.5);
   Emit(nullptr, 0.0, EventKind::kResync, 0);
 }
 
@@ -111,13 +110,11 @@ TEST(RecorderHelpers, UpdateMetricsWhenEnabled) {
   Count(&recorder, "c", 2);
   Count(&recorder, "c");
   SetGauge(&recorder, "g", 4.5);
-  Observe(&recorder, "h", {0.0, 1.0}, 1.0, 2.0);
   Counter* c = FindCounter(&recorder, "c");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value(), 3);
   const MetricsSnapshot snap = recorder.metrics().Snapshot();
   EXPECT_DOUBLE_EQ(snap.gauges.at("g").last, 4.5);
-  EXPECT_DOUBLE_EQ(snap.histograms.at("h").total_weight, 2.0);
 }
 
 TEST(ScopedTimer, AccumulatesPhaseProfile) {

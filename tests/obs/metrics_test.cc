@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.h"
-
 namespace rcbr::obs {
 namespace {
 
@@ -67,22 +65,6 @@ TEST(GaugeValue, MergeOfEmptyIsNoop) {
   EXPECT_DOUBLE_EQ(a.last, 7.0);
 }
 
-TEST(MetricHistogram, ObservesOnNearestBucket) {
-  MetricHistogram h({0.0, 10.0, 20.0});
-  h.Observe(9.0);
-  h.Observe(11.0, 2.0);
-  const HistogramValue v = h.value();
-  EXPECT_DOUBLE_EQ(v.weights[1], 3.0);
-  EXPECT_DOUBLE_EQ(v.total_weight, 3.0);
-}
-
-TEST(HistogramValue, MergeRequiresSameGrid) {
-  MetricHistogram a({0.0, 1.0});
-  MetricHistogram b({0.0, 2.0});
-  HistogramValue va = a.value();
-  EXPECT_THROW(va.Merge(b.value()), InvalidArgument);
-}
-
 TEST(MetricsRegistry, InstrumentsAreStableAcrossLookups) {
   MetricsRegistry registry;
   Counter& c1 = registry.GetCounter("x");
@@ -113,17 +95,18 @@ TEST(MetricsRegistry, ConcurrentRegistrationAndUpdate) {
 TEST(MetricsSnapshot, MergeAddsCountersAndHistograms) {
   MetricsRegistry a;
   a.GetCounter("c").Add(1);
-  a.GetHistogram("h", {0.0, 1.0}).Observe(0.0);
+  a.GetSpan("h").Record(0.5);
   MetricsRegistry b;
   b.GetCounter("c").Add(2);
   b.GetCounter("only_b").Add(5);
-  b.GetHistogram("h", {0.0, 1.0}).Observe(1.0, 3.0);
+  for (int i = 0; i < 3; ++i) b.GetSpan("h").Record(1.0);
 
   MetricsSnapshot merged = a.Snapshot();
   merged.Merge(b.Snapshot());
   EXPECT_EQ(merged.counters.at("c"), 3);
   EXPECT_EQ(merged.counters.at("only_b"), 5);
-  EXPECT_DOUBLE_EQ(merged.histograms.at("h").total_weight, 4.0);
+  EXPECT_EQ(merged.spans.at("h").value.count, 4);
+  EXPECT_EQ(merged.spans.at("h").seen, 4);
 }
 
 TEST(MetricsSnapshot, ToJsonIsSortedAndOmitsEmptySections) {
@@ -143,7 +126,6 @@ TEST(MetricsSnapshot, EqualSnapshotsSerializeIdentically) {
     MetricsRegistry registry;
     registry.GetCounter("c").Add(7);
     registry.GetGauge("g").Set(0.25);
-    registry.GetHistogram("h", {0.0, 1.0, 2.0}).Observe(1.0, 2.0);
     registry.GetSpan("s").Record(0.125);
     return registry.Snapshot();
   };

@@ -46,8 +46,14 @@ TEST(ChannelOptions, EffectiveLossClampsAndDelayReadsConditions) {
   EXPECT_DOUBLE_EQ(EffectiveLossProbability(options), 1.0);
 }
 
+// The single-port lossy channel of Sec. III-B footnote 2 is a 1-hop
+// LossyPathRenegotiator: one Bernoulli draw per delta cell, and a denial
+// at the only hop has no upstream grants to roll back. The
+// LossyRenegotiator tests below are those single-port cases.
+SignalingPath OnePortPath(PortController* port) { return {{port}, 0.0}; }
+
 TEST(ChannelConditionsLive, MutatingConditionsSwitchesLossMidRun) {
-  // The fault injector mutates a shared ChannelConditions as its timeline
+  // The fault timeline mutates a shared ChannelConditions as it
   // advances; the channel must sample it per cell, so cells sent during
   // the outage window are lost and cells outside it are not.
   PortController port(1e9);
@@ -56,7 +62,8 @@ TEST(ChannelConditionsLive, MutatingConditionsSwitchesLossMidRun) {
   ChannelConditions conditions;  // starts clean
   LossyChannelOptions options;
   options.conditions = &conditions;
-  LossyRenegotiator source(&port, 1, 1e5, options, &rng);
+  SignalingPath path = OnePortPath(&port);
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
   Rng workload(43);
   for (int i = 0; i < 100; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
@@ -74,23 +81,26 @@ TEST(ChannelConditionsLive, MutatingConditionsSwitchesLossMidRun) {
   }
   EXPECT_EQ(source.stats().cells_lost, lost_during_burst);
   source.Resync(250.0);
-  EXPECT_NEAR(source.DriftBps(), 0.0, 1e-6);
+  EXPECT_NEAR(source.DriftBps(0), 0.0, 1e-6);
 }
 
 TEST(LossyRenegotiator, Validation) {
   PortController port(1e6);
+  SignalingPath path = OnePortPath(&port);
   Rng rng(1);
   LossyChannelOptions options;
-  EXPECT_THROW(LossyRenegotiator(nullptr, 1, 0.0, options, &rng),
+  EXPECT_THROW(LossyPathRenegotiator(nullptr, 1, 0.0, options, &rng),
                InvalidArgument);
-  EXPECT_THROW(LossyRenegotiator(&port, 1, 0.0, options, nullptr),
+  EXPECT_THROW(LossyPathRenegotiator(&path, 1, 0.0, options, nullptr),
+               InvalidArgument);
+  EXPECT_THROW(LossyPathRenegotiator(&path, 1, -1.0, options, &rng),
                InvalidArgument);
   options.cell_loss_probability = 1.0;
-  EXPECT_THROW(LossyRenegotiator(&port, 1, 0.0, options, &rng),
+  EXPECT_THROW(LossyPathRenegotiator(&path, 1, 0.0, options, &rng),
                InvalidArgument);
   options = {};
   options.resync_every_cells = -1;
-  EXPECT_THROW(LossyRenegotiator(&port, 1, 0.0, options, &rng),
+  EXPECT_THROW(LossyPathRenegotiator(&path, 1, 0.0, options, &rng),
                InvalidArgument);
 }
 
@@ -98,11 +108,12 @@ TEST(LossyRenegotiator, LosslessChannelNeverDrifts) {
   PortController port(1e6);
   ASSERT_TRUE(port.AdmitConnection(1, 1e5));
   Rng rng(2);
-  LossyRenegotiator source(&port, 1, 1e5, {}, &rng);
+  SignalingPath path = OnePortPath(&port);
+  LossyPathRenegotiator source(&path, 1, 1e5, {}, &rng);
   Rng workload(3);
   for (int i = 0; i < 500; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
-    ASSERT_NEAR(source.DriftBps(), 0.0, 1e-6) << "step " << i;
+    ASSERT_NEAR(source.DriftBps(0), 0.0, 1e-6) << "step " << i;
   }
   EXPECT_EQ(source.stats().cells_lost, 0);
 }
@@ -113,12 +124,13 @@ TEST(LossyRenegotiator, CellLossCausesDrift) {
   Rng rng(5);
   LossyChannelOptions options;
   options.cell_loss_probability = 0.2;
-  LossyRenegotiator source(&port, 1, 1e5, options, &rng);
+  SignalingPath path = OnePortPath(&port);
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
   Rng workload(7);
   double max_drift = 0;
   for (int i = 0; i < 2000; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
-    max_drift = std::max(max_drift, std::abs(source.DriftBps()));
+    max_drift = std::max(max_drift, std::abs(source.DriftBps(0)));
   }
   EXPECT_GT(source.stats().cells_lost, 200);
   EXPECT_GT(max_drift, 1e4) << "lost delta cells must desynchronize state";
@@ -131,18 +143,19 @@ TEST(LossyRenegotiator, ResyncBoundsDrift) {
   LossyChannelOptions options;
   options.cell_loss_probability = 0.2;
   options.resync_every_cells = 10;
-  LossyRenegotiator source(&port, 1, 1e5, options, &rng);
+  SignalingPath path = OnePortPath(&port);
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
   Rng workload(11);
   for (int i = 0; i < 2000; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
     // Immediately after each resync the drift is exactly zero; in between
     // at most 10 cells (with rates < 5e5) can desynchronize.
-    ASSERT_LT(std::abs(source.DriftBps()), 10 * 5e5) << "step " << i;
+    ASSERT_LT(std::abs(source.DriftBps(0)), 10 * 5e5) << "step " << i;
   }
   EXPECT_GT(source.stats().resyncs_sent, 150);
   // Force one more resync and verify exact repair.
   source.Resync(0.0);
-  EXPECT_NEAR(source.DriftBps(), 0.0, 1e-6);
+  EXPECT_NEAR(source.DriftBps(0), 0.0, 1e-6);
 }
 
 TEST(LossyRenegotiator, ResyncRepairsAggregateUtilization) {
@@ -151,7 +164,8 @@ TEST(LossyRenegotiator, ResyncRepairsAggregateUtilization) {
   Rng rng(13);
   LossyChannelOptions options;
   options.cell_loss_probability = 0.5;
-  LossyRenegotiator source(&port, 1, 1e5, options, &rng);
+  SignalingPath path = OnePortPath(&port);
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
   Rng workload(15);
   for (int i = 0; i < 200; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
@@ -164,10 +178,11 @@ TEST(LossyRenegotiator, DeniedRequestKeepsBelief) {
   PortController port(2e5);
   ASSERT_TRUE(port.AdmitConnection(1, 1e5));
   Rng rng(17);
-  LossyRenegotiator source(&port, 1, 1e5, {}, &rng);
+  SignalingPath path = OnePortPath(&port);
+  LossyPathRenegotiator source(&path, 1, 1e5, {}, &rng);
   EXPECT_FALSE(source.Renegotiate(5e5, 0.0));  // exceeds the port
   EXPECT_DOUBLE_EQ(source.believed_rate_bps(), 1e5);
-  EXPECT_NEAR(source.DriftBps(), 0.0, 1e-6);
+  EXPECT_NEAR(source.DriftBps(0), 0.0, 1e-6);
 }
 
 class LossyPathTest : public ::testing::Test {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,29 +20,40 @@
 namespace rcbr::sim::engine {
 namespace {
 
+// A payload tagged with `tag` in `a`; the tests read the tags back in
+// fire order.
+EventPayload Tagged(std::int64_t tag) {
+  EventPayload payload;
+  payload.kind = 1;
+  payload.a = static_cast<std::uint64_t>(tag);
+  return payload;
+}
+
+std::vector<std::int64_t> DrainTags(EventQueue& q) {
+  std::vector<std::int64_t> tags;
+  while (!q.empty()) {
+    tags.push_back(static_cast<std::int64_t>(q.Pop().payload.a));
+  }
+  return tags;
+}
+
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.At(3.0, [&] { order.push_back(3); });
-  q.At(1.0, [&] { order.push_back(1); });
-  q.At(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.PopNext()();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  q.Post(3.0, Tagged(3));
+  q.Post(1.0, Tagged(1));
+  q.Post(2.0, Tagged(2));
+  EXPECT_EQ(DrainTags(q), (std::vector<std::int64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, SameTimeFiresInScheduleOrder) {
   // The (time, seq) tie-break: simultaneous events fire in the order they
   // were scheduled. This is what keeps seeded runs bit-reproducible.
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    q.At(5.0, [&order, i] { order.push_back(i); });
-  }
-  q.At(1.0, [&] { order.push_back(-1); });
-  std::vector<int> expected = {-1};
+  for (int i = 0; i < 8; ++i) q.Post(5.0, Tagged(i));
+  q.Post(1.0, Tagged(-1));
+  std::vector<std::int64_t> expected = {-1};
   for (int i = 0; i < 8; ++i) expected.push_back(i);
-  while (!q.empty()) q.PopNext()();
-  EXPECT_EQ(order, expected);
+  EXPECT_EQ(DrainTags(q), expected);
 }
 
 TEST(EventQueue, SameTimeOrderHoldsAtSequenceCounterCeiling) {
@@ -51,21 +63,19 @@ TEST(EventQueue, SameTimeOrderHoldsAtSequenceCounterCeiling) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   EventQueue q;
   q.ResetSequenceForTest(kMax - 3);
-  std::vector<int> order;
-  for (int i = 0; i < 3; ++i) {
-    q.At(5.0, [&order, i] { order.push_back(i); });
-  }
+  for (int i = 0; i < 3; ++i) q.Post(5.0, Tagged(i));
   EXPECT_EQ(q.next_sequence(), kMax);
-  q.At(5.0, [&order] { order.push_back(3); });  // the last usable seq
-  q.At(1.0, [&] { order.push_back(-1); });
-  while (!q.empty()) q.PopNext()();
-  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
+  q.Post(5.0, Tagged(3));  // the last usable seq
+  q.Post(1.0, Tagged(-1));
+  EXPECT_EQ(DrainTags(q), (std::vector<std::int64_t>{-1, 0, 1, 2, 3}));
 }
 
 TEST(EventQueue, NextTimeRequiresNonEmpty) {
   EventQueue q;
   EXPECT_THROW(q.next_time(), InvalidArgument);
-  EXPECT_THROW(q.PopNext(), InvalidArgument);
+  EXPECT_THROW(q.Pop(), InvalidArgument);
+  EXPECT_THROW(q.Post(std::numeric_limits<double>::quiet_NaN(), Tagged(0)),
+               InvalidArgument);
 }
 
 TEST(Engine, RunUntilFiresStrictlyBeforeEnd) {
@@ -73,26 +83,35 @@ TEST(Engine, RunUntilFiresStrictlyBeforeEnd) {
   // horizon stays queued. Pinned.
   Engine e;
   std::vector<double> fired;
-  e.At(1.0, [&] { fired.push_back(1.0); });
-  e.At(2.0, [&] { fired.push_back(2.0); });
-  e.At(3.0, [&] { fired.push_back(3.0); });
+  e.set_dispatcher([&](const EventPayload&) { fired.push_back(e.now()); });
+  e.Post(1.0, Tagged(0));
+  e.Post(2.0, Tagged(0));
+  e.Post(3.0, Tagged(0));
   e.RunUntil(2.0);
   EXPECT_EQ(fired, (std::vector<double>{1.0}));
   EXPECT_DOUBLE_EQ(e.now(), 2.0);
   e.RunUntil(4.0);
   EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_DOUBLE_EQ(e.now(), 4.0);
+  EXPECT_EQ(e.events_processed(), 3);
 }
 
 TEST(Engine, HandlersCanScheduleMoreEvents) {
+  // The dispatcher may post while it runs — the engine's own upgrade
+  // passes are posted at now() from inside a departure.
   Engine e;
-  std::vector<double> fired;
-  e.At(1.0, [&] {
-    fired.push_back(e.now());
-    e.At(1.5, [&] { fired.push_back(e.now()); });
+  std::vector<std::pair<double, std::uint64_t>> fired;
+  e.set_dispatcher([&](const EventPayload& event) {
+    fired.emplace_back(e.now(), event.a);
+    if (event.a == 0) {
+      e.Post(1.5, Tagged(1));
+      e.Post(e.now(), Tagged(2));
+    }
   });
+  e.Post(1.0, Tagged(0));
   e.RunUntil(10.0);
-  EXPECT_EQ(fired, (std::vector<double>{1.0, 1.5}));
+  EXPECT_EQ(fired, (std::vector<std::pair<double, std::uint64_t>>{
+                       {1.0, 0}, {1.0, 2}, {1.5, 1}}));
 }
 
 TEST(Engine, AdvanceHookSeesEverySegment) {
@@ -102,9 +121,10 @@ TEST(Engine, AdvanceHookSeesEverySegment) {
   std::vector<std::pair<double, double>> segments;
   e.set_advance_hook(
       [&](double from, double to) { segments.emplace_back(from, to); });
-  e.At(2.0, [] {});
-  e.At(2.0, [] {});  // same-time event moves the clock zero; no segment
-  e.At(5.0, [] {});
+  e.set_dispatcher([](const EventPayload&) {});
+  e.Post(2.0, Tagged(0));
+  e.Post(2.0, Tagged(0));  // same-time event moves the clock zero; no segment
+  e.Post(5.0, Tagged(0));
   e.RunUntil(7.0);
   ASSERT_EQ(segments.size(), 3u);
   EXPECT_EQ(segments[0], (std::pair<double, double>{0.0, 2.0}));
@@ -154,8 +174,7 @@ runtime::SweepSpec ComposedSpec() {
   return spec;
 }
 
-std::vector<double> ComposedPointImpl(const runtime::SweepContext& ctx,
-                                      bool use_legacy_event_heap) {
+std::vector<double> ComposedPoint(const runtime::SweepContext& ctx) {
   const std::vector<CallProfile> profiles = {
       {PiecewiseConstant({{0, 1.0}, {50, 2.0}}, 100), 1.0},
       {PiecewiseConstant({{0, 2.0}, {30, 3.0}, {70, 1.0}}, 100), 1.0}};
@@ -188,7 +207,6 @@ std::vector<double> ComposedPointImpl(const runtime::SweepContext& ctx,
   // Calls renegotiate only a handful of times each (one per profile
   // step), so resync after every delta cell to exercise the repair path.
   options.resync_every_cells = 1;
-  options.use_legacy_event_heap = use_legacy_event_heap;
 
   Rng rng = ctx.MakeRng();
   const SimulationResult r = RunSimulation(profiles, options, rng);
@@ -210,15 +228,6 @@ std::vector<double> ComposedPointImpl(const runtime::SweepContext& ctx,
   return {failure(r.per_class[0]), failure(r.per_class[1]),
           r.util_total[0] / (span * options.link_capacities_bps[0]),
           offered > 0 ? blocked / offered : 0.0};
-}
-
-std::vector<double> ComposedPoint(const runtime::SweepContext& ctx) {
-  return ComposedPointImpl(ctx, /*use_legacy_event_heap=*/false);
-}
-
-std::vector<double> ComposedPointLegacyHeap(
-    const runtime::SweepContext& ctx) {
-  return ComposedPointImpl(ctx, /*use_legacy_event_heap=*/true);
 }
 
 TEST(ComposedSimulation, AllLayersInOneRunAreThreadCountInvariant) {
@@ -258,32 +267,6 @@ TEST(ComposedSimulation, AllLayersInOneRunAreThreadCountInvariant) {
     EXPECT_EQ(runtime::ToJsonWithoutTimings(parallel),
               runtime::ToJsonWithoutTimings(serial));
   }
-}
-
-TEST(ComposedSimulation, EventQueueBackendsAreByteIdentical) {
-  // Every layer of the composed run — call dynamics, MBAC float sums,
-  // lossy signaling, the event trace — through the legacy binary heap
-  // must be byte-identical to the calendar queue. This is the end-to-end
-  // counterpart of the EventQueueDifferential pop-order pins.
-  const runtime::SweepSpec spec = ComposedSpec();
-  runtime::SweepOptions options;
-  options.base_seed = 20260806;
-  options.event_capacity = 256;
-  options.threads = 1;
-
-  const runtime::SweepResult calendar =
-      runtime::RunSweep(spec, ComposedPoint, options);
-  const runtime::SweepResult heap =
-      runtime::RunSweep(spec, ComposedPointLegacyHeap, options);
-  ASSERT_EQ(calendar.points.size(), heap.points.size());
-  for (std::size_t i = 0; i < calendar.points.size(); ++i) {
-    EXPECT_EQ(calendar.points[i].metrics, heap.points[i].metrics)
-        << "point " << i;
-  }
-  EXPECT_EQ(calendar.metrics.ToJson("  "), heap.metrics.ToJson("  "));
-  EXPECT_EQ(runtime::ToTraceJsonl(calendar), runtime::ToTraceJsonl(heap));
-  EXPECT_EQ(runtime::ToJsonWithoutTimings(calendar),
-            runtime::ToJsonWithoutTimings(heap));
 }
 
 TEST(ComposedSimulation, LossRequiresTrackedPorts) {

@@ -1,9 +1,10 @@
-// Differential tests pinning the calendar queue to the legacy binary
-// heap: both EventQueue backends must produce the identical (time, seq)
-// pop sequence for any schedule. The heap is the executable spec — it is
-// a std::push_heap/pop_heap over the same comparator the pre-calendar
-// simulator used — so agreement here is what licenses the calendar queue
-// to sit under every seeded regression pin.
+// Differential tests pinning the calendar EventQueue to the reference
+// binary heap (reference_event_queue.h): both must produce the identical
+// (time, seq) pop sequence for any schedule. The heap is the executable
+// spec — a std::push_heap/pop_heap over the same comparator the
+// pre-calendar simulator used — so agreement here is what licenses the
+// calendar queue to sit under every seeded regression pin.
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/engine/event_queue.h"
+#include "reference_event_queue.h"
 #include "util/rng.h"
 
 namespace rcbr::sim::engine {
@@ -33,40 +35,61 @@ struct ScheduleStep {
   std::uint64_t tag = 0;
 };
 
-// Runs the same interleaved post/pop schedule on one backend and returns
+// Payload kinds of the replay. A kStep record is a schedule step's post.
+// With `same_instant_posts`, popping a kStep record whose tag is a
+// multiple of 3 posts a kPass record at the popped instant — the way
+// RunSimulation posts kEvUpgradePass at now() from inside a departure —
+// and popping a kPass posts one kStep a short hold later.
+constexpr std::uint32_t kStep = 1;
+constexpr std::uint32_t kPass = 2;
+
+EventPayload Payload(std::uint32_t kind, std::uint64_t tag) {
+  EventPayload payload;
+  payload.kind = kind;
+  payload.a = tag;
+  return payload;
+}
+
+// Runs the same interleaved post/pop schedule on one queue and returns
 // everything popped (including the final drain).
-std::vector<PoppedRecord> Replay(EventQueue::Impl impl,
-                                 const std::vector<ScheduleStep>& steps,
-                                 bool reserve_hint = false) {
-  EventQueue queue(impl);
+template <typename Queue>
+std::vector<PoppedRecord> Replay(const std::vector<ScheduleStep>& steps,
+                                 bool reserve_hint = false,
+                                 bool same_instant_posts = false) {
+  Queue queue;
   if (reserve_hint) queue.Reserve(steps.size());
   std::vector<PoppedRecord> popped;
   popped.reserve(steps.size());
-  for (const ScheduleStep& step : steps) {
-    for (int k = 0; k < step.pops && !queue.empty(); ++k) {
-      const double peek = queue.next_time();
-      const ScheduledEvent event = queue.Pop();
-      EXPECT_EQ(event.time, peek);
-      popped.push_back(
-          {event.time, event.seq, event.payload.kind, event.payload.a});
-    }
-    EventPayload payload;
-    payload.kind = 1;
-    payload.a = step.tag;
-    queue.Post(step.time, payload);
-  }
-  while (!queue.empty()) {
+  std::uint64_t next_tag = steps.size();
+  auto pop_one = [&] {
+    const double peek = queue.next_time();
     const ScheduledEvent event = queue.Pop();
+    EXPECT_EQ(event.time, peek);
     popped.push_back(
         {event.time, event.seq, event.payload.kind, event.payload.a});
+    if (!same_instant_posts) return;
+    if (event.payload.kind == kStep && event.payload.a % 3 == 0) {
+      queue.Post(event.time, Payload(kPass, next_tag++));
+    } else if (event.payload.kind == kPass) {
+      // Tagged 1 mod 3, so follow-ups never chain into more passes.
+      queue.Post(event.time + 0.25, Payload(kStep, 3 * next_tag++ + 1));
+    }
+  };
+  for (const ScheduleStep& step : steps) {
+    for (int k = 0; k < step.pops && !queue.empty(); ++k) pop_one();
+    queue.Post(step.time, Payload(kStep, step.tag));
   }
+  while (!queue.empty()) pop_one();
   return popped;
 }
 
-void ExpectBackendsAgree(const std::vector<ScheduleStep>& steps,
-                         const std::string& label) {
-  const auto calendar = Replay(EventQueue::Impl::kCalendar, steps);
-  const auto heap = Replay(EventQueue::Impl::kBinaryHeap, steps);
+void ExpectMatchesReference(const std::vector<ScheduleStep>& steps,
+                            const std::string& label,
+                            bool same_instant_posts = false) {
+  const auto calendar =
+      Replay<EventQueue>(steps, /*reserve_hint=*/false, same_instant_posts);
+  const auto heap = Replay<ReferenceEventQueue>(
+      steps, /*reserve_hint=*/false, same_instant_posts);
   ASSERT_EQ(calendar.size(), heap.size()) << label;
   for (std::size_t i = 0; i < calendar.size(); ++i) {
     ASSERT_EQ(calendar[i], heap[i]) << label << ": pop " << i;
@@ -97,13 +120,13 @@ TEST(EventQueueDifferential, RandomizedHoldModelSchedules) {
       steps.push_back({pops, when, static_cast<std::uint64_t>(i)});
       now += rng.Uniform(0.0, 0.05);
     }
-    ExpectBackendsAgree(steps, "seed " + std::to_string(seed));
+    ExpectMatchesReference(steps, "seed " + std::to_string(seed));
   }
 }
 
 TEST(EventQueueDifferential, SameTimeBurstsFireInScheduleOrder) {
   // Large bursts at identical instants: the (time, seq) tie-break is the
-  // whole story, and both backends must resolve it the same way.
+  // whole story, and the calendar must resolve it as the reference does.
   std::vector<ScheduleStep> steps;
   std::uint64_t tag = 0;
   for (double t : {1.0, 1.0, 5.0, 2.5, 2.5, 2.5}) {
@@ -111,11 +134,11 @@ TEST(EventQueueDifferential, SameTimeBurstsFireInScheduleOrder) {
   }
   steps.push_back({300, 0.75, tag++});  // drain some, then more ties
   for (int i = 0; i < 100; ++i) steps.push_back({0, 2.5, tag++});
-  ExpectBackendsAgree(steps, "same-time bursts");
+  ExpectMatchesReference(steps, "same-time bursts");
 
   // Verify explicitly (not just differentially) that a same-time burst
-  // pops in schedule order on the calendar backend.
-  EventQueue queue(EventQueue::Impl::kCalendar);
+  // pops in schedule order on the calendar queue.
+  EventQueue queue;
   for (std::uint64_t i = 0; i < 500; ++i) {
     EventPayload payload;
     payload.kind = 1;
@@ -127,28 +150,26 @@ TEST(EventQueueDifferential, SameTimeBurstsFireInScheduleOrder) {
   }
 }
 
+template <typename Queue>
+void ExpectCeilingOrder() {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Queue queue;
+  queue.ResetSequenceForTest(kMax - 4);
+  for (std::uint64_t i = 0; i < 4; ++i) queue.Post(1.0, Payload(kStep, i));
+  EXPECT_EQ(queue.next_sequence(), kMax);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const ScheduledEvent event = queue.Pop();
+    EXPECT_EQ(event.payload.a, i);
+    EXPECT_EQ(event.seq, kMax - 4 + i);
+  }
+}
+
 TEST(EventQueueDifferential, SequenceCounterCeiling) {
   // Same-time ordering must hold right up to the last representable
-  // sequence numbers (the counter itself cannot wrap mid-run: At/Post
-  // would need ~1.8e19 schedules).
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  for (auto impl :
-       {EventQueue::Impl::kCalendar, EventQueue::Impl::kBinaryHeap}) {
-    EventQueue queue(impl);
-    queue.ResetSequenceForTest(kMax - 4);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      EventPayload payload;
-      payload.kind = 1;
-      payload.a = i;
-      queue.Post(1.0, payload);
-    }
-    EXPECT_EQ(queue.next_sequence(), kMax);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      const ScheduledEvent event = queue.Pop();
-      EXPECT_EQ(event.payload.a, i);
-      EXPECT_EQ(event.seq, kMax - 4 + i);
-    }
-  }
+  // sequence numbers (the counter itself cannot wrap mid-run: Post would
+  // need ~1.8e19 schedules).
+  ExpectCeilingOrder<EventQueue>();
+  ExpectCeilingOrder<ReferenceEventQueue>();
 }
 
 TEST(EventQueueDifferential, ReserveIsOrderNeutral) {
@@ -160,37 +181,30 @@ TEST(EventQueueDifferential, ReserveIsOrderNeutral) {
                      static_cast<std::uint64_t>(i)});
     now += 0.01;
   }
-  for (auto impl :
-       {EventQueue::Impl::kCalendar, EventQueue::Impl::kBinaryHeap}) {
-    const auto bare = Replay(impl, steps, /*reserve_hint=*/false);
-    const auto reserved = Replay(impl, steps, /*reserve_hint=*/true);
-    EXPECT_EQ(bare, reserved);
-  }
+  EXPECT_EQ(Replay<EventQueue>(steps, /*reserve_hint=*/false),
+            Replay<EventQueue>(steps, /*reserve_hint=*/true));
+  EXPECT_EQ(Replay<ReferenceEventQueue>(steps, /*reserve_hint=*/false),
+            Replay<ReferenceEventQueue>(steps, /*reserve_hint=*/true));
 }
 
-TEST(EventQueueDifferential, HandlerAndPayloadEventsInterleave) {
-  // The legacy At() closures ride the same (time, seq) order as POD
-  // payloads, on both backends.
-  for (auto impl :
-       {EventQueue::Impl::kCalendar, EventQueue::Impl::kBinaryHeap}) {
-    EventQueue queue(impl);
-    std::vector<int> fired;
-    queue.At(2.0, [&] { fired.push_back(0); });
-    EventPayload payload;
-    payload.kind = 1;
-    payload.a = 1;
-    queue.Post(2.0, payload);
-    queue.At(1.0, [&] { fired.push_back(2); });
-    queue.At(2.0, [&] { fired.push_back(3); });
-    while (!queue.empty()) {
-      const ScheduledEvent event = queue.Pop();
-      if (event.payload.kind == kHandlerEvent) {
-        queue.TakeHandler(event.payload)();
-      } else {
-        fired.push_back(static_cast<int>(event.payload.a));
-      }
+TEST(EventQueueDifferential, SameInstantPostsWhilePopping) {
+  // The engine's own shape: a handler posts at the instant it fires (an
+  // upgrade pass at now()), so the new record joins a time the calendar
+  // has already settled into its run, behind same-time records scheduled
+  // earlier. Several seeds of a hold-model schedule with coarse times, so
+  // same-instant collisions are frequent.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 100);
+    std::vector<ScheduleStep> steps;
+    double now = 0;
+    for (int i = 0; i < 3000; ++i) {
+      const int pops = rng.Uniform(0.0, 1.0) < 0.5 ? 2 : 0;
+      const double when = now + std::floor(rng.Uniform(0.0, 8.0)) * 0.25;
+      steps.push_back({pops, when, static_cast<std::uint64_t>(i)});
+      now += 0.01;
     }
-    EXPECT_EQ(fired, (std::vector<int>{2, 0, 1, 3}));
+    ExpectMatchesReference(steps, "seed " + std::to_string(seed),
+                           /*same_instant_posts=*/true);
   }
 }
 
@@ -205,7 +219,7 @@ TEST(EventQueueDifferential, BackwardInTimePostsStillOrder) {
   steps.push_back({0, 1.0, tag++});    // ...then post below it
   steps.push_back({0, 2.0, tag++});
   steps.push_back({2, 0.5, tag++});
-  ExpectBackendsAgree(steps, "backward posts");
+  ExpectMatchesReference(steps, "backward posts");
 }
 
 }  // namespace

@@ -1,11 +1,18 @@
-#include "sim/fault/fault_injector.h"
+#include "sim/fault/fault_timeline.h"
 #include "sim/fault/fault_plan.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "admission/policies.h"
 #include "runtime/emit.h"
@@ -414,6 +421,88 @@ TEST(FaultSimulation, ComposedFaultRunIsThreadCountInvariant) {
     EXPECT_EQ(runtime::ToJsonWithoutTimings(parallel),
               runtime::ToJsonWithoutTimings(serial));
   }
+}
+
+// ---------------------------------------------------------------------
+// Absolute pins of fault runs. The thread-count checks above compare runs
+// with each other; these compare them with values captured when fault
+// events were still engine closures, so the switch to POD fault events
+// (and any later engine change) must reproduce every output byte.
+// ---------------------------------------------------------------------
+
+std::uint64_t Fnv1a64(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(FaultSimulation, ComposedFaultRunMatchesPinnedOutputs) {
+  runtime::SweepOptions options;
+  options.base_seed = 20260806;
+  options.event_capacity = 256;
+  options.threads = 1;
+  const runtime::SweepResult r =
+      runtime::RunSweep(FaultComposedSpec(), FaultComposedPoint, options);
+  // {failure0, rerouted, dropped, util0} per point.
+  const std::vector<std::vector<double>> pinned = {
+      {0.0, 2.0, 5.0, 0x1.0cd64c2b120d3p-2},
+      {0.0, 0.0, 13.0, 0x1.c3c1b8db71ee9p-3}};
+  ASSERT_EQ(r.points.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(r.points[i].metrics, pinned[i]) << "point " << i;
+  }
+  if constexpr (obs::kEnabled) {
+    // The obs counters and the event trace, byte for byte.
+    const std::string json = runtime::ToJsonWithoutTimings(r);
+    const std::string trace = runtime::ToTraceJsonl(r);
+    EXPECT_EQ(Fnv1a64(json), 0xc0aa84175f7f9fc3ull) << json;
+    EXPECT_EQ(trace.size(), 65775u);
+    EXPECT_EQ(Fnv1a64(trace), 0x2dfa52abd5dbcde8ull);
+  }
+}
+
+// BENCH_<name>.json text minus its run-provenance fields ("threads",
+// "total_seconds", per-point "seconds"): for a run without a phase
+// profile, the text runtime::ToJsonWithoutTimings gives for its result.
+std::string WithoutTimings(const std::string& bench_json) {
+  std::istringstream in(bench_json);
+  std::string out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.starts_with("     \"seconds\": ")) {
+      // Closes the point: drop the seed line's ",\n", keep the brace.
+      out.resize(out.size() - 2);
+      out += line.substr(line.find('}')) + "\n";
+    } else if (!line.starts_with("  \"threads\": ") &&
+               !line.starts_with("  \"total_seconds\": ")) {
+      out += line + "\n";
+    }
+  }
+  return out;
+}
+
+TEST(FaultSimulation, FigFaultSweepQuickMatchesPinnedOutput) {
+  // bench/fig_fault_sweep drives FaultTimeline on its own slot clock; its
+  // --quick JSON (minus timings) is pinned as a whole.
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "RCBR_OBS=OFF";
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("fig_fault_sweep_pin_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string command = std::string("\"") + RCBR_FIG_FAULT_SWEEP +
+                              "\" --quick --threads=1 --json-dir=\"" +
+                              dir.string() + "\" > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  std::ifstream file(dir / "BENCH_fig_fault_sweep.json");
+  std::stringstream text;
+  text << file.rdbuf();
+  fs::remove_all(dir);
+  const std::string json = WithoutTimings(text.str());
+  EXPECT_EQ(json.size(), 4138u);
+  EXPECT_EQ(Fnv1a64(json), 0x205744c79af147f5ull) << json;
 }
 
 }  // namespace
