@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "experiment_lib.h"
-#include "sim/network.h"
+#include "sim/engine/simulation.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
@@ -45,10 +45,11 @@ int main(int argc, char** argv) {
   runtime::RunExperiment(
       spec,
       [&](const runtime::SweepContext& ctx) {
-        sim::NetworkSimOptions options;
+        sim::engine::SimulationOptions options;
         options.warmup_seconds = 3 * duration;
         options.sample_intervals = args.quick ? 4 : 20;
         options.interval_seconds = duration;
+        options.admission_tolerance_bps = 1e-9;
         options.recorder = ctx.recorder;
         std::size_t tagged_class = 0;
         if (ctx.parameters[0] == 0) {
@@ -78,8 +79,8 @@ int main(int argc, char** argv) {
           options.least_loaded_routing = ctx.parameters[1] == 1;
         }
         Rng rng = ctx.MakeRng();
-        const sim::NetworkSimResult r =
-            RunNetworkSim({setup.profile}, options, rng);
+        const sim::engine::SimulationResult r =
+            sim::engine::RunSimulation({setup.profile}, options, rng);
         const auto& tagged = r.per_class[tagged_class];
         return std::vector<double>{tagged.overall_failure_probability(),
                                    tagged.blocking_probability()};

@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
         options.policy = &policy;
         options.recorder = ctx.recorder;
         options.signaling_recorder = ctx.recorder;
-        options.metric_prefix = "netsim";
         options.per_hop_delay_s = 0.001;
         options.track_connections = true;
         options.cell_loss_probability = ctx.parameters[0];
@@ -89,16 +88,6 @@ int main(int argc, char** argv) {
         const sim::engine::SimulationResult r =
             sim::engine::RunSimulation({setup.profile}, options, rng);
         const sim::engine::ClassTotals& t = r.per_class.back();
-        const double failure =
-            t.upward_attempts > 0
-                ? static_cast<double>(t.failed_attempts) /
-                      static_cast<double>(t.upward_attempts)
-                : 0.0;
-        const double blocking =
-            t.offered_calls > 0
-                ? static_cast<double>(t.blocked_calls) /
-                      static_cast<double>(t.offered_calls)
-                : 0.0;
         const double span =
             options.interval_seconds *
             static_cast<double>(options.sample_intervals);
@@ -106,7 +95,8 @@ int main(int argc, char** argv) {
         for (std::size_t l = 0; l < hops; ++l) {
           util += r.util_total[l] / (span * link_capacity);
         }
-        return std::vector<double>{failure, blocking,
+        return std::vector<double>{t.overall_failure_probability(),
+                                   t.blocking_probability(),
                                    util / static_cast<double>(hops)};
       },
       args);

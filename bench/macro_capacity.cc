@@ -132,11 +132,7 @@ int main(int argc, char** argv) {
             wall_s > 0 ? admitted / wall_s : 0.0,
             events,
             static_cast<double>(r.peak_concurrent_calls),
-            totals.offered_calls > 0
-                ? static_cast<double>(totals.blocked_calls) /
-                      static_cast<double>(totals.offered_calls)
-                : 0.0,
-            wall_s};
+            totals.blocking_probability(), wall_s};
       },
       args);
   return 0;

@@ -17,7 +17,7 @@
 #include "util/rng.h"
 
 #include "core/dp_scheduler.h"
-#include "sim/network.h"
+#include "sim/engine/simulation.h"
 #include "trace/star_wars.h"
 #include "util/units.h"
 
@@ -56,7 +56,7 @@ int main() {
 
   for (double load : {0.7, 0.9, 1.1}) {
     for (int balanced = 0; balanced <= 1; ++balanced) {
-      sim::NetworkSimOptions net;
+      sim::engine::SimulationOptions net;
       net.link_capacities_bps.assign(4, 24 * call_mean);
       const double lambda_local =
           0.5 * load * 24 / duration;  // per-link local traffic
@@ -70,15 +70,22 @@ int main() {
       net.warmup_seconds = 3 * duration;
       net.sample_intervals = 12;
       net.interval_seconds = duration;
+      net.admission_tolerance_bps = 1e-9;
       Rng rng(77);
-      const sim::NetworkSimResult r =
-          sim::RunNetworkSim({profile}, net, rng);
+      const sim::engine::SimulationResult r =
+          sim::engine::RunSimulation({profile}, net, rng);
       const auto& video = r.per_class.back();
+      // Time-average reserved/capacity over the measurement phase.
+      const double span =
+          net.interval_seconds * static_cast<double>(net.sample_intervals);
+      auto mean_util = [&](std::size_t l) {
+        return r.util_total[l] / (span * net.link_capacities_bps[l]);
+      };
       std::printf("%-11s load %.1f %10.3f %12.2e %12.3f %12.3f\n",
                   balanced ? "least-load" : "first-fit", load,
                   video.blocking_probability(),
                   video.overall_failure_probability(),
-                  r.mean_link_utilization[0], r.mean_link_utilization[2]);
+                  mean_util(0), mean_util(2));
     }
   }
   std::printf(

@@ -60,20 +60,25 @@ void EventTracer::AppendJsonl(std::size_t point, std::string& out) const {
   obs::AppendJsonl(point, Events(), out);
 }
 
+void AppendEventBody(const TraceEvent& event, bool with_kind,
+                     std::string& out) {
+  out += ", \"t\": " + json::Number(event.time);
+  if (with_kind) {
+    out += ", \"event\": " + json::Quote(EventKindName(event.kind));
+  }
+  out += ", \"id\": " + std::to_string(event.id);
+  for (const TraceEvent::Field& field : event.fields) {
+    if (field.name == nullptr) continue;
+    out += ", " + json::Quote(field.name) + ": " + json::Number(field.value);
+  }
+}
+
 void AppendJsonl(std::size_t point, const std::vector<TraceEvent>& events,
                  std::string& out) {
   for (std::size_t seq = 0; seq < events.size(); ++seq) {
-    const TraceEvent& e = events[seq];
     out += "{\"point\": " + std::to_string(point) +
-           ", \"seq\": " + std::to_string(seq) +
-           ", \"t\": " + json::Number(e.time) + ", \"event\": " +
-           json::Quote(EventKindName(e.kind)) +
-           ", \"id\": " + std::to_string(e.id);
-    for (const TraceEvent::Field& field : e.fields) {
-      if (field.name == nullptr) continue;
-      out += ", " + json::Quote(field.name) + ": " +
-             json::Number(field.value);
-    }
+           ", \"seq\": " + std::to_string(seq);
+    AppendEventBody(events[seq], /*with_kind=*/true, out);
     out += "}\n";
   }
 }

@@ -93,6 +93,14 @@ class EventTracer {
   std::int64_t dropped_ = 0;
 };
 
+/// Appends the body of one event's JSON object:
+///   , "t": T, "event": "...", "id": I, <fields>
+/// With `with_kind` false the "event" member is left out (the caller
+/// names the kind under its own key). Every JSONL sink that writes
+/// TraceEvents uses this, so the per-event layout is defined once.
+void AppendEventBody(const TraceEvent& event, bool with_kind,
+                     std::string& out);
+
 /// Appends one JSONL line per event:
 ///   {"point": P, "seq": S, "t": T, "event": "...", "id": I, <fields>}
 /// `point` tags which sweep point produced the trace; `seq` is the index

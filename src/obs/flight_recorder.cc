@@ -4,22 +4,6 @@
 
 namespace rcbr::obs {
 
-namespace {
-
-// Same field layout as the trace serializer in event_trace.cc, with the
-// "dump" tag spliced in so every line of the artifact is self-describing.
-void AppendEventBody(const TraceEvent& e, std::string& out) {
-  out += ", \"t\": " + json::Number(e.time) + ", \"event\": " +
-         json::Quote(EventKindName(e.kind)) +
-         ", \"id\": " + std::to_string(e.id);
-  for (const TraceEvent::Field& field : e.fields) {
-    if (field.name == nullptr) continue;
-    out += ", " + json::Quote(field.name) + ": " + json::Number(field.value);
-  }
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(std::size_t capacity, std::size_t max_dumps)
     : capacity_(capacity), max_dumps_(max_dumps) {
   ring_.reserve(capacity < 1024 ? capacity : 1024);
@@ -71,18 +55,13 @@ void AppendFlightJsonl(std::size_t point, const std::vector<FlightDump>& dumps,
            ", \"dump\": " + std::to_string(d) +
            ", \"window\": " + std::to_string(dump.events.size()) +
            ", \"trigger\": " + json::Quote(EventKindName(dump.trigger.kind));
-    out += ", \"t\": " + json::Number(dump.trigger.time) +
-           ", \"id\": " + std::to_string(dump.trigger.id);
-    for (const TraceEvent::Field& field : dump.trigger.fields) {
-      if (field.name == nullptr) continue;
-      out += ", " + json::Quote(field.name) + ": " + json::Number(field.value);
-    }
+    AppendEventBody(dump.trigger, /*with_kind=*/false, out);
     out += "}\n";
     for (std::size_t seq = 0; seq < dump.events.size(); ++seq) {
       out += "{\"point\": " + std::to_string(point) +
              ", \"dump\": " + std::to_string(d) +
              ", \"seq\": " + std::to_string(seq);
-      AppendEventBody(dump.events[seq], out);
+      AppendEventBody(dump.events[seq], /*with_kind=*/true, out);
       out += "}\n";
     }
   }

@@ -1,7 +1,6 @@
 #include "sim/call_sim.h"
 
 #include "sim/engine/simulation.h"
-#include "util/error.h"
 
 namespace rcbr::sim {
 
@@ -13,13 +12,6 @@ bool CapacityOnlyPolicy::Admit(double /*now*/, const LinkView& view,
 CallSimResult RunCallSim(const std::vector<CallProfile>& profile_pool,
                          AdmissionPolicy& policy,
                          const CallSimOptions& options, Rng& rng) {
-  Require(!profile_pool.empty(), "RunCallSim: empty profile pool");
-  Require(options.capacity_bps > 0, "RunCallSim: capacity must be positive");
-  Require(options.arrival_rate_per_s > 0,
-          "RunCallSim: arrival rate must be positive");
-  Require(options.interval_seconds > 0 && options.sample_intervals > 0,
-          "RunCallSim: need measurement intervals");
-
   engine::SimulationOptions sim;
   sim.link_capacities_bps = {options.capacity_bps};
   engine::TrafficClass cls;
@@ -33,8 +25,6 @@ CallSimResult RunCallSim(const std::vector<CallProfile>& profile_pool,
   sim.interval_seconds = options.interval_seconds;
   sim.policy = &policy;
   sim.recorder = options.recorder;
-  sim.metric_prefix = "callsim";
-  sim.trace_style = engine::SimulationOptions::TraceStyle::kSingleLink;
   sim.expected_peak_calls = options.expected_peak_calls;
 
   const engine::SimulationResult r =
@@ -49,12 +39,8 @@ CallSimResult RunCallSim(const std::vector<CallProfile>& profile_pool,
   result.downgraded_admits = totals.downgraded_admits;
   result.upgrades = totals.upgrades;
   result.utility_seconds = totals.utility_seconds;
+  result.failure_probability = totals.interval_failure_probability();
   for (std::size_t k = 0; k < options.sample_intervals; ++k) {
-    result.failure_probability.Add(
-        totals.interval_attempts[k] > 0
-            ? static_cast<double>(totals.interval_failures[k]) /
-                  static_cast<double>(totals.interval_attempts[k])
-            : 0.0);
     result.utilization.Add(r.util_by_interval[0][k] /
                            (options.interval_seconds * options.capacity_bps));
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,8 +21,6 @@
 namespace rcbr::sim::engine {
 
 namespace {
-
-using TraceStyle = SimulationOptions::TraceStyle;
 
 // Payload kinds for the engine's POD event records. Arrivals carry the
 // class index in `a`; transitions and departures carry the call's store
@@ -60,37 +59,28 @@ class Simulation {
       }
     }
 
-    const std::string& prefix = options_.metric_prefix;
     obs::Recorder* obs = options_.recorder;
-    ctr_offered_ =
-        obs::FindCounter(obs, (prefix + ".offered_calls").c_str());
-    ctr_blocked_ =
-        obs::FindCounter(obs, (prefix + ".blocked_calls").c_str());
-    ctr_attempts_ =
-        obs::FindCounter(obs, (prefix + ".upward_attempts").c_str());
-    ctr_failures_ =
-        obs::FindCounter(obs, (prefix + ".failed_attempts").c_str());
+    ctr_offered_ = obs::FindCounter(obs, "engine.offered_calls");
+    ctr_blocked_ = obs::FindCounter(obs, "engine.blocked_calls");
+    ctr_attempts_ = obs::FindCounter(obs, "engine.upward_attempts");
+    ctr_failures_ = obs::FindCounter(obs, "engine.failed_attempts");
 
     // Resolve-once handles for the second-generation telemetry; all stay
     // nullptr (one dead branch per call site) unless the recorder carries
     // the matching subsystem.
-    ts_live_calls_ =
-        obs::FindSeries(obs, (prefix + ".live_calls").c_str());
-    ts_renegs_ =
-        obs::FindSeries(obs, (prefix + ".renegotiations").c_str());
-    ts_denies_ =
-        obs::FindSeries(obs, (prefix + ".reneg_denials").c_str());
+    ts_live_calls_ = obs::FindSeries(obs, "engine.live_calls");
+    ts_renegs_ = obs::FindSeries(obs, "engine.renegotiations");
+    ts_denies_ = obs::FindSeries(obs, "engine.reneg_denials");
     if (ts_live_calls_ != nullptr) {
       ts_links_.reserve(num_links);
       for (std::size_t l = 0; l < num_links; ++l) {
         const std::string name =
-            prefix + ".link" + std::to_string(l) + ".reserved_bps";
+            "engine.link" + std::to_string(l) + ".reserved_bps";
         ts_links_.push_back(obs::FindSeries(obs, name.c_str()));
       }
     }
-    span_hold_ = obs::FindSpan(obs, (prefix + ".span.call_hold_s").c_str());
-    span_reneg_rtt_ =
-        obs::FindSpan(obs, (prefix + ".span.reneg_rtt_s").c_str());
+    span_hold_ = obs::FindSpan(obs, "engine.span.call_hold_s");
+    span_reneg_rtt_ = obs::FindSpan(obs, "engine.span.reneg_rtt_s");
 
     result_.per_class.resize(options_.classes.size());
     for (ClassTotals& totals : result_.per_class) {
@@ -103,10 +93,8 @@ class Simulation {
 
     if (options_.fault_plan != nullptr && !options_.fault_plan->empty()) {
       faults_.emplace(options_.fault_plan, num_links, options_.recorder);
-      ctr_rerouted_ =
-          obs::FindCounter(obs, (prefix + ".rerouted_calls").c_str());
-      ctr_dropped_ =
-          obs::FindCounter(obs, (prefix + ".dropped_calls").c_str());
+      ctr_rerouted_ = obs::FindCounter(obs, "engine.rerouted_calls");
+      ctr_dropped_ = obs::FindCounter(obs, "engine.dropped_calls");
     }
 
     // Ladder wiring. `ladders_on_` turns on delivered-utility accounting;
@@ -122,8 +110,8 @@ class Simulation {
     if (ladders_on_) utility_rate_.assign(options_.classes.size(), 0.0);
     if (upgrades_enabled_) {
       ctr_downgraded_ =
-          obs::FindCounter(obs, (prefix + ".downgraded_admits").c_str());
-      ctr_upgrades_ = obs::FindCounter(obs, (prefix + ".upgrades").c_str());
+          obs::FindCounter(obs, "engine.downgraded_admits");
+      ctr_upgrades_ = obs::FindCounter(obs, "engine.upgrades");
       pass_pending_.assign(num_links, 0);
     }
 
@@ -438,14 +426,12 @@ class Simulation {
     std::size_t chosen_candidate = 0;
     std::uint32_t granted_rung = 0;
     double granted_rate = initial_rate;
-    bool physically_fits = false;
     bool admitted = false;
     for (std::size_t r = 0; r < depth && !admitted; ++r) {
       const double rung_rate =
           ladder.empty() ? initial_rate : ladder.RateAt(r, initial_rate);
       const RouteChoice selected = SelectRoute(cls, rung_rate);
       if (selected.route == nullptr) continue;
-      physically_fits = true;
       bool ok = true;
       if (options_.policy != nullptr) {
         const std::size_t link = BottleneckLink(*selected.route);
@@ -465,16 +451,9 @@ class Simulation {
     if (!admitted) {
       ++totals.blocked_calls;
       if (ctr_blocked_ != nullptr) ctr_blocked_->Add();
-      if (options_.trace_style == TraceStyle::kSingleLink) {
-        obs::Emit(options_.recorder, now, obs::EventKind::kAdmitReject,
-                  next_call_id_, {"rate_bps", initial_rate},
-                  {"reserved_bps", ports_->port(0).utilization_bps()},
-                  {"by_capacity", physically_fits ? 0.0 : 1.0});
-      } else {
-        obs::Emit(options_.recorder, now, obs::EventKind::kAdmitReject,
-                  next_call_id_, {"class", static_cast<double>(c)},
-                  {"rate_bps", initial_rate});
-      }
+      obs::Emit(options_.recorder, now, obs::EventKind::kAdmitReject,
+                next_call_id_, {"class", static_cast<double>(c)},
+                {"rate_bps", initial_rate});
       return;
     }
 
@@ -502,18 +481,10 @@ class Simulation {
       if (ctr_downgraded_ != nullptr) ctr_downgraded_->Add();
     }
     if (ladders_on_) utility_rate_[c] += ClassUtility(c, granted_rung);
-    if (options_.trace_style == TraceStyle::kSingleLink) {
-      obs::Emit(options_.recorder, now, obs::EventKind::kAdmitAccept, id,
-                {"rate_bps", granted_rate},
-                {"reserved_bps", ports_->port(0).utilization_bps()},
-                {"rung", static_cast<double>(granted_rung)});
-    } else {
-      obs::Emit(options_.recorder, now, obs::EventKind::kAdmitAccept, id,
-                {"class", static_cast<double>(c)},
-                {"rate_bps", granted_rate},
-                {"hops", static_cast<double>(chosen->size())},
-                {"rung", static_cast<double>(granted_rung)});
-    }
+    obs::Emit(options_.recorder, now, obs::EventKind::kAdmitAccept, id,
+              {"class", static_cast<double>(c)}, {"rate_bps", granted_rate},
+              {"hops", static_cast<double>(chosen->size())},
+              {"rung", static_cast<double>(granted_rung)});
     SampleLiveCalls(now);
     SampleRoute(*chosen, now);
     ScheduleTransition(ref, 1);
@@ -619,15 +590,9 @@ class Simulation {
         if (options_.policy != nullptr) {
           options_.policy->OnRateChange(now, id, old_rate, new_rate);
         }
-        if (options_.trace_style == TraceStyle::kSingleLink) {
-          obs::Emit(options_.recorder, now, obs::EventKind::kRenegGrant, id,
-                    {"old_bps", old_rate}, {"new_bps", new_rate},
-                    {"reserved_bps", ports_->port(0).utilization_bps()});
-        } else {
-          obs::Emit(options_.recorder, now, obs::EventKind::kRenegGrant, id,
-                    {"class", static_cast<double>(store_.class_index(h))},
-                    {"old_bps", old_rate}, {"new_bps", new_rate});
-        }
+        obs::Emit(options_.recorder, now, obs::EventKind::kRenegGrant, id,
+                  {"class", static_cast<double>(store_.class_index(h))},
+                  {"old_bps", old_rate}, {"new_bps", new_rate});
         if (ts_renegs_ != nullptr) ts_renegs_->Sample(now, 1.0);
         SampleRoute(*store_.route(h), now);
       } else {
@@ -637,15 +602,9 @@ class Simulation {
           ++totals.interval_failures[static_cast<std::size_t>(idx)];
         }
         // Full-grant-or-nothing: the call keeps its old reservation.
-        if (options_.trace_style == TraceStyle::kSingleLink) {
-          obs::Emit(options_.recorder, now, obs::EventKind::kRenegDeny, id,
-                    {"old_bps", old_rate}, {"new_bps", new_rate},
-                    {"reserved_bps", ports_->port(0).utilization_bps()});
-        } else {
-          obs::Emit(options_.recorder, now, obs::EventKind::kRenegDeny, id,
-                    {"class", static_cast<double>(store_.class_index(h))},
-                    {"old_bps", old_rate}, {"new_bps", new_rate});
-        }
+        obs::Emit(options_.recorder, now, obs::EventKind::kRenegDeny, id,
+                  {"class", static_cast<double>(store_.class_index(h))},
+                  {"old_bps", old_rate}, {"new_bps", new_rate});
         if (ts_denies_ != nullptr) ts_denies_->Sample(now, 1.0);
       }
     }
@@ -855,15 +814,9 @@ class Simulation {
     if (options_.policy != nullptr) {
       options_.policy->OnDeparture(now, id, rate);
     }
-    if (options_.trace_style == TraceStyle::kSingleLink) {
-      obs::Emit(options_.recorder, now, obs::EventKind::kCallDeparture, id,
-                {"rate_bps", rate},
-                {"reserved_bps", ports_->port(0).utilization_bps()});
-    } else {
-      obs::Emit(options_.recorder, now, obs::EventKind::kCallDeparture, id,
-                {"class", static_cast<double>(store_.class_index(h))},
-                {"rate_bps", rate});
-    }
+    obs::Emit(options_.recorder, now, obs::EventKind::kCallDeparture, id,
+              {"class", static_cast<double>(store_.class_index(h))},
+              {"rate_bps", rate});
     if (span_hold_ != nullptr) {
       span_hold_->Record(now - store_.start_time(h));
     }
@@ -929,6 +882,17 @@ class Simulation {
 };
 
 }  // namespace
+
+OnlineStats ClassTotals::interval_failure_probability() const {
+  OnlineStats stats;
+  for (std::size_t k = 0; k < interval_attempts.size(); ++k) {
+    stats.Add(interval_attempts[k] > 0
+                  ? static_cast<double>(interval_failures[k]) /
+                        static_cast<double>(interval_attempts[k])
+                  : 0.0);
+  }
+  return stats;
+}
 
 SimulationResult RunSimulation(const std::vector<CallProfile>& profiles,
                                const SimulationOptions& options, Rng& rng) {

@@ -12,17 +12,19 @@
 //    through a SignalingPath over per-link PortControllers, optionally
 //    behind a lossy RM-cell channel with periodic resync (Sec. III-B).
 //
-// RunCallSim and RunNetworkSim are thin drivers of this function; their
-// legacy outputs are pinned bit-identical in the regression pins.
+// There is one output schema: counters, series and spans are named
+// `engine.*`, and every admission, renegotiation and departure event
+// carries the call's class index. RunCallSim is a thin single-link driver
+// of this function; multi-hop callers configure it directly.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/recorder.h"
 #include "sim/call_sim.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace rcbr::sim::fault {
 class FaultPlan;
@@ -48,7 +50,7 @@ struct TrafficClass {
   /// rung 0 in ascending call-id order through the normal renegotiation
   /// path. A depth-1 ladder is pinned byte-identical to the scalar
   /// contract (BENCH json and traces).
-  RateLadder ladder;
+  RateLadder ladder{};
 };
 
 struct SimulationOptions {
@@ -60,8 +62,9 @@ struct SimulationOptions {
   /// Pick the feasible candidate route with the smallest bottleneck
   /// utilization; otherwise first-fit.
   bool least_loaded_routing = false;
-  /// Slack on every port's capacity check (the network driver uses 1e-9,
-  /// the call-level driver 0 — both pinned).
+  /// Slack on every port's capacity check (multi-hop callers use 1e-9 to
+  /// absorb the round-off of stacked reservations, RunCallSim 0 — both
+  /// pinned).
   double admission_tolerance_bps = 0;
   /// Consulted after route selection with the bottleneck link's view
   /// (nullptr = capacity-only admission).
@@ -70,14 +73,12 @@ struct SimulationOptions {
   obs::Recorder* recorder = nullptr;
   /// Handed to the per-link PortControllers, so port-level deny events
   /// and counters land on the same sim-seconds time axis. Usually the
-  /// same recorder; the legacy drivers leave it null.
+  /// same recorder; RunCallSim leaves it null.
   obs::Recorder* signaling_recorder = nullptr;
-  /// Counter-name prefix ("callsim", "netsim", ...).
-  std::string metric_prefix = "engine";
   /// One-way per-hop signaling latency (reported by SignalingPath).
   double per_hop_delay_s = 0;
   /// Enables the ports' per-VCI audit map (required for resync; the
-  /// bit-compatible legacy drivers run untracked).
+  /// pinned call-level and multi-hop runs are untracked).
   bool track_connections = false;
   /// RM-cell loss on the renegotiation channel (0 = lossless). Nonzero
   /// loss or resync routes every delta through a LossyPathRenegotiator,
@@ -85,11 +86,6 @@ struct SimulationOptions {
   double cell_loss_probability = 0;
   /// Absolute-rate resync after this many delta cells (0 = never).
   std::int64_t resync_every_cells = 0;
-  /// Trace-event payload schema. kSingleLink reproduces the call-level
-  /// driver's fields (reserved_bps, by_capacity), kNetwork the network
-  /// driver's (class, hops).
-  enum class TraceStyle { kSingleLink, kNetwork };
-  TraceStyle trace_style = TraceStyle::kNetwork;
   /// Deterministic fault schedule injected into the event loop (null or
   /// empty = byte-identical to the fault-free simulation). Loss bursts
   /// impair the lossy renegotiation channel; link failures block
@@ -106,7 +102,7 @@ struct SimulationOptions {
   std::size_t expected_peak_calls = 0;
 };
 
-/// Per-class tallies plus the per-interval samples the drivers turn into
+/// Per-class tallies plus the per-interval samples behind the
 /// failure-probability statistics.
 struct ClassTotals {
   std::int64_t offered_calls = 0;
@@ -130,6 +126,21 @@ struct ClassTotals {
   double utility_seconds = 0;
   std::vector<std::int64_t> interval_attempts;
   std::vector<std::int64_t> interval_failures;
+
+  double blocking_probability() const {
+    return offered_calls > 0 ? static_cast<double>(blocked_calls) /
+                                   static_cast<double>(offered_calls)
+                             : 0.0;
+  }
+  double overall_failure_probability() const {
+    return upward_attempts > 0 ? static_cast<double>(failed_attempts) /
+                                     static_cast<double>(upward_attempts)
+                               : 0.0;
+  }
+  /// Per-interval failure fraction of the upward attempts, one sample per
+  /// measurement interval in interval order (0 for an interval without
+  /// attempts).
+  OnlineStats interval_failure_probability() const;
 };
 
 struct SimulationResult {
@@ -137,8 +148,9 @@ struct SimulationResult {
   /// Reserved-rate time integral per link and measurement interval.
   std::vector<std::vector<double>> util_by_interval;
   /// Running per-link totals, accumulated segment by segment in event
-  /// order (kept separate from the per-interval buckets so the network
-  /// driver's mean reproduces the legacy summation order exactly).
+  /// order (kept separate from the per-interval buckets so the mean link
+  /// utilization `util_total[l] / (span * capacity)` keeps its pinned
+  /// summation order).
   std::vector<double> util_total;
   /// Engine events dispatched over the whole run (arrivals, transitions,
   /// departures, faults) — the numerator of the macro-capacity

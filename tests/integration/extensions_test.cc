@@ -1,15 +1,12 @@
 // Integration tests across the extension modules: GOP-aware sources over
-// signaling paths, fitted models feeding admission control, book-ahead
-// serving, and interactivity-aware MBAC.
+// signaling paths, fitted models feeding admission control, and
+// interactivity-aware MBAC.
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "admission/policies.h"
-#include "core/advance_reservation.h"
-#include "core/dp_scheduler.h"
 #include "core/gop_heuristic.h"
-#include "core/playback.h"
 #include "core/rcbr_source.h"
 #include "ldev/chernoff.h"
 #include "ldev/equivalent_bandwidth.h"
@@ -61,53 +58,6 @@ TEST(Extensions, FittedModelFeedsAdmissionControl) {
   // Statistical multiplexing: more than peak allocation, less than mean.
   EXPECT_GT(n_max, static_cast<std::int64_t>(capacity / scene.Max()));
   EXPECT_LE(n_max, static_cast<std::int64_t>(capacity / scene.Mean()));
-}
-
-TEST(Extensions, BookAheadVodPipeline) {
-  // Compute schedules for two movies, book them back to back on a port
-  // ledger, and verify playback analysis: booked delivery implies the
-  // startup delays computed offline hold exactly.
-  const trace::FrameTrace movie_a = trace::MakeStarWarsTrace(55, 1440);
-  const trace::FrameTrace movie_b = trace::MakeStarWarsTrace(56, 1440);
-  core::DpOptions options;
-  for (int k = 0; k <= 40; ++k) {
-    options.rate_levels.push_back(64.0 * kKilobit / 24.0 * k);
-  }
-  options.buffer_bits = 300 * kKilobit;
-  options.cost = {3000.0, 1.0 / 24.0};
-  options.buffer_quantum_bits = 2 * kKilobit;
-  options.decision_period = 6;
-  const core::DpResult dp_a =
-      core::ComputeOptimalSchedule(movie_a.frame_bits(), options);
-  const core::DpResult dp_b =
-      core::ComputeOptimalSchedule(movie_b.frame_bits(), options);
-  const PiecewiseConstant bps_a = [&] {
-    std::vector<Step> steps;
-    for (const Step& s : dp_a.schedule.steps()) {
-      steps.push_back({s.start, s.value * 24.0});
-    }
-    return PiecewiseConstant(std::move(steps), dp_a.schedule.length());
-  }();
-  const PiecewiseConstant bps_b = [&] {
-    std::vector<Step> steps;
-    for (const Step& s : dp_b.schedule.steps()) {
-      steps.push_back({s.start, s.value * 24.0});
-    }
-    return PiecewiseConstant(std::move(steps), dp_b.schedule.length());
-  }();
-
-  core::ReservationLedger ledger(1200 * kKbps, 1.0 / 24.0, 4000);
-  ASSERT_TRUE(ledger.BookSchedule(1, bps_a, 0));
-  // The second movie starts wherever it first fits.
-  const std::int64_t start_b = ledger.FindEarliestStart(bps_b, 0);
-  ASSERT_GE(start_b, 0);
-  ASSERT_TRUE(ledger.BookSchedule(2, bps_b, start_b));
-  EXPECT_LE(ledger.PeakReservation(0, 4000), 1200 * kKbps + 1e-6);
-
-  // The playback analysis of each booked schedule stands on its own.
-  const core::PlaybackAnalysis a =
-      core::AnalyzePlayback(movie_a.frame_bits(), dp_a.schedule);
-  EXPECT_LT(static_cast<double>(a.min_startup_slots) / 24.0, 3.0);
 }
 
 TEST(Extensions, AgedMemoryTracksGenreShift) {

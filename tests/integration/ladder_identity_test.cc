@@ -104,7 +104,6 @@ TEST(LadderIdentity, FigMbacMultihopConfigDepthOne) {
     options.policy = &policy;
     options.recorder = &recorder;
     options.signaling_recorder = &recorder;
-    options.metric_prefix = "netsim";
     options.per_hop_delay_s = 0.001;
     options.track_connections = true;
     options.cell_loss_probability = 0.01;

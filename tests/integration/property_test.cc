@@ -9,7 +9,6 @@
 #include "core/funnel_smoother.h"
 #include "core/online_heuristic.h"
 #include "admission/deterministic.h"
-#include "core/advance_reservation.h"
 #include "core/schedule.h"
 #include "ldev/chernoff.h"
 #include "sim/cell_mux.h"
@@ -290,55 +289,6 @@ TEST_P(HeuristicProperty, CoarserGranularityFewerRenegotiations) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, HeuristicProperty,
                          ::testing::Values(0.25, 0.5, 1.0, 2.0));
-
-// ---------------------------------------------------------------------
-// Reservation ledger: under random book/cancel sequences the per-slot
-// reservation always equals the sum of live bookings and never exceeds
-// capacity.
-class LedgerProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(LedgerProperty, BookCancelInvariant) {
-  Rng rng(GetParam());
-  const double capacity = 100.0;
-  core::ReservationLedger ledger(capacity, 1.0, 200);
-  struct LiveBooking {
-    std::uint64_t id;
-    std::int64_t start;
-    std::int64_t length;
-    double rate;
-  };
-  std::vector<LiveBooking> live;
-  std::uint64_t next_id = 1;
-  for (int step = 0; step < 200; ++step) {
-    if (!live.empty() && rng.Bernoulli(0.4)) {
-      const std::size_t pick = static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-      ledger.Cancel(live[pick].id);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else {
-      const std::int64_t start = rng.UniformInt(0, 150);
-      const std::int64_t length = rng.UniformInt(1, 50);
-      const double rate = rng.Uniform(1.0, 40.0);
-      const std::uint64_t id = next_id++;
-      if (ledger.BookConstant(id, rate, start, start + length)) {
-        live.push_back({id, start, length, rate});
-      }
-    }
-    // Invariant: reservation at every slot equals the sum of live
-    // bookings covering it, and never exceeds capacity.
-    for (std::int64_t t = 0; t < 200; t += 13) {
-      double expected = 0;
-      for (const auto& b : live) {
-        if (t >= b.start && t < b.start + b.length) expected += b.rate;
-      }
-      ASSERT_NEAR(ledger.ReservedAt(t), expected, 1e-6) << "slot " << t;
-      ASSERT_LE(ledger.ReservedAt(t), capacity + 1e-6);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, LedgerProperty,
-                         ::testing::Values(61u, 62u, 63u));
 
 // ---------------------------------------------------------------------
 // Cell-level mux: across loads, the analytic bound dominates simulation

@@ -7,7 +7,7 @@
 #include "core/dp_scheduler.h"
 #include "core/online_heuristic.h"
 #include "sim/call_sim.h"
-#include "sim/network.h"
+#include "sim/engine/simulation.h"
 #include "trace/star_wars.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -125,12 +125,13 @@ TEST(RegressionPins, CallSimAbsoluteValues) {
 }
 
 TEST(RegressionPins, NetworkSimAbsoluteValues) {
-  // Same contract for the multi-hop simulator: two classes sharing three
-  // links with least-loaded routing, pinned at seed 54321.
+  // Same contract for a multi-hop engine run: two classes sharing three
+  // links with least-loaded routing and 1e-9 admission slack, pinned at
+  // seed 54321.
   const std::vector<sim::CallProfile> profiles = {
       {PiecewiseConstant({{0, 1.0}, {50, 2.0}}, 100), 1.0},
       {PiecewiseConstant({{0, 2.0}, {30, 3.0}, {70, 1.0}}, 100), 1.0}};
-  sim::NetworkSimOptions options;
+  sim::engine::SimulationOptions options;
   options.link_capacities_bps = {10.0, 10.0, 10.0};
   options.classes.resize(2);
   options.classes[0].candidate_routes = {{0, 1}};
@@ -143,26 +144,33 @@ TEST(RegressionPins, NetworkSimAbsoluteValues) {
   options.sample_intervals = 6;
   options.interval_seconds = 150.0;
   options.least_loaded_routing = true;
+  options.admission_tolerance_bps = 1e-9;
   Rng rng(54321);
-  const sim::NetworkSimResult r =
-      sim::RunNetworkSim(profiles, options, rng);
+  const sim::engine::SimulationResult r =
+      sim::engine::RunSimulation(profiles, options, rng);
   ASSERT_EQ(r.per_class.size(), 2u);
   EXPECT_EQ(r.per_class[0].offered_calls, 150);
   EXPECT_EQ(r.per_class[0].blocked_calls, 89);
   EXPECT_EQ(r.per_class[0].upward_attempts, 57);
   EXPECT_EQ(r.per_class[0].failed_attempts, 31);
-  EXPECT_EQ(r.per_class[0].failure_probability.mean(),
+  EXPECT_EQ(r.per_class[0].interval_failure_probability().mean(),
             0x1.22498971cd6a6p-1);
   EXPECT_EQ(r.per_class[1].offered_calls, 213);
   EXPECT_EQ(r.per_class[1].blocked_calls, 154);
   EXPECT_EQ(r.per_class[1].upward_attempts, 112);
   EXPECT_EQ(r.per_class[1].failed_attempts, 68);
-  EXPECT_EQ(r.per_class[1].failure_probability.mean(),
+  EXPECT_EQ(r.per_class[1].interval_failure_probability().mean(),
             0x1.221935a76e8bp-1);
-  ASSERT_EQ(r.mean_link_utilization.size(), 3u);
-  EXPECT_EQ(r.mean_link_utilization[0], 0x1.86d5ebacf9027p-1);
-  EXPECT_EQ(r.mean_link_utilization[1], 0x1.cfee1d73b889cp-1);
-  EXPECT_EQ(r.mean_link_utilization[2], 0x1.c3aac2d21a2afp-1);
+  // Mean link utilization over the measurement phase.
+  const double span = options.interval_seconds *
+                      static_cast<double>(options.sample_intervals);
+  auto mean_util = [&](std::size_t l) {
+    return r.util_total[l] / (span * options.link_capacities_bps[l]);
+  };
+  ASSERT_EQ(r.util_total.size(), 3u);
+  EXPECT_EQ(mean_util(0), 0x1.86d5ebacf9027p-1);
+  EXPECT_EQ(mean_util(1), 0x1.cfee1d73b889cp-1);
+  EXPECT_EQ(mean_util(2), 0x1.c3aac2d21a2afp-1);
 }
 
 }  // namespace

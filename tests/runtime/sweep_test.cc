@@ -113,7 +113,7 @@ TEST(RunSweep, ObsSnapshotsAndTracesAreIdenticalForEveryThreadCount) {
   const SweepResult serial =
       RunSweep(spec, InstrumentedCallSimPoint, options);
   if constexpr (obs::kEnabled) {
-    EXPECT_GT(serial.metrics.counters.at("callsim.offered_calls"), 0);
+    EXPECT_GT(serial.metrics.counters.at("engine.offered_calls"), 0);
     EXPECT_FALSE(serial.events.empty());
     EXPECT_NE(ToTraceJsonl(serial).find("\"event\""), std::string::npos);
   } else {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/recorder.h"
+#include "sim/engine/simulation.h"
 #include "util/error.h"
 
 namespace rcbr::sim {
@@ -170,6 +172,50 @@ TEST(CallSim, PolicySeesConsistentLinkView) {
   Checker policy;
   Rng rng(10);
   RunCallSim(pool, policy, BaseOptions(), rng);
+}
+
+TEST(CallSim, IsOneEngineRun) {
+  // RunCallSim is the single-link engine run: same counters, same spans,
+  // same trace events, byte for byte.
+  const std::vector<CallProfile> pool = {TwoLevelProfile(1.0, 3.0, 40),
+                                         TwoLevelProfile(2.0, 1.0, 30)};
+  const CallSimOptions options = BaseOptions();
+  auto snapshot = [](obs::Recorder& recorder) {
+    std::string trace;
+    recorder.tracer()->AppendJsonl(0, trace);
+    return trace + recorder.metrics().Snapshot().ToJson();
+  };
+
+  obs::Recorder via_driver(4096);
+  CallSimOptions driver_options = options;
+  driver_options.recorder = &via_driver;
+  CapacityOnlyPolicy p1;
+  Rng a(11);
+  RunCallSim(pool, p1, driver_options, a);
+
+  obs::Recorder direct(4096);
+  engine::SimulationOptions sim;
+  sim.link_capacities_bps = {options.capacity_bps};
+  sim.classes.resize(1);
+  sim.classes[0].candidate_routes = {{0}};
+  sim.classes[0].arrival_rate_per_s = options.arrival_rate_per_s;
+  sim.classes[0].uniform_profile_pick = true;
+  sim.warmup_seconds = options.warmup_seconds;
+  sim.sample_intervals = options.sample_intervals;
+  sim.interval_seconds = options.interval_seconds;
+  sim.admission_tolerance_bps = 0;
+  CapacityOnlyPolicy p2;
+  sim.policy = &p2;
+  sim.recorder = &direct;
+  Rng b(11);
+  engine::RunSimulation(pool, sim, b);
+
+  EXPECT_EQ(snapshot(via_driver), snapshot(direct));
+  if constexpr (obs::kEnabled) {
+    EXPECT_NE(snapshot(direct).find("reneg_deny"), std::string::npos);
+    EXPECT_NE(snapshot(direct).find("engine.offered_calls"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -211,12 +211,6 @@ std::vector<double> ComposedPoint(const runtime::SweepContext& ctx) {
   Rng rng = ctx.MakeRng();
   const SimulationResult r = RunSimulation(profiles, options, rng);
 
-  auto failure = [](const ClassTotals& t) {
-    return t.upward_attempts > 0
-               ? static_cast<double>(t.failed_attempts) /
-                     static_cast<double>(t.upward_attempts)
-               : 0.0;
-  };
   const double span = options.interval_seconds *
                       static_cast<double>(options.sample_intervals);
   double offered = 0;
@@ -225,7 +219,8 @@ std::vector<double> ComposedPoint(const runtime::SweepContext& ctx) {
     offered += static_cast<double>(t.offered_calls);
     blocked += static_cast<double>(t.blocked_calls);
   }
-  return {failure(r.per_class[0]), failure(r.per_class[1]),
+  return {r.per_class[0].overall_failure_probability(),
+          r.per_class[1].overall_failure_probability(),
           r.util_total[0] / (span * options.link_capacities_bps[0]),
           offered > 0 ? blocked / offered : 0.0};
 }

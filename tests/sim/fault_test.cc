@@ -375,13 +375,7 @@ std::vector<double> FaultComposedPoint(const runtime::SweepContext& ctx) {
   }
   const double span = options.interval_seconds *
                       static_cast<double>(options.sample_intervals);
-  const engine::ClassTotals& t0 = r.per_class[0];
-  const double failure0 =
-      t0.upward_attempts > 0
-          ? static_cast<double>(t0.failed_attempts) /
-                static_cast<double>(t0.upward_attempts)
-          : 0.0;
-  return {failure0, rerouted, dropped,
+  return {r.per_class[0].overall_failure_probability(), rerouted, dropped,
           r.util_total[0] / (span * options.link_capacities_bps[0])};
 }
 
