@@ -1,14 +1,16 @@
 // Google-benchmark microbenchmarks for the hot paths: fluid-queue steps,
-// DP trellis slots, signaling admission, event-queue schedule/pop, and
-// trace synthesis.
+// DP trellis slots, signaling admission, event-queue schedule/pop,
+// memory-MBAC decisions, and trace synthesis.
 #include <benchmark/benchmark.h>
 
+#include "admission/policies.h"
 #include "core/dp_scheduler.h"
 #include "core/online_heuristic.h"
 #include "signaling/port_controller.h"
 #include "sim/engine/event_queue.h"
 #include "sim/fluid_queue.h"
 #include "trace/star_wars.h"
+#include "util/histogram.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -133,6 +135,40 @@ void BM_DpSchedulerPerSlot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DpSchedulerPerSlot)->Arg(1440)->Arg(2880);
+
+// One memory-MBAC admission decision with `range(0)` live calls on
+// engine_mbac's 41-level grid. Every call carries 20 rate changes drawn
+// from the same marginal and the capacity scales with the call count, so
+// the Chernoff test solves the same tilting problem at every Arg: what
+// varies is only the cost of pooling the call histories.
+void BM_MemoryPolicyAdmit(benchmark::State& state) {
+  const auto calls = static_cast<std::uint64_t>(state.range(0));
+  admission::PolicyOptions options;
+  options.target_failure_probability = 1e-4;
+  options.rate_grid_bps = UniformGrid(0.0, 2.56e6, 41);
+  admission::MemoryPolicy policy(options);
+  const std::vector<double> levels = {0.64e6, 1.28e6, 1.92e6, 2.56e6};
+  const std::vector<double> weights = {0.3, 0.4, 0.2, 0.1};
+  Rng rng(5);
+  double now = 0;
+  for (std::uint64_t id = 0; id < calls; ++id) {
+    double rate = levels[rng.Categorical(weights)];
+    policy.OnAdmitted(now, id, rate);
+    for (int change = 0; change < 20; ++change) {
+      now += rng.Exponential(0.05);
+      const double next = levels[rng.Categorical(weights)];
+      policy.OnRateChange(now, id, rate, next);
+      rate = next;
+    }
+  }
+  const std::vector<double> no_rates;
+  const sim::LinkView view{1.5e6 * static_cast<double>(calls + 1), 0.0,
+                           &no_rates};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.Admit(now + 1.0, view, 1.28e6));
+  }
+}
+BENCHMARK(BM_MemoryPolicyAdmit)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_StarWarsSynthesis(benchmark::State& state) {
   for (auto _ : state) {

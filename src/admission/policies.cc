@@ -2,12 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/error.h"
 
 namespace rcbr::admission {
 
 namespace {
+
+/// Validates the options every estimating policy shares.
+PolicyOptions Checked(PolicyOptions options, const std::string& policy) {
+  Require(!options.rate_grid_bps.empty(), policy + ": empty rate grid");
+  Require(options.target_failure_probability > 0 &&
+              options.target_failure_probability < 1,
+          policy + ": target must be in (0,1)");
+  return options;
+}
 
 /// Chernoff admission test shared by the estimating policies: admit iff
 /// the estimated failure probability with one more call stays at or below
@@ -97,13 +107,7 @@ bool PerfectKnowledgePolicy::Admit(double now,
 }
 
 MemorylessPolicy::MemorylessPolicy(PolicyOptions options)
-    : options_(std::move(options)) {
-  Require(!options_.rate_grid_bps.empty(),
-          "MemorylessPolicy: empty rate grid");
-  Require(options_.target_failure_probability > 0 &&
-              options_.target_failure_probability < 1,
-          "MemorylessPolicy: target must be in (0,1)");
-}
+    : options_(Checked(std::move(options), "MemorylessPolicy")) {}
 
 bool MemorylessPolicy::Admit(double now, const sim::LinkView& view,
                              double /*initial_rate_bps*/) {
@@ -132,21 +136,14 @@ bool MemorylessPolicy::AdmitAtRung(double now, const sim::LinkView& view,
 }
 
 MemoryPolicy::MemoryPolicy(PolicyOptions options)
-    : options_(std::move(options)) {
-  Require(!options_.rate_grid_bps.empty(), "MemoryPolicy: empty rate grid");
-  Require(options_.target_failure_probability > 0 &&
-              options_.target_failure_probability < 1,
-          "MemoryPolicy: target must be in (0,1)");
-}
+    : options_(Checked(std::move(options), "MemoryPolicy")),
+      levels_(options_.rate_grid_bps.size()),
+      pooled_(options_.rate_grid_bps) {}
 
 AgedMemoryPolicy::AgedMemoryPolicy(PolicyOptions options,
                                    double aging_tau_seconds)
-    : options_(std::move(options)), tau_seconds_(aging_tau_seconds) {
-  Require(!options_.rate_grid_bps.empty(),
-          "AgedMemoryPolicy: empty rate grid");
-  Require(options_.target_failure_probability > 0 &&
-              options_.target_failure_probability < 1,
-          "AgedMemoryPolicy: target must be in (0,1)");
+    : options_(Checked(std::move(options), "AgedMemoryPolicy")),
+      tau_seconds_(aging_tau_seconds) {
   Require(aging_tau_seconds > 0, "AgedMemoryPolicy: tau must be positive");
 }
 
@@ -213,20 +210,59 @@ void AgedMemoryPolicy::OnDeparture(double /*now*/, std::uint64_t call_id,
   calls_.erase(call_id);
 }
 
-Histogram MemoryPolicy::PooledHistory(double now) const {
-  Histogram pooled(options_.rate_grid_bps);
-  for (const auto& [id, call] : calls_) {
-    pooled.Merge(call.levels);
-    const double open = now - call.since;
-    if (open > 0) pooled.AddNearest(call.current_rate, open);
+void MemoryPolicy::CompensatedSum::Add(double x) {
+  const double next = sum + x;
+  const double x_part = next - sum;
+  error += (sum - (next - x_part)) + (x - x_part);
+  sum = next;
+}
+
+void MemoryPolicy::Advance(Level& level, double now) {
+  if (now == level.as_of) return;
+  level.open_mass.Add(static_cast<double>(level.open) * (now - level.as_of));
+  level.as_of = now;
+  level.fresh = 0;
+}
+
+void MemoryPolicy::Enter(std::size_t level, double now) {
+  Level& l = levels_[level];
+  Advance(l, now);
+  ++l.open;
+  ++l.fresh;
+}
+
+void MemoryPolicy::Leave(std::size_t level, double since, double now) {
+  Level& l = levels_[level];
+  Advance(l, now);
+  // A call that entered at `as_of` was counted fresh unless the clock ran
+  // backwards in between; the guard keeps `fresh` from overcounting.
+  if (since == now && l.fresh > 0) --l.fresh;
+  --l.open;
+  // Exact reset once every open interval left starts now.
+  if (l.fresh == l.open) {
+    l.open_mass = {};
+  } else {
+    l.open_mass.Add(since - now);
   }
-  return pooled;
+}
+
+const Histogram& MemoryPolicy::PooledHistory(double now) {
+  pooled_.Clear();
+  for (std::size_t b = 0; b < levels_.size(); ++b) {
+    const Level& l = levels_[b];
+    const double open =
+        std::max(0.0, l.open_mass.value() +
+                          static_cast<double>(l.open) * (now - l.as_of));
+    const double weight = std::max(0.0, l.closed.value()) + open;
+    if (weight > 0) pooled_.AddAt(b, weight);
+  }
+  return pooled_;
 }
 
 bool MemoryPolicy::Admit(double now, const sim::LinkView& view,
                          double /*initial_rate_bps*/) {
   if (calls_.empty()) return true;
-  const Histogram pooled = PooledHistory(now);
+  const Histogram& pooled = PooledHistory(now);
   if (pooled.total_weight() <= 0) return true;
   return ChernoffAdmit(pooled, static_cast<std::int64_t>(calls_.size()),
                        view.capacity_bps,
@@ -238,7 +274,7 @@ bool MemoryPolicy::AdmitAtRung(double now, const sim::LinkView& view,
                                double rung_rate_bps, std::size_t rung) {
   if (rung == 0) return Admit(now, view, rung_rate_bps);
   if (calls_.empty()) return true;
-  const Histogram pooled = PooledHistory(now);
+  const Histogram& pooled = PooledHistory(now);
   if (pooled.total_weight() <= 0) return true;
   return ChernoffAdmitDowngraded(
       pooled, static_cast<std::int64_t>(calls_.size()), view.capacity_bps,
@@ -248,8 +284,11 @@ bool MemoryPolicy::AdmitAtRung(double now, const sim::LinkView& view,
 
 void MemoryPolicy::OnAdmitted(double now, std::uint64_t call_id,
                               double rate_bps) {
-  CallHistory history{Histogram(options_.rate_grid_bps), now, rate_bps};
-  calls_.emplace(call_id, std::move(history));
+  const auto [it, inserted] = calls_.try_emplace(call_id);
+  if (!inserted) return;
+  it->second = {std::vector<double>(levels_.size()), now,
+                pooled_.NearestIndex(rate_bps)};
+  Enter(it->second.level, now);
 }
 
 void MemoryPolicy::OnRateChange(double now, std::uint64_t call_id,
@@ -259,14 +298,35 @@ void MemoryPolicy::OnRateChange(double now, std::uint64_t call_id,
   if (it == calls_.end()) return;
   CallHistory& call = it->second;
   const double held = now - call.since;
-  if (held > 0) call.levels.AddNearest(call.current_rate, held);
-  call.current_rate = new_rate_bps;
+  if (held > 0) {
+    Level& l = levels_[call.level];
+    if (call.closed[call.level] == 0) ++l.holders;
+    call.closed[call.level] += held;
+    l.closed.Add(held);
+  }
+  Leave(call.level, call.since, now);
+  call.level = pooled_.NearestIndex(new_rate_bps);
   call.since = now;
+  Enter(call.level, now);
 }
 
-void MemoryPolicy::OnDeparture(double /*now*/, std::uint64_t call_id,
+void MemoryPolicy::OnDeparture(double now, std::uint64_t call_id,
                                double /*rate_bps*/) {
-  calls_.erase(call_id);
+  auto it = calls_.find(call_id);
+  if (it == calls_.end()) return;
+  const CallHistory& call = it->second;
+  for (std::size_t b = 0; b < levels_.size(); ++b) {
+    if (call.closed[b] == 0) continue;
+    // Exact reset once no live call holds mass here.
+    Level& l = levels_[b];
+    if (--l.holders == 0) {
+      l.closed = {};
+    } else {
+      l.closed.Add(-call.closed[b]);
+    }
+  }
+  Leave(call.level, call.since, now);
+  calls_.erase(it);
 }
 
 }  // namespace rcbr::admission

@@ -126,6 +126,13 @@ class AgedMemoryPolicy final : public sim::AdmissionPolicy {
 };
 
 /// Memory-based MBAC: time-weighted per-call reservation histories.
+///
+/// The pooled estimate is kept incrementally: per grid level, the closed
+/// mass of the live calls plus the open mass of the calls currently at
+/// that level. A decision costs O(grid) plus the Chernoff test, a rate
+/// change O(1), a departure O(grid). The estimate equals the merge of the
+/// per-call histories whenever no live call entered its current level
+/// after the decision time, as holds for a simulation's clock.
 class MemoryPolicy final : public sim::AdmissionPolicy {
  public:
   explicit MemoryPolicy(PolicyOptions options);
@@ -145,17 +152,49 @@ class MemoryPolicy final : public sim::AdmissionPolicy {
 
  private:
   struct CallHistory {
-    Histogram levels;
-    double since = 0;        // when the current level was entered
-    double current_rate = 0; // bits/s
+    std::vector<double> closed;  // held time per grid level, closed part
+    double since = 0;            // when the current level was entered
+    std::size_t level = 0;       // grid index of the current rate
   };
 
-  /// Accumulates the open interval [since, now) of every call into its
-  /// histogram, then returns the pooled marginal estimate.
-  Histogram PooledHistory(double now) const;
+  /// A running sum with TwoSum error compensation. A level's sums take
+  /// and give back the holds of every call that passes through it; once
+  /// they exceed the simulated time, each plain addition of a hold would
+  /// round, and the compensation keeps that churn from drifting.
+  struct CompensatedSum {
+    double sum = 0;
+    double error = 0;
+    void Add(double x);
+    double value() const { return sum + error; }
+  };
+
+  /// The live calls' aggregate at one grid level. The open mass is kept
+  /// as of the level's last entry or exit, `as_of`; it grows by `open`
+  /// per second after that. The counters make the zero cases exact, as
+  /// the Chernoff estimate jumps when a level enters its support: `closed`
+  /// resets to 0 when no live call holds closed mass here, and
+  /// `open_mass` when every open interval here starts at `as_of`.
+  struct Level {
+    CompensatedSum closed;     // the live calls' closed mass here
+    std::int64_t holders = 0;  // live calls with closed mass here
+    std::int64_t open = 0;     // live calls currently at this level
+    CompensatedSum open_mass;  // their held time so far, as of `as_of`
+    double as_of = 0;
+    std::int64_t fresh = 0;    // open calls that entered at `as_of`
+  };
+
+  /// Brings `level`'s open mass forward to `now`.
+  void Advance(Level& level, double now);
+  void Enter(std::size_t level, double now);
+  void Leave(std::size_t level, double since, double now);
+
+  /// The pooled marginal estimate at `now`, written into `pooled_`.
+  const Histogram& PooledHistory(double now);
 
   PolicyOptions options_;
   std::unordered_map<std::uint64_t, CallHistory> calls_;
+  std::vector<Level> levels_;
+  Histogram pooled_;
 };
 
 }  // namespace rcbr::admission

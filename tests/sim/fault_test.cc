@@ -453,8 +453,8 @@ TEST(FaultSimulation, ComposedFaultRunMatchesPinnedOutputs) {
     const std::string json = runtime::ToJsonWithoutTimings(r);
     const std::string trace = runtime::ToTraceJsonl(r);
     EXPECT_EQ(Fnv1a64(json), 0xc0aa84175f7f9fc3ull) << json;
-    EXPECT_EQ(trace.size(), 65775u);
-    EXPECT_EQ(Fnv1a64(trace), 0x2dfa52abd5dbcde8ull);
+    EXPECT_EQ(trace.size(), 65777u);
+    EXPECT_EQ(Fnv1a64(trace), 0x5506beb65bcf45d5ull);
   }
 }
 
