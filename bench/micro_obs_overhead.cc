@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks for the observability layer: what one
-// counter add, span record, time-series sample, or flight-ring write
+// counter add, span record, time-series sample, or event-log record
 // costs on the hot path, and what the fluid-queue step pays end to end
 // when a recorder is attached. The macro-level companion is the obs=0/1
 // pair in macro_capacity, gated by tools/check_obs_overhead.py.
@@ -31,7 +31,7 @@ void BM_FluidQueueStepUntracked(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidQueueStepUntracked);
 
-// The same step with counters + events + flight ring attached (no
+// The same step with counters + the event log (head and ring) attached (no
 // time-series sampler): the per-slot cost is one resolved-handle branch
 // plus event emission on overflow slots.
 void BM_FluidQueueStepTracked(benchmark::State& state) {
@@ -139,15 +139,23 @@ void BM_TimeSeriesSample(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeSeriesSample);
 
-// Flight-ring write: overwrite one slot of the fixed ring.
-void BM_FlightRecorderRecord(benchmark::State& state) {
-  obs::FlightRecorder flight(256);
+// One Emit into a recorder whose event log has a full head (each record
+// only counts a drop) and a wrapping ring (each record overwrites the
+// oldest slot): the steady-state per-event cost of a long traced run.
+void BM_EventLogRecord(benchmark::State& state) {
+  obs::RecorderOptions options;
+  options.event_capacity = 64;
+  options.flight_capacity = 256;
+  obs::Recorder recorder(options);
   std::uint64_t i = 0;
+  for (; i < 1024; ++i) {
+    recorder.Emit({static_cast<double>(i), obs::EventKind::kRenegGrant, i});
+  }
   for (auto _ : state) {
-    flight.Record({static_cast<double>(i), obs::EventKind::kRenegGrant, i});
+    recorder.Emit({static_cast<double>(i), obs::EventKind::kRenegGrant, i});
     ++i;
   }
 }
-BENCHMARK(BM_FlightRecorderRecord);
+BENCHMARK(BM_EventLogRecord);
 
 }  // namespace

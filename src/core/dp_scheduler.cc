@@ -324,7 +324,7 @@ class Trellis {
   const DpOptions& opt_;
   DpConfig cfg_;
 
-  std::unique_ptr<runtime::ThreadPool> owned_pool_;
+  std::unique_ptr<runtime::ThreadPool> pool_;
   std::unique_ptr<Team> team_;
 
   Frontier cur_;
@@ -391,12 +391,6 @@ void ValidateOptions(const std::vector<double>& workload,
               options.final_buffer_bits >= 0,
           "ComputeOptimalSchedule: final buffer bound must be >= 0 (not "
           "NaN)");
-  Require(std::isfinite(options.initial_buffer_bits) &&
-              options.initial_buffer_bits >= 0,
-          "ComputeOptimalSchedule: initial buffer must be finite and >= 0");
-  Require(options.initial_rate_index <
-              static_cast<std::int64_t>(options.rate_levels.size()),
-          "ComputeOptimalSchedule: initial_rate_index out of range");
   Require(options.checkpoint_slots >= 0,
           "ComputeOptimalSchedule: checkpoint_slots must be >= 0");
   Require(options.max_resident_nodes > 0,
@@ -452,12 +446,10 @@ Trellis::Trellis(const std::vector<double>& workload,
                                           : opt_.threads;
   workers = std::min(workers, cfg_.num_rates);
   workers = std::max<std::size_t>(workers, 1);
-  runtime::ThreadPool* pool = opt_.pool;
-  if (workers > 1 && pool == nullptr) {
-    owned_pool_ = std::make_unique<runtime::ThreadPool>(workers - 1);
-    pool = owned_pool_.get();
+  if (workers > 1) {
+    pool_ = std::make_unique<runtime::ThreadPool>(workers - 1);
   }
-  team_ = std::make_unique<Team>(pool, workers);
+  team_ = std::make_unique<Team>(pool_.get(), workers);
 
   cur_.ResizeRates(cfg_.num_rates);
   nxt_.ResizeRates(cfg_.num_rates);
@@ -547,17 +539,12 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   };
 
   if (e == 0) {
-    // Seed: the initial buffer, zero weight, no history. Without an
-    // initial reservation no alpha is charged for any first rate (chosen
-    // at call setup); with one, every *other* rate pays the switch cost.
-    const double b0 = opt_.initial_buffer_bits;
+    // Seed: an empty buffer, zero weight, no history. No alpha is charged
+    // for the first rate (chosen at call setup).
+    const double b0 = 0.0;
     if (b0 > er.b_max + 1e-9) return;
-    const bool charged =
-        opt_.initial_rate_index >= 0 &&
-        static_cast<std::size_t>(opt_.initial_rate_index) != v;
-    const double extra = charged ? cfg_.alpha : 0.0;
     out.Push(quantize_up(std::max(b0 + er.shift, er.floor_q)),
-             0.0 + er.cost_add + extra, kNoParent);
+             0.0 + er.cost_add, kNoParent);
     return;
   }
 

@@ -42,10 +42,6 @@
 #include "obs/recorder.h"
 #include "util/piecewise.h"
 
-namespace rcbr::runtime {
-class ThreadPool;
-}  // namespace rcbr::runtime
-
 namespace rcbr::core {
 
 /// Read-only view of the Lemma-1 frontiers after one epoch, handed to
@@ -110,30 +106,11 @@ struct DpOptions {
   /// rotation stays feasible across the wrap seam.
   double final_buffer_bits = std::numeric_limits<double>::infinity();
 
-  /// Buffer occupancy at the start of the session (bits). The receding-
-  /// horizon online scheduler re-solves windows from a live, non-empty
-  /// buffer.
-  double initial_buffer_bits = 0;
-
-  /// Index into `rate_levels` of the rate already reserved when the
-  /// session starts. Negative (the default) means the first rate is free
-  /// to choose — no alpha is charged for it, the offline convention.
-  /// When set, choosing any *other* rate for the first epoch costs alpha,
-  /// exactly like any later switch: the receding-horizon scheduler's
-  /// windows start from a live reservation.
-  std::int64_t initial_rate_index = -1;
-
   /// Worker threads for the per-rate transform and the cross-rate merge
   /// (0 = hardware concurrency, 1 = fully sequential). Results are
-  /// byte-identical for every value. When `pool` is null and threads > 1,
-  /// a private runtime::ThreadPool is created for the call.
+  /// byte-identical for every value. With threads > 1 a private
+  /// runtime::ThreadPool is created for the call.
   std::size_t threads = 1;
-
-  /// Optional externally owned worker pool (runtime::ThreadPool). Callers
-  /// that solve many windows (DpOnlineScheduler) reuse one pool across
-  /// solves. Must have at least threads - 1 workers available for the
-  /// duration of the call. Borrowed, may be null.
-  runtime::ThreadPool* pool = nullptr;
 
   /// Budget of *resident* backtracking records (the working set). The
   /// forward pass checkpoints the frontier every `checkpoint_slots`;

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
         static_cast<std::int64_t>(0.9 * static_cast<double>(options.client.slots));
   }
 
-  rcbr::obs::Recorder recorder{rcbr::obs::RecorderOptions{}};
+  rcbr::obs::Recorder recorder;
   options.client.recorder = &recorder;
 
   const rcbr::net::ChaosResult result = rcbr::net::RunChaos(options);

@@ -33,31 +33,72 @@ const char* EventKindName(EventKind kind) {
   return "unknown";
 }
 
-EventTracer::EventTracer(std::size_t capacity) : capacity_(capacity) {
-  events_.reserve(capacity < 1024 ? capacity : 1024);
+namespace {
+
+std::size_t InitialReserve(std::size_t capacity) {
+  return capacity < 1024 ? capacity : 1024;
 }
 
-void EventTracer::Record(const TraceEvent& event) {
+}  // namespace
+
+EventLog::EventLog(std::size_t head_capacity, std::size_t ring_capacity)
+    : head_capacity_(head_capacity), ring_capacity_(ring_capacity) {
+  head_.reserve(InitialReserve(head_capacity));
+  ring_.reserve(InitialReserve(ring_capacity));
+}
+
+void EventLog::Record(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (events_.size() >= capacity_) {
+  if (head_.size() < head_capacity_) {
+    head_.push_back(event);
+  } else if (head_capacity_ > 0) {
     ++dropped_;
+  }
+  if (ring_capacity_ == 0) return;
+  if (ring_.size() < ring_capacity_) {
+    ring_.push_back(event);
     return;
   }
-  events_.push_back(event);
+  ring_[next_] = event;
+  next_ = next_ + 1 == ring_capacity_ ? 0 : next_ + 1;
 }
 
-std::int64_t EventTracer::dropped() const {
+void EventLog::Trigger(const TraceEvent& trigger) {
+  if (ring_capacity_ == 0) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (dumps_.size() >= kMaxDumps) {
+    ++suppressed_;
+    return;
+  }
+  FlightDump dump;
+  dump.trigger = trigger;
+  dump.events.reserve(ring_.size());
+  // Oldest-to-newest: once full, the eviction cursor points at the
+  // oldest surviving event.
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    dump.events.push_back(ring_[(next_ + i) % ring_.size()]);
+  }
+  dumps_.push_back(std::move(dump));
+}
+
+std::vector<TraceEvent> EventLog::Head() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return head_;
+}
+
+std::int64_t EventLog::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return dropped_;
 }
 
-std::vector<TraceEvent> EventTracer::Events() const {
+std::vector<FlightDump> EventLog::Dumps() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
+  return dumps_;
 }
 
-void EventTracer::AppendJsonl(std::size_t point, std::string& out) const {
-  obs::AppendJsonl(point, Events(), out);
+std::int64_t EventLog::suppressed() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return suppressed_;
 }
 
 void AppendEventBody(const TraceEvent& event, bool with_kind,
@@ -80,6 +121,31 @@ void AppendJsonl(std::size_t point, const std::vector<TraceEvent>& events,
            ", \"seq\": " + std::to_string(seq);
     AppendEventBody(events[seq], /*with_kind=*/true, out);
     out += "}\n";
+  }
+}
+
+void AppendFlightJsonl(std::size_t point, const std::vector<FlightDump>& dumps,
+                       std::int64_t suppressed, std::string& out) {
+  for (std::size_t d = 0; d < dumps.size(); ++d) {
+    const FlightDump& dump = dumps[d];
+    out += "{\"point\": " + std::to_string(point) +
+           ", \"dump\": " + std::to_string(d) +
+           ", \"window\": " + std::to_string(dump.events.size()) +
+           ", \"trigger\": " + json::Quote(EventKindName(dump.trigger.kind));
+    AppendEventBody(dump.trigger, /*with_kind=*/false, out);
+    out += "}\n";
+    for (std::size_t seq = 0; seq < dump.events.size(); ++seq) {
+      out += "{\"point\": " + std::to_string(point) +
+             ", \"dump\": " + std::to_string(d) +
+             ", \"seq\": " + std::to_string(seq);
+      AppendEventBody(dump.events[seq], /*with_kind=*/true, out);
+      out += "}\n";
+    }
+  }
+  if (suppressed > 0) {
+    out += "{\"point\": " + std::to_string(point) +
+           ", \"event\": \"flight_dumps_suppressed\", \"suppressed\": " +
+           std::to_string(suppressed) + "}\n";
   }
 }
 

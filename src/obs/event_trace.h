@@ -3,14 +3,26 @@
 // admission accept/reject with the Chernoff margin, RM-cell loss, and DP
 // trellis pruning.
 //
-// An EventTracer is a bounded buffer of TraceEvents. Recording is cheap
-// (no allocation: fixed-arity numeric payload with string-literal keys)
-// and keeps the *first* `capacity` events — dropping the newest, not the
-// oldest, so the retained prefix is stable no matter how long a run gets;
-// a drop counter reports truncation. The experiment runtime gives each
-// sweep point its own tracer and concatenates them in point-index order,
-// which makes the JSONL sink byte-identical across thread counts (event
-// times are simulation time, never wall clock).
+// An EventLog is one bounded record of TraceEvents with two retention
+// views, both fed by the same Record call. Recording is cheap (no
+// allocation: fixed-arity numeric payload with string-literal keys).
+//
+//  - The head keeps the *first* `head_capacity` events — dropping the
+//    newest, not the oldest, so the retained prefix is stable no matter
+//    how long a run gets (golden traces, TRACE_<name>.jsonl); a drop
+//    counter reports truncation.
+//  - The ring keeps the *last* `ring_capacity` events, so when the fault
+//    subsystem downs a link, restarts a controller, or a queue overflows,
+//    the window leading up to the incident is still in memory. Trigger()
+//    freezes the ring into a FlightDump (FLIGHT_<name>.jsonl), replacing
+//    "re-run with full tracing" as the debugging workflow. A run can trip
+//    the same trigger thousands of times, so at most kMaxDumps dumps are
+//    kept; later triggers are counted as suppressed.
+//
+// The experiment runtime gives each sweep point its own log and
+// concatenates them in point-index order, which makes both JSONL sinks
+// byte-identical across thread counts (event times are simulation time,
+// never wall clock).
 #pragma once
 
 #include <array>
@@ -71,26 +83,50 @@ struct TraceEvent {
   std::array<Field, 4> fields{};
 };
 
-class EventTracer {
- public:
-  /// Keeps at most `capacity` events; further Record calls only bump the
-  /// drop counter.
-  explicit EventTracer(std::size_t capacity);
+/// One frozen postmortem: the triggering event plus the ring contents
+/// (oldest to newest) at the moment of the trigger.
+struct FlightDump {
+  TraceEvent trigger;
+  std::vector<TraceEvent> events;
+};
 
+class EventLog {
+ public:
+  /// Dumps kept before further triggers are only counted.
+  static constexpr std::size_t kMaxDumps = 4;
+
+  /// Keeps the first `head_capacity` and the last `ring_capacity` events;
+  /// either may be 0 (that view is off).
+  EventLog(std::size_t head_capacity, std::size_t ring_capacity);
+
+  /// Appends `event` to the head (or counts a drop once a nonzero head is
+  /// full) and to the ring (evicting the oldest once full).
   void Record(const TraceEvent& event);
 
-  std::size_t capacity() const { return capacity_; }
-  std::int64_t dropped() const;
-  std::vector<TraceEvent> Events() const;
+  /// Freezes the ring into a dump attributed to `trigger`; beyond
+  /// kMaxDumps the trigger is counted as suppressed instead. Does nothing
+  /// when the ring is off.
+  void Trigger(const TraceEvent& trigger);
 
-  /// AppendJsonl(point, Events(), out).
-  void AppendJsonl(std::size_t point, std::string& out) const;
+  /// The retained prefix, in record order.
+  std::vector<TraceEvent> Head() const;
+  /// Events that arrived after the head filled (0 without a head).
+  std::int64_t dropped() const;
+  /// Dumps in trigger order.
+  std::vector<FlightDump> Dumps() const;
+  /// Triggers that arrived after the dump cap was reached.
+  std::int64_t suppressed() const;
 
  private:
   mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::vector<TraceEvent> events_;
+  const std::size_t head_capacity_;
+  const std::size_t ring_capacity_;
+  std::vector<TraceEvent> head_;
   std::int64_t dropped_ = 0;
+  std::vector<TraceEvent> ring_;  // ring_.size() <= ring_capacity_
+  std::size_t next_ = 0;          // eviction cursor once the ring is full
+  std::vector<FlightDump> dumps_;
+  std::int64_t suppressed_ = 0;
 };
 
 /// Appends the body of one event's JSON object:
@@ -107,5 +143,16 @@ void AppendEventBody(const TraceEvent& event, bool with_kind,
 /// within `events`. This is the one serializer every trace sink uses.
 void AppendJsonl(std::size_t point, const std::vector<TraceEvent>& events,
                  std::string& out);
+
+/// Appends the JSONL postmortem for one sweep point: per dump, a header
+/// line
+///   {"point": P, "dump": D, "window": N, "trigger": "...", "t": T,
+///    "id": I, <trigger fields>}
+/// followed by the ring contents in trace-line format (each line gaining
+/// a "dump" tag), and — if any triggers were suppressed — one trailer
+/// line
+///   {"point": P, "event": "flight_dumps_suppressed", "suppressed": S}.
+void AppendFlightJsonl(std::size_t point, const std::vector<FlightDump>& dumps,
+                       std::int64_t suppressed, std::string& out);
 
 }  // namespace rcbr::obs

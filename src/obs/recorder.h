@@ -1,6 +1,7 @@
 // The handle instrumented code holds: one Recorder bundles the metrics
-// registry, an optional event tracer, the sim-time time-series sampler,
-// the flight recorder, and the wall-clock profile.
+// registry, the wall-clock profile, an optional event log (the first-N
+// trace prefix and the last-N flight ring in one object), and an optional
+// sim-time time-series sampler.
 //
 // Wiring pattern: every instrumented module takes an `obs::Recorder*`
 // (default nullptr) through its options struct or constructor. Call sites
@@ -22,53 +23,42 @@
 
 #include "obs/enabled.h"
 #include "obs/event_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/time_series.h"
 
 namespace rcbr::obs {
 
-inline constexpr std::size_t kDefaultEventCapacity = 4096;
-
 /// Which optional subsystems a Recorder carries. All default to off, so
 /// `Recorder{}` stays the cheap metrics+profile bundle.
 struct RecorderOptions {
-  /// Trace buffer size; 0 = no tracer.
+  /// Event-log head (trace prefix) size; 0 = no head.
   std::size_t event_capacity = 0;
   /// Time-series window width in sim seconds; 0 = no sampler.
   double ts_window_s = 0;
   /// Span sampling: 1 = every span, N = every Nth, 0 = spans off.
   std::int64_t span_sample = 1;
-  /// Flight-recorder ring size; 0 = no flight recorder.
+  /// Event-log ring (flight recorder) size; 0 = no ring.
   std::size_t flight_capacity = 0;
-  /// Postmortem dumps kept before triggers are merely counted.
-  std::size_t flight_max_dumps = FlightRecorder::kDefaultMaxDumps;
 };
 
 class Recorder {
  public:
-  /// `event_capacity` = 0 builds a recorder without a tracer (metrics and
-  /// profile only) — event Emit calls become drops without a buffer.
-  explicit Recorder(std::size_t event_capacity = 0) {
-    if (event_capacity > 0) tracer_.emplace(event_capacity);
-  }
-
-  explicit Recorder(const RecorderOptions& options)
+  explicit Recorder(const RecorderOptions& options = {})
       : span_sample_(options.span_sample) {
-    if (options.event_capacity > 0) tracer_.emplace(options.event_capacity);
-    if (options.ts_window_s > 0) time_series_.emplace(options.ts_window_s);
-    if (options.flight_capacity > 0) {
-      flight_.emplace(options.flight_capacity, options.flight_max_dumps);
+    if (options.event_capacity > 0 || options.flight_capacity > 0) {
+      events_.emplace(options.event_capacity, options.flight_capacity);
     }
+    if (options.ts_window_s > 0) time_series_.emplace(options.ts_window_s);
   }
 
   MetricsRegistry& metrics() { return metrics_; }
   ProfileRegistry& profile() { return profile_; }
 
-  /// The tracer, or nullptr when constructed with event_capacity 0.
-  EventTracer* tracer() { return tracer_ ? &*tracer_ : nullptr; }
-  const EventTracer* tracer() const { return tracer_ ? &*tracer_ : nullptr; }
+  /// The event log, or nullptr when both event_capacity and
+  /// flight_capacity were 0.
+  EventLog* events() { return events_ ? &*events_ : nullptr; }
+  const EventLog* events() const { return events_ ? &*events_ : nullptr; }
 
   /// The time-series sampler, or nullptr when ts_window_s was 0.
   TimeSeriesSampler* time_series() {
@@ -78,25 +68,17 @@ class Recorder {
     return time_series_ ? &*time_series_ : nullptr;
   }
 
-  /// The flight recorder, or nullptr when flight_capacity was 0.
-  FlightRecorder* flight() { return flight_ ? &*flight_ : nullptr; }
-  const FlightRecorder* flight() const {
-    return flight_ ? &*flight_ : nullptr;
-  }
-
   std::int64_t span_sample() const { return span_sample_; }
 
   void Emit(const TraceEvent& event) {
-    if (tracer_) tracer_->Record(event);
-    if (flight_) flight_->Record(event);
+    if (events_) events_->Record(event);
   }
 
  private:
   MetricsRegistry metrics_;
   ProfileRegistry profile_;
-  std::optional<EventTracer> tracer_;
+  std::optional<EventLog> events_;
   std::optional<TimeSeriesSampler> time_series_;
-  std::optional<FlightRecorder> flight_;
   std::int64_t span_sample_ = 1;
 };
 
@@ -194,16 +176,17 @@ inline void Emit(Recorder* recorder, double time, EventKind kind,
   }
 }
 
-/// Freezes the flight ring into a postmortem dump attributed to the
-/// given trigger event (also emitted into the dump header).
+/// Freezes the event log's ring into a postmortem dump attributed to the
+/// given trigger event (also emitted into the dump header); a no-op
+/// without a ring.
 inline void TriggerFlight(Recorder* recorder, double time, EventKind kind,
                           std::uint64_t id, TraceEvent::Field f0 = {},
                           TraceEvent::Field f1 = {},
                           TraceEvent::Field f2 = {},
                           TraceEvent::Field f3 = {}) {
   if constexpr (kEnabled) {
-    if (recorder != nullptr && recorder->flight() != nullptr) {
-      recorder->flight()->Trigger({time, kind, id, {f0, f1, f2, f3}});
+    if (recorder != nullptr && recorder->events() != nullptr) {
+      recorder->events()->Trigger({time, kind, id, {f0, f1, f2, f3}});
     }
   }
 }

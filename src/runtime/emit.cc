@@ -76,6 +76,23 @@ std::string Serialize(const SweepResult& result, bool include_timings) {
   return out;
 }
 
+// Writes `contents` to `<directory>/<file>`, returning the path; `what`
+// names the public writer in the error messages.
+std::string WriteArtifact(const std::string& what,
+                          const std::string& directory,
+                          const std::string& file,
+                          const std::string& contents) {
+  std::string path = directory.empty() ? "." : directory;
+  if (path.back() != '/') path += '/';
+  path += file;
+  std::ofstream out(path);
+  Require(out.good(), what + ": cannot open " + path);
+  out << contents;
+  out.close();
+  Require(out.good(), what + ": write failed for " + path);
+  return path;
+}
+
 }  // namespace
 
 void PrintPreamble(const std::string& experiment,
@@ -123,15 +140,9 @@ std::string ToJsonWithoutTimings(const SweepResult& result) {
 
 std::string WriteJson(const SweepResult& result,
                       const std::string& directory) {
-  std::string path = directory.empty() ? "." : directory;
-  if (path.back() != '/') path += '/';
-  path += "BENCH_" + result.spec.name + ".json";
-  std::ofstream file(path);
-  Require(file.good(), "WriteJson: cannot open " + path);
-  file << ToJson(result);
-  file.close();
-  Require(file.good(), "WriteJson: write failed for " + path);
-  return path;
+  return WriteArtifact("WriteJson", directory,
+                       "BENCH_" + result.spec.name + ".json",
+                       ToJson(result));
 }
 
 std::string ToTraceJsonl(const SweepResult& result) {
@@ -150,15 +161,9 @@ std::string ToTraceJsonl(const SweepResult& result) {
 
 std::string WriteTrace(const SweepResult& result,
                        const std::string& directory) {
-  std::string path = directory.empty() ? "." : directory;
-  if (path.back() != '/') path += '/';
-  path += "TRACE_" + result.spec.name + ".jsonl";
-  std::ofstream file(path);
-  Require(file.good(), "WriteTrace: cannot open " + path);
-  file << ToTraceJsonl(result);
-  file.close();
-  Require(file.good(), "WriteTrace: write failed for " + path);
-  return path;
+  return WriteArtifact("WriteTrace", directory,
+                       "TRACE_" + result.spec.name + ".jsonl",
+                       ToTraceJsonl(result));
 }
 
 std::string ToTimeSeriesJsonl(const SweepResult& result) {
@@ -186,15 +191,9 @@ std::string ToTimeSeriesJsonl(const SweepResult& result) {
 
 std::string WriteTimeSeries(const SweepResult& result,
                             const std::string& directory) {
-  std::string path = directory.empty() ? "." : directory;
-  if (path.back() != '/') path += '/';
-  path += "TS_" + result.spec.name + ".jsonl";
-  std::ofstream file(path);
-  Require(file.good(), "WriteTimeSeries: cannot open " + path);
-  file << ToTimeSeriesJsonl(result);
-  file.close();
-  Require(file.good(), "WriteTimeSeries: write failed for " + path);
-  return path;
+  return WriteArtifact("WriteTimeSeries", directory,
+                       "TS_" + result.spec.name + ".jsonl",
+                       ToTimeSeriesJsonl(result));
 }
 
 std::string ToFlightJsonl(const SweepResult& result) {
@@ -207,15 +206,9 @@ std::string ToFlightJsonl(const SweepResult& result) {
 
 std::string WriteFlight(const SweepResult& result,
                         const std::string& directory) {
-  std::string path = directory.empty() ? "." : directory;
-  if (path.back() != '/') path += '/';
-  path += "FLIGHT_" + result.spec.name + ".jsonl";
-  std::ofstream file(path);
-  Require(file.good(), "WriteFlight: cannot open " + path);
-  file << ToFlightJsonl(result);
-  file.close();
-  Require(file.good(), "WriteFlight: write failed for " + path);
-  return path;
+  return WriteArtifact("WriteFlight", directory,
+                       "FLIGHT_" + result.spec.name + ".jsonl",
+                       ToFlightJsonl(result));
 }
 
 }  // namespace rcbr::runtime

@@ -38,9 +38,10 @@ std::string ToJsonWithoutTimings(const SweepResult& result);
 std::string WriteJson(const SweepResult& result,
                       const std::string& directory = ".");
 
-/// Serializes the captured trace events (see SweepOptions::event_capacity)
-/// as JSONL, one event per line in (point, seq) order, with a
-/// "trace_truncated" marker after any point whose ring buffer overflowed.
+/// Serializes the captured trace events (see
+/// SweepOptions::recorder.event_capacity) as JSONL, one event per line in
+/// (point, seq) order, with a "trace_truncated" marker after any point
+/// whose event-log head overflowed.
 /// Deterministic: identical for every thread count.
 std::string ToTraceJsonl(const SweepResult& result);
 
@@ -49,8 +50,9 @@ std::string ToTraceJsonl(const SweepResult& result);
 std::string WriteTrace(const SweepResult& result,
                        const std::string& directory = ".");
 
-/// Serializes the windowed sim-time series (see SweepOptions::ts_window_s)
-/// as JSONL, one window per line in (point, series name, window) order:
+/// Serializes the windowed sim-time series (see
+/// SweepOptions::recorder.ts_window_s) as JSONL, one window per line in
+/// (point, series name, window) order:
 ///   {"point": P, "series": "...", "window": K, "t0": ..., "t1": ...,
 ///    "n": ..., "sum": ..., "min": ..., "max": ..., "last": ...}
 /// Deterministic: identical for every thread count.
@@ -61,9 +63,9 @@ std::string ToTimeSeriesJsonl(const SweepResult& result);
 std::string WriteTimeSeries(const SweepResult& result,
                             const std::string& directory = ".");
 
-/// Serializes the flight-recorder postmortems (see
-/// SweepOptions::flight_events) as JSONL in point order; empty when no
-/// trigger fired. Deterministic: identical for every thread count.
+/// Serializes the flight postmortems (see
+/// SweepOptions::recorder.flight_capacity) as JSONL in point order; empty
+/// when no trigger fired. Deterministic: identical for every thread count.
 std::string ToFlightJsonl(const SweepResult& result);
 
 /// Writes ToFlightJsonl(result) to `<directory>/FLIGHT_<spec.name>.jsonl`

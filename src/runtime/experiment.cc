@@ -167,10 +167,11 @@ SweepOptions ToSweepOptions(const ExperimentArgs& args) {
   SweepOptions options;
   options.base_seed = args.seed;
   options.threads = args.threads;
-  options.event_capacity = args.trace_dir.empty() ? 0 : args.trace_events;
-  options.ts_window_s = args.ts_dir.empty() ? 0.0 : args.ts_window;
-  options.span_sample = args.span_sample;
-  options.flight_events = args.flight_events;
+  options.recorder.event_capacity =
+      args.trace_dir.empty() ? 0 : args.trace_events;
+  options.recorder.ts_window_s = args.ts_dir.empty() ? 0.0 : args.ts_window;
+  options.recorder.span_sample = args.span_sample;
+  options.recorder.flight_capacity = args.flight_events;
   options.progress = args.progress;
   return options;
 }

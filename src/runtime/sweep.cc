@@ -29,14 +29,9 @@ SweepResult RunSweep(const SweepSpec& spec, const PointFn& fn,
   // contract that makes the metric values thread-count-invariant.
   std::vector<std::unique_ptr<obs::Recorder>> recorders;
   if constexpr (obs::kEnabled) {
-    obs::RecorderOptions recorder_options;
-    recorder_options.event_capacity = options.event_capacity;
-    recorder_options.ts_window_s = options.ts_window_s;
-    recorder_options.span_sample = options.span_sample;
-    recorder_options.flight_capacity = options.flight_events;
     recorders.reserve(spec.points.size());
     for (std::size_t i = 0; i < spec.points.size(); ++i) {
-      recorders.push_back(std::make_unique<obs::Recorder>(recorder_options));
+      recorders.push_back(std::make_unique<obs::Recorder>(options.recorder));
     }
   }
 
@@ -78,9 +73,9 @@ SweepResult RunSweep(const SweepSpec& spec, const PointFn& fn,
       for (const auto& [phase, profile] : recorders[i]->profile().Snapshot()) {
         result.profile[phase].Merge(profile);
       }
-      const obs::EventTracer* tracer = recorders[i]->tracer();
-      if (tracer != nullptr) {
-        PointEvents events{i, tracer->Events(), tracer->dropped()};
+      const obs::EventLog* log = recorders[i]->events();
+      if (log != nullptr) {
+        PointEvents events{i, log->Head(), log->dropped()};
         if (events.dropped > 0) {
           trace_dropped += events.dropped;
           ++truncated_points;
@@ -88,19 +83,16 @@ SweepResult RunSweep(const SweepSpec& spec, const PointFn& fn,
         if (!events.events.empty() || events.dropped > 0) {
           result.events.push_back(std::move(events));
         }
+        PointFlight dumps{i, log->Dumps(), log->suppressed()};
+        if (!dumps.dumps.empty() || dumps.suppressed > 0) {
+          result.flight.push_back(std::move(dumps));
+        }
       }
       const obs::TimeSeriesSampler* sampler = recorders[i]->time_series();
       if (sampler != nullptr) {
         PointSeries series{i, sampler->Snapshot()};
         if (!series.series.empty()) {
           result.series.push_back(std::move(series));
-        }
-      }
-      const obs::FlightRecorder* flight = recorders[i]->flight();
-      if (flight != nullptr) {
-        PointFlight dumps{i, flight->Dumps(), flight->suppressed()};
-        if (!dumps.dumps.empty() || dumps.suppressed > 0) {
-          result.flight.push_back(std::move(dumps));
         }
       }
     }

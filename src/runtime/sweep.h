@@ -69,7 +69,8 @@ struct PointResult {
   double seconds = 0;
 };
 
-/// One point's retained trace events, tagged with the point index.
+/// One point's event-log head (retained trace prefix), tagged with the
+/// point index.
 struct PointEvents {
   std::size_t point = 0;
   std::vector<obs::TraceEvent> events;
@@ -82,7 +83,7 @@ struct PointSeries {
   obs::TimeSeriesSnapshot series;
 };
 
-/// One point's flight-recorder postmortems, tagged with the point index.
+/// One point's event-log ring postmortems, tagged with the point index.
 struct PointFlight {
   std::size_t point = 0;
   std::vector<obs::FlightDump> dumps;
@@ -106,13 +107,14 @@ struct SweepResult {
   /// provenance, not portable data: excluded from ToJsonWithoutTimings.
   std::map<std::string, obs::PhaseProfile> profile;
   /// Trace events of every point that recorded any, in point order; only
-  /// populated when SweepOptions::event_capacity > 0.
+  /// populated when SweepOptions::recorder.event_capacity > 0.
   std::vector<PointEvents> events;
   /// Windowed time series of every point that sampled any, in point
-  /// order; only populated when SweepOptions::ts_window_s > 0.
+  /// order; only populated when SweepOptions::recorder.ts_window_s > 0.
   std::vector<PointSeries> series;
-  /// Flight-recorder dumps of every point whose ring was triggered, in
-  /// point order; only populated when SweepOptions::flight_events > 0.
+  /// Flight dumps of every point whose ring was triggered, in point
+  /// order; only populated when
+  /// SweepOptions::recorder.flight_capacity > 0.
   std::vector<PointFlight> flight;
 };
 
@@ -120,15 +122,10 @@ struct SweepOptions {
   std::uint64_t base_seed = 20260706;
   /// Worker threads; 0 means HardwareThreads().
   std::size_t threads = 0;
-  /// Per-point event-tracer capacity; 0 disables event capture (metrics
-  /// are always captured — they are cheap and bounded).
-  std::size_t event_capacity = 0;
-  /// Time-series window width in sim seconds; 0 disables the sampler.
-  double ts_window_s = 0;
-  /// Span sampling: 1 records every span, N every Nth, 0 disables spans.
-  std::int64_t span_sample = 1;
-  /// Per-point flight-recorder ring size; 0 disables the flight recorder.
-  std::size_t flight_events = 0;
+  /// What each point's private recorder carries: the event-log head and
+  /// ring, the time-series window, and span sampling. Metrics are always
+  /// captured — they are cheap and bounded.
+  obs::RecorderOptions recorder;
   /// Print per-point completion to stderr ("# progress: ..."); stdout
   /// (table/JSON) is never touched, so piping stays clean.
   bool progress = false;

@@ -1,7 +1,7 @@
 // Differential tests: ComputeOptimalSchedule against the brute-force
 // reference DP (tests/core/dp_reference.h) across the option space —
-// buffer and delay bounds, quantization, decision periods, terminal and
-// initial state. Instances use integer-lattice workloads and rate grids,
+// buffer and delay bounds, quantization, decision periods, and the
+// terminal state. Instances use integer-lattice workloads and rate grids,
 // so both implementations compute exactly and costs must agree tightly.
 #include <cmath>
 #include <optional>
@@ -48,13 +48,6 @@ DpOptions RandomLatticeOptions(Rng& rng, int trial) {
     default:
       break;
   }
-  if (trial % 7 == 5) {
-    options.initial_buffer_bits = std::floor(rng.Uniform(0.0, 4.0));
-  }
-  if (trial % 11 == 6) {
-    options.initial_rate_index = static_cast<std::int64_t>(
-        rng.Uniform(0.0, static_cast<double>(k)));
-  }
   return options;
 }
 
@@ -80,10 +73,7 @@ TEST(DpDifferential, MatchesBruteForceAcrossOptionSpace) {
     EXPECT_NEAR(got->optimal_cost, *want, 1e-9 * (1.0 + std::abs(*want)))
         << "trial " << trial;
 
-    // The emitted schedule must realize the claimed cost feasibly. The
-    // evaluators assume an initially empty buffer and a free first rate,
-    // so those checks apply only to trials sharing that convention.
-    if (options.initial_buffer_bits != 0) continue;
+    // The emitted schedule must realize the claimed cost feasibly.
     if (options.delay_bound_slots >= 0) {
       EXPECT_TRUE(MeetsDelayBound(workload, got->schedule,
                                   options.delay_bound_slots))
@@ -92,35 +82,13 @@ TEST(DpDifferential, MatchesBruteForceAcrossOptionSpace) {
       const ScheduleMetrics metrics = EvaluateSchedule(
           workload, got->schedule, options.buffer_bits, 1.0, options.cost);
       EXPECT_TRUE(metrics.feasible) << "trial " << trial;
-      if (options.initial_rate_index < 0) {
-        EXPECT_NEAR(metrics.cost, got->optimal_cost,
-                    1e-9 * (1.0 + std::abs(got->optimal_cost)))
-            << "trial " << trial;
-      }
+      EXPECT_NEAR(metrics.cost, got->optimal_cost,
+                  1e-9 * (1.0 + std::abs(got->optimal_cost)))
+          << "trial " << trial;
     }
   }
   // The ISSUE's bar: at least 200 feasible differential cases.
   EXPECT_GE(feasible_cases, 200);
-}
-
-TEST(DpDifferential, InitialStateChargesExactlyOneAlpha) {
-  // With a reserved initial rate, keeping it must save exactly alpha
-  // against being forced off it, all else equal.
-  const std::vector<double> workload(12, 3.0);
-  DpOptions options;
-  options.rate_levels = {0.0, 3.0, 6.0};
-  options.buffer_bits = 10.0;
-  options.cost = {5.0, 1.0};
-  options.initial_rate_index = 1;  // rate 3.0: exactly the arrival rate
-  const DpResult keep = ComputeOptimalSchedule(workload, options);
-  options.initial_rate_index = -1;
-  const DpResult free_choice = ComputeOptimalSchedule(workload, options);
-  EXPECT_DOUBLE_EQ(keep.optimal_cost, free_choice.optimal_cost);
-  options.initial_rate_index = 2;  // must pay alpha to leave rate 6.0
-  const DpResult leave = ComputeOptimalSchedule(workload, options);
-  EXPECT_GT(leave.optimal_cost, free_choice.optimal_cost);
-  EXPECT_LE(leave.optimal_cost,
-            free_choice.optimal_cost + options.cost.per_renegotiation + 1e-9);
 }
 
 }  // namespace

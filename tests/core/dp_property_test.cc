@@ -133,11 +133,7 @@ class EpochReconstructor {
         return dst;
       };
       if (view.first_slot == 0) {
-        const bool charged =
-            options_.initial_rate_index >= 0 &&
-            static_cast<std::size_t>(options_.initial_rate_index) != v;
-        now[v] = transform({{options_.initial_buffer_bits, 0.0}},
-                           charged ? alpha : 0.0);
+        now[v] = transform({{0.0, 0.0}}, 0.0);
       } else {
         now[v] = MergePareto(transform(prev_[v], 0.0),
                              transform(global, alpha));
@@ -186,11 +182,6 @@ DpOptions RandomOptions(Rng& rng, int trial) {
   if (trial % 3 == 0) {
     options.delay_bound_slots =
         static_cast<std::int64_t>(rng.Uniform(0.0, 6.0));
-  }
-  if (trial % 7 == 3) options.initial_buffer_bits = rng.Uniform(0.0, 3.0);
-  if (trial % 8 == 5) {
-    options.initial_rate_index =
-        static_cast<std::int64_t>(rng.Uniform(0.0, static_cast<double>(k)));
   }
   return options;
 }
@@ -289,10 +280,6 @@ TEST(DpProperty, ValidationRejectsMalformedOptions) {
   expect_invalid([&](DpOptions& o) { o.buffer_quantum_bits = inf; });
   expect_invalid([&](DpOptions& o) { o.final_buffer_bits = nan; });
   expect_invalid([&](DpOptions& o) { o.final_buffer_bits = -1.0; });
-  expect_invalid([&](DpOptions& o) { o.initial_buffer_bits = nan; });
-  expect_invalid([&](DpOptions& o) { o.initial_buffer_bits = -1.0; });
-  expect_invalid([&](DpOptions& o) { o.initial_buffer_bits = inf; });
-  expect_invalid([&](DpOptions& o) { o.initial_rate_index = 3; });
   expect_invalid([&](DpOptions& o) { o.checkpoint_slots = -1; });
   expect_invalid([&](DpOptions& o) { o.max_resident_nodes = 0; });
 
@@ -302,7 +289,6 @@ TEST(DpProperty, ValidationRejectsMalformedOptions) {
   ok.buffer_bits = 5.0;
   ok.cost = {0.0, 0.0};
   ok.decision_period = 1;
-  ok.initial_rate_index = 2;
   ok.final_buffer_bits = 0.0;
   EXPECT_NO_THROW(ComputeOptimalSchedule(workload, ok));
 }

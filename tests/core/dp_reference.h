@@ -5,8 +5,8 @@
 // the worst case; use only on small differential-test instances.
 //
 // Semantics mirror ComputeOptimalSchedule exactly: per-slot buffer bound
-// (constant or delay-window), alpha charged per rate switch (the first
-// epoch is free unless initial_rate_index reserves a rate), beta per
+// (constant or delay-window), an initially empty buffer, alpha charged
+// per rate switch (the first epoch's rate is free), beta per
 // bandwidth-slot, occupancy quantized upward once per epoch, terminal
 // states filtered by final_buffer_bits.
 #pragma once
@@ -58,22 +58,14 @@ inline std::optional<double> ReferenceOptimalCost(
 
   // (last rate, buffer) -> cheapest cost; num_rates = "no rate yet".
   std::map<std::pair<std::size_t, double>, double> states;
-  states[{num_rates, options.initial_buffer_bits}] = 0.0;
+  states[{num_rates, 0.0}] = 0.0;
   bool first = true;
   for (std::int64_t t0 = 0; t0 < total; t0 += period) {
     const std::int64_t slots = std::min(period, total - t0);
     std::map<std::pair<std::size_t, double>, double> next;
     for (const auto& [key, weight] : states) {
       for (std::size_t v = 0; v < num_rates; ++v) {
-        double switch_cost = 0;
-        if (first) {
-          if (options.initial_rate_index >= 0 &&
-              static_cast<std::size_t>(options.initial_rate_index) != v) {
-            switch_cost = alpha;
-          }
-        } else if (key.first != v) {
-          switch_cost = alpha;
-        }
+        const double switch_cost = !first && key.first != v ? alpha : 0.0;
         double q = key.second;
         bool feasible = true;
         for (std::int64_t s = 0; s < slots; ++s) {

@@ -374,5 +374,31 @@ TEST(DpScheduler, TinyResidencyBudgetStillSolvesExactly) {
   }
 }
 
+TEST(DpScheduler, ByteIdenticalAcrossThreadCounts) {
+  // A tab1-shaped grid on a streamed trellis (blocks spill and are
+  // recomputed during backtracking): every thread count must reproduce the
+  // serial cost, schedule, and diagnostics bit for bit.
+  rcbr::Rng rng(21);
+  std::vector<double> workload(300);
+  for (double& a : workload) a = rng.Uniform(0.0, 10.0);
+  DpOptions options;
+  options.rate_levels = UniformRateLevels(0.0, 10.0, 21);
+  options.buffer_bits = 40.0;
+  options.cost = {4.0, 1.0};
+  options.max_resident_nodes = 200;
+  options.checkpoint_slots = 32;
+  const DpResult serial = ComputeOptimalSchedule(workload, options);
+  EXPECT_GT(serial.recomputed_epochs, 0);
+  for (const std::size_t threads : {2u, 8u}) {
+    options.threads = threads;
+    const DpResult parallel = ComputeOptimalSchedule(workload, options);
+    EXPECT_EQ(parallel.optimal_cost, serial.optimal_cost);
+    EXPECT_TRUE(parallel.schedule == serial.schedule) << threads;
+    EXPECT_EQ(parallel.total_nodes, serial.total_nodes);
+    EXPECT_EQ(parallel.peak_live_nodes, serial.peak_live_nodes);
+    EXPECT_EQ(parallel.recomputed_epochs, serial.recomputed_epochs);
+  }
+}
+
 }  // namespace
 }  // namespace rcbr::core

@@ -34,7 +34,9 @@ admission::PolicyOptions MbacOptions(obs::Recorder* recorder) {
 
 std::string TraceBytes(obs::Recorder& recorder) {
   std::string out;
-  if (recorder.tracer() != nullptr) recorder.tracer()->AppendJsonl(0, out);
+  if (recorder.events() != nullptr) {
+    obs::AppendJsonl(0, recorder.events()->Head(), out);
+  }
   return out;
 }
 
@@ -54,8 +56,8 @@ TEST(LadderIdentity, Fig910MemoryMbacConfigDepthOne) {
     Rng rng(20260706);
     return sim::RunCallSim({kProfile}, policy, options, rng);
   };
-  obs::Recorder scalar_rec(4096);
-  obs::Recorder depth1_rec(4096);
+  obs::Recorder scalar_rec({.event_capacity = 4096});
+  obs::Recorder depth1_rec({.event_capacity = 4096});
   const sim::CallSimResult scalar = run({}, scalar_rec);
   const sim::CallSimResult depth1 =
       run(sim::RateLadder::Scalar(), depth1_rec);
@@ -113,8 +115,8 @@ TEST(LadderIdentity, FigMbacMultihopConfigDepthOne) {
     Rng rng(54321);
     return sim::engine::RunSimulation({kProfile}, options, rng);
   };
-  obs::Recorder scalar_rec(8192);
-  obs::Recorder depth1_rec(8192);
+  obs::Recorder scalar_rec({.event_capacity = 8192});
+  obs::Recorder depth1_rec({.event_capacity = 8192});
   const sim::engine::SimulationResult scalar = run({}, scalar_rec);
   const sim::engine::SimulationResult depth1 =
       run(sim::RateLadder::Scalar(), depth1_rec);

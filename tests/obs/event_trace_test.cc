@@ -1,5 +1,6 @@
 #include "obs/event_trace.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -31,13 +32,13 @@ TEST(EventKindName, WireNamesAreStable) {
   EXPECT_STREQ(EventKindName(EventKind::kDpPrune), "dp_prune");
 }
 
-TEST(EventTracer, KeepsFirstCapacityEventsAndCountsDrops) {
-  EventTracer tracer(3);
+TEST(EventLog, HeadKeepsFirstEventsAndCountsDrops) {
+  EventLog log(3, 0);
   for (int i = 0; i < 5; ++i) {
-    tracer.Record(MakeEvent(static_cast<double>(i), i));
+    log.Record(MakeEvent(static_cast<double>(i), i));
   }
-  EXPECT_EQ(tracer.dropped(), 2);
-  const std::vector<TraceEvent> events = tracer.Events();
+  EXPECT_EQ(log.dropped(), 2);
+  const std::vector<TraceEvent> events = log.Head();
   ASSERT_EQ(events.size(), 3u);
   // Drop-newest: the retained prefix is the first three records.
   EXPECT_DOUBLE_EQ(events[0].time, 0.0);
@@ -45,19 +46,12 @@ TEST(EventTracer, KeepsFirstCapacityEventsAndCountsDrops) {
   EXPECT_EQ(events[2].id, 2u);
 }
 
-TEST(EventTracer, ZeroCapacityDropsEverything) {
-  EventTracer tracer(0);
-  tracer.Record(MakeEvent(1.0, 1));
-  EXPECT_EQ(tracer.dropped(), 1);
-  EXPECT_TRUE(tracer.Events().empty());
-}
-
-TEST(EventTracer, AppendJsonlFormatsOneLinePerEvent) {
-  EventTracer tracer(4);
-  tracer.Record(MakeEvent(1.5, 7));
-  tracer.Record({2.0, EventKind::kDpPrune, 3, {}});
+TEST(EventLog, AppendJsonlFormatsOneLinePerEvent) {
+  EventLog log(4, 0);
+  log.Record(MakeEvent(1.5, 7));
+  log.Record({2.0, EventKind::kDpPrune, 3, {}});
   std::string out;
-  tracer.AppendJsonl(2, out);
+  AppendJsonl(2, log.Head(), out);
   EXPECT_EQ(out,
             "{\"point\": 2, \"seq\": 0, \"t\": 1.5, "
             "\"event\": \"reneg_grant\", \"id\": 7, "
@@ -66,29 +60,151 @@ TEST(EventTracer, AppendJsonlFormatsOneLinePerEvent) {
             "\"event\": \"dp_prune\", \"id\": 3}\n");
 }
 
-TEST(EventTracer, FreeAppendJsonlMatchesMemberForm) {
-  EventTracer tracer(4);
-  tracer.Record(MakeEvent(0.25, 1));
-  std::string via_member;
-  tracer.AppendJsonl(0, via_member);
-  std::string via_free;
-  AppendJsonl(0, tracer.Events(), via_free);
-  EXPECT_EQ(via_member, via_free);
+TEST(EventLog, RingKeepsOnlyTheNewestEvents) {
+  EventLog log(0, 3);
+  for (int i = 0; i < 7; ++i) {
+    log.Record(MakeEvent(static_cast<double>(i), static_cast<std::uint64_t>(i)));
+  }
+  log.Trigger(MakeEvent(99.0, 99));
+  const std::vector<FlightDump> dumps = log.Dumps();
+  ASSERT_EQ(dumps.size(), 1u);
+  // Oldest-to-newest snapshot of the last 3 of 7 recorded events.
+  ASSERT_EQ(dumps[0].events.size(), 3u);
+  EXPECT_EQ(dumps[0].events[0].id, 4u);
+  EXPECT_EQ(dumps[0].events[1].id, 5u);
+  EXPECT_EQ(dumps[0].events[2].id, 6u);
+  EXPECT_EQ(dumps[0].trigger.id, 99u);
+}
+
+TEST(EventLog, PartialRingDumpsInRecordOrder) {
+  EventLog log(0, 8);
+  log.Record(MakeEvent(1.0, 1));
+  log.Record(MakeEvent(2.0, 2));
+  log.Trigger(MakeEvent(3.0, 3));
+  const std::vector<FlightDump> dumps = log.Dumps();
+  ASSERT_EQ(dumps.size(), 1u);
+  ASSERT_EQ(dumps[0].events.size(), 2u);
+  EXPECT_EQ(dumps[0].events[0].id, 1u);
+  EXPECT_EQ(dumps[0].events[1].id, 2u);
+}
+
+TEST(EventLog, CapsDumpsAndCountsSuppressedTriggers) {
+  EventLog log(0, 2);
+  log.Record(MakeEvent(0.0, 0));
+  for (int i = 0; i < 7; ++i) {
+    log.Trigger(MakeEvent(static_cast<double>(i), 10 + i));
+  }
+  const std::vector<FlightDump> dumps = log.Dumps();
+  ASSERT_EQ(dumps.size(), EventLog::kMaxDumps);
+  EXPECT_EQ(log.suppressed(), 7 - static_cast<int>(EventLog::kMaxDumps));
+  // The kept dumps are the first triggers, in order.
+  for (std::size_t d = 0; d < dumps.size(); ++d) {
+    EXPECT_EQ(dumps[d].trigger.id, 10u + d);
+  }
+}
+
+TEST(EventLog, RecordingContinuesBetweenTriggers) {
+  EventLog log(0, 2);
+  log.Record(MakeEvent(1.0, 1));
+  log.Trigger(MakeEvent(2.0, 2));
+  log.Record(MakeEvent(3.0, 3));
+  log.Record(MakeEvent(4.0, 4));
+  log.Trigger(MakeEvent(5.0, 5));
+  const std::vector<FlightDump> dumps = log.Dumps();
+  ASSERT_EQ(dumps.size(), 2u);
+  // The first dump is unaffected by later recording.
+  ASSERT_EQ(dumps[0].events.size(), 1u);
+  EXPECT_EQ(dumps[0].events[0].id, 1u);
+  ASSERT_EQ(dumps[1].events.size(), 2u);
+  EXPECT_EQ(dumps[1].events[0].id, 3u);
+  EXPECT_EQ(dumps[1].events[1].id, 4u);
+}
+
+TEST(EventLog, OneRecordFeedsHeadAndRing) {
+  EventLog log(2, 3);
+  for (int i = 0; i < 5; ++i) {
+    log.Record(MakeEvent(static_cast<double>(i), static_cast<std::uint64_t>(i)));
+  }
+  log.Trigger(MakeEvent(9.0, 9));
+  // The head holds the first two records, the ring the last three.
+  const std::vector<TraceEvent> head = log.Head();
+  ASSERT_EQ(head.size(), 2u);
+  EXPECT_EQ(head[0].id, 0u);
+  EXPECT_EQ(head[1].id, 1u);
+  EXPECT_EQ(log.dropped(), 3);
+  const std::vector<FlightDump> dumps = log.Dumps();
+  ASSERT_EQ(dumps.size(), 1u);
+  ASSERT_EQ(dumps[0].events.size(), 3u);
+  EXPECT_EQ(dumps[0].events[0].id, 2u);
+  EXPECT_EQ(dumps[0].events[2].id, 4u);
+}
+
+TEST(EventLog, HeadOnlyIgnoresTriggers) {
+  EventLog log(4, 0);
+  log.Record(MakeEvent(1.0, 1));
+  for (int i = 0; i < 6; ++i) log.Trigger(MakeEvent(2.0, 2));
+  // No ring: no dump and no suppressed count, however many triggers.
+  EXPECT_TRUE(log.Dumps().empty());
+  EXPECT_EQ(log.suppressed(), 0);
+  EXPECT_EQ(log.Head().size(), 1u);
+}
+
+TEST(EventLog, RingOnlyCountsNoDrops) {
+  EventLog log(0, 2);
+  for (int i = 0; i < 5; ++i) log.Record(MakeEvent(static_cast<double>(i), i));
+  // No head: nothing retained up front and nothing counted as dropped.
+  EXPECT_TRUE(log.Head().empty());
+  EXPECT_EQ(log.dropped(), 0);
+  log.Trigger(MakeEvent(9.0, 9));
+  ASSERT_EQ(log.Dumps().size(), 1u);
+  EXPECT_EQ(log.Dumps()[0].events.size(), 2u);
+}
+
+TEST(AppendFlightJsonl, EmitsHeaderEventAndSuppressedLines) {
+  EventLog log(0, 2);
+  log.Record({1.0, EventKind::kRenegGrant, 7, {{{"new_bps", 64.0}}}});
+  log.Trigger({2.0, EventKind::kLinkDown, 0});
+  for (std::size_t i = 1; i <= EventLog::kMaxDumps; ++i) {
+    log.Trigger({3.0, EventKind::kLinkDown, i});  // the last is suppressed
+  }
+
+  std::string out;
+  AppendFlightJsonl(4, log.Dumps(), log.suppressed(), out);
+  EXPECT_NE(out.find("{\"point\": 4, \"dump\": 0, \"window\": 1, "
+                     "\"trigger\": \"link_down\", \"t\": 2, \"id\": 0}"),
+            std::string::npos);
+  EXPECT_NE(out.find("\"event\": \"reneg_grant\""), std::string::npos);
+  EXPECT_NE(out.find("\"new_bps\": 64"), std::string::npos);
+  EXPECT_NE(out.find("{\"point\": 4, \"event\": \"flight_dumps_suppressed\", "
+                     "\"suppressed\": 1}"),
+            std::string::npos);
+  // Per dump one header + one ring event, then one trailer.
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'),
+            2 * static_cast<int>(EventLog::kMaxDumps) + 1);
+}
+
+TEST(AppendFlightJsonl, NothingForAnUntriggeredRecorder) {
+  EventLog log(0, 4);
+  log.Record(MakeEvent(1.0, 1));
+  std::string out;
+  AppendFlightJsonl(0, log.Dumps(), log.suppressed(), out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Recorder, ZeroCapacityHasNoTracerAndEmitIsNoop) {
-  Recorder recorder(0);
-  EXPECT_EQ(recorder.tracer(), nullptr);
+  Recorder recorder;
+  EXPECT_EQ(recorder.events(), nullptr);
   recorder.Emit(MakeEvent(1.0, 1));  // must not crash
   Emit(&recorder, 2.0, EventKind::kResync, 5, {"believed_bps", 1e6});
+  TriggerFlight(&recorder, 3.0, EventKind::kLinkDown, 0);
 }
 
 TEST(Recorder, EmitLandsInTracer) {
   if constexpr (!kEnabled) GTEST_SKIP() << "RCBR_OBS=OFF";
-  Recorder recorder(8);
-  ASSERT_NE(recorder.tracer(), nullptr);
+  Recorder recorder({.event_capacity = 8});
+  ASSERT_NE(recorder.events(), nullptr);
   Emit(&recorder, 3.0, EventKind::kRmCellLoss, 9, {"delta_bps", -5.0});
-  const std::vector<TraceEvent> events = recorder.tracer()->Events();
+  const std::vector<TraceEvent> events = recorder.events()->Head();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].time, 3.0);
   EXPECT_EQ(events[0].kind, EventKind::kRmCellLoss);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/emit.h"
+#include "runtime/experiment.h"
 #include "sim/call_sim.h"
 #include "util/error.h"
 #include "util/piecewise.h"
@@ -107,7 +108,7 @@ TEST(RunSweep, ObsSnapshotsAndTracesAreIdenticalForEveryThreadCount) {
   const SweepSpec spec = CallSimSpec();
   SweepOptions options;
   options.base_seed = 20260806;
-  options.event_capacity = 64;
+  options.recorder.event_capacity = 64;
 
   options.threads = 1;
   const SweepResult serial =
@@ -138,7 +139,7 @@ TEST(Emit, WriteTraceCreatesJsonlFile) {
   const SweepSpec spec = CallSimSpec();
   SweepOptions options;
   options.base_seed = 20260806;
-  options.event_capacity = 16;
+  options.recorder.event_capacity = 16;
   const SweepResult result =
       RunSweep(spec, InstrumentedCallSimPoint, options);
 
@@ -186,8 +187,8 @@ TEST(RunSweep, SeriesSpansAndFlightAreIdenticalForEveryThreadCount) {
   spec.points = {{}, {}, {}, {}, {}, {}};
   SweepOptions options;
   options.base_seed = 20260807;
-  options.ts_window_s = 2.0;
-  options.flight_events = 8;
+  options.recorder.ts_window_s = 2.0;
+  options.recorder.flight_capacity = 8;
 
   options.threads = 1;
   const SweepResult serial = RunSweep(spec, TelemetryPoint, options);
@@ -223,7 +224,7 @@ TEST(RunSweep, FlightArtifactIsEmptyWhenNoTriggerFires) {
   spec.metrics = {"zero"};
   spec.points = {{}, {}};
   SweepOptions options;
-  options.flight_events = 8;
+  options.recorder.flight_capacity = 8;
   const SweepResult result = RunSweep(
       spec,
       [](const SweepContext& ctx) {
@@ -253,6 +254,76 @@ TEST(RunSweep, SeriesAreOffWithoutAWindow) {
       {});
   EXPECT_TRUE(result.series.empty());
   EXPECT_TRUE(ToTimeSeriesJsonl(result).empty());
+}
+
+// FNV-1a, 64-bit: a stable fingerprint for pinning artifact bytes.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Emits 10 events into a 6-event head and a 4-event ring, firing a
+// trigger on every `every`-th event (parameter 0; 0 = never).
+std::vector<double> RetentionPoint(const SweepContext& ctx) {
+  const int every = static_cast<int>(ctx.parameters[0]);
+  for (int k = 0; k < 10; ++k) {
+    const double t = 0.25 * k + static_cast<double>(ctx.index);
+    obs::Emit(ctx.recorder, t, obs::EventKind::kRenegGrant, ctx.index,
+              {"k", static_cast<double>(k)}, {"rate_bps", 1e6 / (k + 1)});
+    if (every > 0 && k % every == every - 1) {
+      obs::TriggerFlight(ctx.recorder, t, obs::EventKind::kLinkDown,
+                         ctx.index, {"k", static_cast<double>(k)});
+    }
+  }
+  return {0.0};
+}
+
+// The TRACE_/FLIGHT_ bytes of a sweep whose points overflow the head and
+// fire 0, 3 and 5 triggers (one past the dump cap), plus a one-point sweep
+// with the ring armed alone, pinned by size and hash so a change to event
+// retention cannot move them silently.
+TEST(Sweep, TraceAndFlightBytesArePinned) {
+  SweepSpec spec;
+  spec.name = "retention_probe";
+  spec.parameters = {"every"};
+  spec.metrics = {"zero"};
+  spec.points = {{0}, {3}, {2}};
+  ExperimentArgs args;
+  args.threads = 2;
+  args.trace_dir = ".";
+  args.trace_events = 6;
+  args.flight_events = 4;
+  const SweepResult both = RunSweep(spec, RetentionPoint, ToSweepOptions(args));
+
+  spec.points = {{2}};
+  args.trace_dir.clear();
+  const SweepResult ring_only =
+      RunSweep(spec, RetentionPoint, ToSweepOptions(args));
+
+  const std::string trace = ToTraceJsonl(both);
+  const std::string flight = ToFlightJsonl(both);
+  const std::string ring_flight = ToFlightJsonl(ring_only);
+  EXPECT_TRUE(ToTraceJsonl(ring_only).empty());
+  if constexpr (!obs::kEnabled) {
+    EXPECT_TRUE(trace.empty());
+    EXPECT_TRUE(flight.empty());
+    EXPECT_TRUE(ring_flight.empty());
+    return;
+  }
+  EXPECT_NE(trace.find("\"trace_truncated\", \"dropped\": 4"),
+            std::string::npos);
+  EXPECT_NE(flight.find("\"flight_dumps_suppressed\", \"suppressed\": 1"),
+            std::string::npos);
+  EXPECT_EQ(trace.size(), 1929u);
+  EXPECT_EQ(Fnv1a(trace), 17101735101807469084ull);
+  EXPECT_EQ(flight.size(), 3443u);
+  EXPECT_EQ(Fnv1a(flight), 1587485196427765887ull);
+  EXPECT_EQ(ring_flight.size(), 1953u);
+  EXPECT_EQ(Fnv1a(ring_flight), 6942403955218529190ull);
 }
 
 TEST(RunSweep, PointSeedsFollowTheStreamSplitContract) {

@@ -182,18 +182,18 @@ TEST(CallSim, IsOneEngineRun) {
   const CallSimOptions options = BaseOptions();
   auto snapshot = [](obs::Recorder& recorder) {
     std::string trace;
-    recorder.tracer()->AppendJsonl(0, trace);
+    obs::AppendJsonl(0, recorder.events()->Head(), trace);
     return trace + recorder.metrics().Snapshot().ToJson();
   };
 
-  obs::Recorder via_driver(4096);
+  obs::Recorder via_driver({.event_capacity = 4096});
   CallSimOptions driver_options = options;
   driver_options.recorder = &via_driver;
   CapacityOnlyPolicy p1;
   Rng a(11);
   RunCallSim(pool, p1, driver_options, a);
 
-  obs::Recorder direct(4096);
+  obs::Recorder direct({.event_capacity = 4096});
   engine::SimulationOptions sim;
   sim.link_capacities_bps = {options.capacity_bps};
   sim.classes.resize(1);

@@ -229,7 +229,7 @@ TEST(ComposedSimulation, AllLayersInOneRunAreThreadCountInvariant) {
   const runtime::SweepSpec spec = ComposedSpec();
   runtime::SweepOptions options;
   options.base_seed = 20260806;
-  options.event_capacity = 256;
+  options.recorder.event_capacity = 256;
 
   options.threads = 1;
   const runtime::SweepResult serial =

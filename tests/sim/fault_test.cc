@@ -383,7 +383,7 @@ TEST(FaultSimulation, ComposedFaultRunIsThreadCountInvariant) {
   const runtime::SweepSpec spec = FaultComposedSpec();
   runtime::SweepOptions options;
   options.base_seed = 20260806;
-  options.event_capacity = 256;
+  options.recorder.event_capacity = 256;
 
   options.threads = 1;
   const runtime::SweepResult serial =
@@ -436,7 +436,7 @@ std::uint64_t Fnv1a64(const std::string& text) {
 TEST(FaultSimulation, ComposedFaultRunMatchesPinnedOutputs) {
   runtime::SweepOptions options;
   options.base_seed = 20260806;
-  options.event_capacity = 256;
+  options.recorder.event_capacity = 256;
   options.threads = 1;
   const runtime::SweepResult r =
       runtime::RunSweep(FaultComposedSpec(), FaultComposedPoint, options);
