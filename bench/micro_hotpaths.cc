@@ -161,9 +161,7 @@ void BM_MemoryPolicyAdmit(benchmark::State& state) {
       rate = next;
     }
   }
-  const std::vector<double> no_rates;
-  const sim::LinkView view{1.5e6 * static_cast<double>(calls + 1), 0.0,
-                           &no_rates};
+  const sim::LinkView view{1.5e6 * static_cast<double>(calls + 1), 0.0};
   for (auto _ : state) {
     benchmark::DoNotOptimize(policy.Admit(now + 1.0, view, 1.28e6));
   }

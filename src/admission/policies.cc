@@ -107,16 +107,26 @@ bool PerfectKnowledgePolicy::Admit(double now,
 }
 
 MemorylessPolicy::MemorylessPolicy(PolicyOptions options)
-    : options_(Checked(std::move(options), "MemorylessPolicy")) {}
+    : options_(Checked(std::move(options), "MemorylessPolicy")),
+      counts_(options_.rate_grid_bps.size(), 0),
+      snapshot_(options_.rate_grid_bps) {}
+
+const Histogram& MemorylessPolicy::Snapshot() {
+  snapshot_.Clear();
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    if (counts_[b] > 0) {
+      snapshot_.AddAt(b, static_cast<double>(counts_[b]));
+    }
+  }
+  return snapshot_;
+}
 
 bool MemorylessPolicy::Admit(double now, const sim::LinkView& view,
                              double /*initial_rate_bps*/) {
-  const std::vector<double>& rates = *view.call_rates;
-  if (rates.empty()) return true;  // nothing to estimate from; the
-                                   // simulator's capacity check applies
-  Histogram snapshot(options_.rate_grid_bps);
-  for (double r : rates) snapshot.AddNearest(r, 1.0);
-  return ChernoffAdmit(snapshot, static_cast<std::int64_t>(rates.size()),
+  if (level_of_.empty()) return true;  // nothing to estimate from; the
+                                       // simulator's capacity check applies
+  return ChernoffAdmit(Snapshot(),
+                       static_cast<std::int64_t>(level_of_.size()),
                        view.capacity_bps,
                        options_.target_failure_probability,
                        options_.recorder, now);
@@ -125,14 +135,36 @@ bool MemorylessPolicy::Admit(double now, const sim::LinkView& view,
 bool MemorylessPolicy::AdmitAtRung(double now, const sim::LinkView& view,
                                    double rung_rate_bps, std::size_t rung) {
   if (rung == 0) return Admit(now, view, rung_rate_bps);
-  const std::vector<double>& rates = *view.call_rates;
-  if (rates.empty()) return true;
-  Histogram snapshot(options_.rate_grid_bps);
-  for (double r : rates) snapshot.AddNearest(r, 1.0);
+  if (level_of_.empty()) return true;
   return ChernoffAdmitDowngraded(
-      snapshot, static_cast<std::int64_t>(rates.size()), view.capacity_bps,
-      rung_rate_bps, rung, options_.target_failure_probability,
-      options_.recorder, now);
+      Snapshot(), static_cast<std::int64_t>(level_of_.size()),
+      view.capacity_bps, rung_rate_bps, rung,
+      options_.target_failure_probability, options_.recorder, now);
+}
+
+void MemorylessPolicy::OnAdmitted(double /*now*/, std::uint64_t call_id,
+                                  double rate_bps) {
+  const auto [it, inserted] =
+      level_of_.try_emplace(call_id, snapshot_.NearestIndex(rate_bps));
+  if (inserted) ++counts_[it->second];
+}
+
+void MemorylessPolicy::OnRateChange(double /*now*/, std::uint64_t call_id,
+                                    double /*old_rate_bps*/,
+                                    double new_rate_bps) {
+  auto it = level_of_.find(call_id);
+  if (it == level_of_.end()) return;
+  --counts_[it->second];
+  it->second = snapshot_.NearestIndex(new_rate_bps);
+  ++counts_[it->second];
+}
+
+void MemorylessPolicy::OnDeparture(double /*now*/, std::uint64_t call_id,
+                                   double /*rate_bps*/) {
+  auto it = level_of_.find(call_id);
+  if (it == level_of_.end()) return;
+  --counts_[it->second];
+  level_of_.erase(it);
 }
 
 MemoryPolicy::MemoryPolicy(PolicyOptions options)

@@ -35,16 +35,24 @@ struct CallProfile {
   }
 };
 
-/// What an admission policy may observe about the link.
+/// What an admission policy may observe about the link a decision is for
+/// (the bottleneck of the candidate route).
 struct LinkView {
   double capacity_bps = 0;
   double reserved_bps = 0;
-  /// Current reserved rate of every active call (bits/s).
-  const std::vector<double>* call_rates = nullptr;
 };
 
 /// Admission decisions and system notifications. Implementations live in
 /// src/admission; the simulator only sees this interface.
+///
+/// A policy learns the calls in the system only through the On*
+/// notifications: every admitted call is reported once by OnAdmitted,
+/// every change to its reservation (a granted or downward renegotiation,
+/// a ladder promotion) exactly once by OnRateChange, and its end (a
+/// departure or a drop after a link failure) once by OnDeparture. The
+/// notified calls are every call in the system, whatever links it
+/// crosses, so an estimator pools all of them; on one link that is the
+/// set of calls sharing it.
 class AdmissionPolicy {
  public:
   virtual ~AdmissionPolicy() = default;
@@ -72,7 +80,8 @@ class AdmissionPolicy {
   /// A call was admitted with the given id and initial rate.
   virtual void OnAdmitted(double now, std::uint64_t call_id,
                           double rate_bps) = 0;
-  /// A call's reservation changed (successful renegotiation).
+  /// A call's reservation changed (successful renegotiation, decrease or
+  /// ladder promotion).
   virtual void OnRateChange(double now, std::uint64_t call_id,
                             double old_rate_bps, double new_rate_bps) = 0;
   /// A call left the system.

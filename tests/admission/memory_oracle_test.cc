@@ -110,8 +110,7 @@ Decision RandomDecision(Rng& rng, std::size_t live) {
 }
 
 bool Decide(sim::AdmissionPolicy& policy, double now, const Decision& d) {
-  static const std::vector<double> kNoRates;
-  const sim::LinkView view{d.capacity_bps, 0.0, &kNoRates};
+  const sim::LinkView view{d.capacity_bps, 0.0};
   return d.rung == 0 ? policy.Admit(now, view, d.rate_bps)
                      : policy.AdmitAtRung(now, view, d.rate_bps, d.rung);
 }

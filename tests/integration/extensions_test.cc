@@ -93,9 +93,7 @@ TEST(Extensions, AgedMemoryTracksGenreShift) {
   }
   // A link sized for flat 0.4 Mb/s calls only: the aged estimator must
   // now know about the 1.6 Mb/s episodes and refuse.
-  const std::vector<double> rates(4, 4e5);
-  double reserved = 4 * 4e5;
-  const sim::LinkView view{2.4e6, reserved, &rates};
+  const sim::LinkView view{2.4e6, 4 * 4e5};
   EXPECT_FALSE(aged.Admit(now, view, 4e5));
 }
 

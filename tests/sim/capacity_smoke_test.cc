@@ -1,5 +1,5 @@
 // Tier-2 capacity smoke: one RunSimulation driving millions of events
-// through the calendar queue, the SoA call store, and the sharded ports,
+// through the calendar queue, the SoA call store, and the tracked ports,
 // with a same-seed determinism re-check. This is the scaled-down stand-in
 // for bench/macro_capacity's 10^6-call point, kept out of tier1 because
 // it takes seconds, not milliseconds (run with `ctest -L tier2`).
