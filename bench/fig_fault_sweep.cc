@@ -144,18 +144,19 @@ int main(int argc, char** argv) {
           return std::vector<double>{1.0, 0.0, 0.0, 0.0, 0.0, 0.0};
         }
 
-        sim::fault::FaultCallbacks callbacks;
-        callbacks.on_controller_crash = [&](std::size_t link, double) {
-          ports[link]->CrashRestart();
-          if (crash_resync) source.ResyncSignaling();
-        };
-        timeline.set_callbacks(std::move(callbacks));
-
         Rng workload_rng(911);  // identical arrivals at every point
         std::vector<double> latencies;
         double max_drift = 0;
         for (std::int64_t t = 0; t < slots; ++t) {
-          timeline.AdvanceTo(static_cast<double>(t) * slot_seconds);
+          timeline.AdvanceTo(
+              static_cast<double>(t) * slot_seconds,
+              [&](const sim::fault::FaultEvent& event, double) {
+                if (event.kind != sim::fault::FaultKind::kControllerCrash) {
+                  return;
+                }
+                ports[event.link]->CrashRestart();
+                if (crash_resync) source.ResyncSignaling();
+              });
           const double base = (t % period) < 60 ? 3.5 : 9.5;
           const core::RcbrSource::SlotResult result =
               source.Step(base + workload_rng.Uniform(0.0, 0.4));

@@ -17,8 +17,8 @@
 // tests/sim/event_queue_diff_test.cc, which pins the two to identical
 // pop sequences.
 //
-// Payloads are tagged PODs dispatched by the owner (see Engine), so
-// scheduling an event allocates nothing.
+// Payloads are tagged PODs the owner dispatches by switching on `kind`
+// (see RunSimulation), so scheduling an event allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,7 @@
 namespace rcbr::sim::engine {
 
 /// Tagged POD payload of one scheduled event. `kind` values are
-/// owner-defined (the engine routes them to its dispatcher).
+/// owner-defined (RunSimulation switches on them).
 /// `gen` is conventionally a slot-map generation counter so owners can
 /// detect stale events for recycled handles without a hash lookup.
 struct EventPayload {

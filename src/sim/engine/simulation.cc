@@ -1,6 +1,7 @@
 #include "sim/engine/simulation.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -9,7 +10,7 @@
 #include <vector>
 
 #include "sim/engine/call_store.h"
-#include "sim/engine/engine.h"
+#include "sim/engine/event_queue.h"
 #include "sim/engine/measurement.h"
 #include "sim/fault/fault_plan.h"
 #include "sim/fault/fault_timeline.h"
@@ -28,7 +29,7 @@ namespace {
 // for transitions, the step index in `b`. Upgrade passes carry the link
 // index in `a`: they ride the same calendar queue so promotions happen
 // at a deterministic point in the (time, seq) order. Fault events carry
-// nothing: each advances the fault timeline to the engine clock.
+// nothing: each advances the fault timeline to the simulation clock.
 constexpr std::uint32_t kEvArrival = 1;
 constexpr std::uint32_t kEvTransition = 2;
 constexpr std::uint32_t kEvDeparture = 3;
@@ -127,7 +128,7 @@ class Simulation {
     // million-call run does not pay repeated rehash/reallocation.
     const std::size_t peak = ExpectedPeakCalls();
     store_.Reserve(peak);
-    engine_.Reserve(peak + options_.classes.size() + 16);
+    queue_.Reserve(peak + options_.classes.size() + 16);
     if (options_.track_connections) {
       for (signaling::PortController& port : ports_) {
         port.ReserveConnections(peak);
@@ -136,65 +137,22 @@ class Simulation {
     if (lossy_) renegotiators_.reserve(peak);
   }
 
+  /// The event loop. Events fire in (time, seq) order while the earliest
+  /// one is strictly before the horizon; one exactly at the horizon stays
+  /// queued. The clock advances to each event's time before its handler
+  /// runs, and to the horizon after the last due event, so the trailing
+  /// measurement segment is integrated too.
   SimulationResult Run() {
-    engine_.set_advance_hook([this](double from, double to) {
-      window_.Integrate(from, to,
-                        [this](std::size_t k, double start, double end) {
-                          for (std::size_t l = 0; l < ports_.size(); ++l) {
-                            const double reserved = ports_[l].utilization_bps();
-                            result_.util_by_interval[l][k] +=
-                                reserved * (end - start);
-                            result_.util_total[l] += reserved * (end - start);
-                          }
-                          if (ladders_on_) {
-                            for (std::size_t c = 0; c < utility_rate_.size();
-                                 ++c) {
-                              result_.per_class[c].utility_seconds +=
-                                  utility_rate_[c] * (end - start);
-                            }
-                          }
-                        });
-    });
-    engine_.set_dispatcher([this](const EventPayload& event) {
-      switch (event.kind) {
-        case kEvArrival:
-          OnArrival(static_cast<std::size_t>(event.a));
-          break;
-        case kEvTransition:
-          OnRateChange({static_cast<std::uint32_t>(event.a), event.gen},
-                       static_cast<std::size_t>(event.b));
-          break;
-        case kEvDeparture:
-          OnDeparture({static_cast<std::uint32_t>(event.a), event.gen});
-          break;
-        case kEvUpgradePass:
-          RunUpgradePass(static_cast<std::size_t>(event.a));
-          break;
-        case kEvFault:
-          faults_->AdvanceTo(engine_.now());
-          break;
-        default:
-          Require(false, "engine: unknown event payload kind");
-      }
-    });
     // Post the fault plan before seeding arrivals, so a fault scheduled
     // at the same instant as a call event fires first (fixed order).
     if (faults_.has_value()) {
-      fault::FaultCallbacks callbacks;
-      callbacks.on_link_down = [this](std::size_t link, double now) {
-        OnLinkDown(link, now);
-      };
-      callbacks.on_controller_crash = [this](std::size_t link, double now) {
-        OnControllerCrash(link, now);
-      };
-      faults_->set_callbacks(std::move(callbacks));
       EventPayload payload;
       payload.kind = kEvFault;
       for (const fault::FaultEvent& event : options_.fault_plan->events()) {
-        engine_.Post(event.time_s, payload);
+        queue_.Post(event.time_s, payload);
         if (event.kind == fault::FaultKind::kRmLossBurst &&
             event.duration_s > 0) {
-          engine_.Post(event.time_s + event.duration_s, payload);
+          queue_.Post(event.time_s + event.duration_s, payload);
         }
       }
     }
@@ -202,8 +160,16 @@ class Simulation {
     for (std::size_t c = 0; c < options_.classes.size(); ++c) {
       ScheduleArrival(c);
     }
-    engine_.RunUntil(window_.end_time());
-    result_.events_processed = engine_.events_processed();
+    const double end = window_.end_time();
+    while (!queue_.empty()) {
+      const double when = queue_.next_time();
+      if (when >= end) break;
+      const ScheduledEvent event = queue_.Pop();
+      AdvanceTo(when);
+      ++result_.events_processed;
+      Dispatch(event.payload);
+    }
+    AdvanceTo(end);
     result_.peak_concurrent_calls =
         static_cast<std::int64_t>(store_.peak_alive());
     return std::move(result_);
@@ -214,8 +180,16 @@ class Simulation {
     Require(!profiles_.empty(), "engine: empty profile pool");
     Require(!options_.link_capacities_bps.empty(), "engine: no links");
     Require(!options_.classes.empty(), "engine: no traffic classes");
-    Require(options_.interval_seconds > 0 && options_.sample_intervals > 0,
-            "engine: need measurement intervals");
+    // The loop ends at warmup + intervals * interval, so every term of
+    // the horizon must be a finite number, as must the arrival rates (an
+    // infinite one posts every arrival at the same instant).
+    Require(std::isfinite(options_.warmup_seconds) &&
+                options_.warmup_seconds >= 0,
+            "engine: warmup must be finite and >= 0");
+    Require(std::isfinite(options_.interval_seconds) &&
+                options_.interval_seconds > 0 &&
+                options_.sample_intervals > 0,
+            "engine: need finite measurement intervals");
     Require(options_.admission_tolerance_bps >= 0,
             "engine: negative admission tolerance");
     const std::size_t num_links = options_.link_capacities_bps.size();
@@ -224,8 +198,9 @@ class Simulation {
     }
     for (const TrafficClass& cls : options_.classes) {
       Require(!cls.candidate_routes.empty(), "engine: class without routes");
-      Require(cls.arrival_rate_per_s > 0,
-              "engine: class arrival rate must be positive");
+      Require(std::isfinite(cls.arrival_rate_per_s) &&
+                  cls.arrival_rate_per_s > 0,
+              "engine: class arrival rate must be finite and positive");
       Require(cls.uniform_profile_pick ||
                   cls.profile_index < profiles_.size(),
               "engine: profile index out of range");
@@ -239,6 +214,9 @@ class Simulation {
     if (lossy_) {
       Require(options_.track_connections,
               "engine: lossy signaling needs tracked connections (resync)");
+      // Checked here, not at the first admission, so a run that admits
+      // nothing still rejects a bad channel.
+      signaling::ValidateChannelOptions(ChannelOptions());
     }
     if (options_.fault_plan != nullptr && !options_.fault_plan->empty()) {
       Require(options_.track_connections,
@@ -253,6 +231,58 @@ class Simulation {
     return options.cell_loss_probability != 0 ||
            options.resync_every_cells != 0 ||
            (options.fault_plan != nullptr && options.fault_plan->has_bursts());
+  }
+
+  /// Moves the clock forward to `to`, integrating every link's
+  /// reservation (and, with ladders, every class's delivered utility)
+  /// over the measurement-window pieces of [now_, to).
+  void AdvanceTo(double to) {
+    if (to <= now_) return;
+    window_.Integrate(now_, to, [this](std::size_t k, double start,
+                                       double end) {
+      for (std::size_t l = 0; l < ports_.size(); ++l) {
+        const double reserved = ports_[l].utilization_bps();
+        result_.util_by_interval[l][k] += reserved * (end - start);
+        result_.util_total[l] += reserved * (end - start);
+      }
+      if (ladders_on_) {
+        for (std::size_t c = 0; c < utility_rate_.size(); ++c) {
+          result_.per_class[c].utility_seconds +=
+              utility_rate_[c] * (end - start);
+        }
+      }
+    });
+    now_ = to;
+  }
+
+  void Dispatch(const EventPayload& event) {
+    switch (event.kind) {
+      case kEvArrival:
+        OnArrival(static_cast<std::size_t>(event.a));
+        break;
+      case kEvTransition:
+        OnRateChange({static_cast<std::uint32_t>(event.a), event.gen},
+                     static_cast<std::size_t>(event.b));
+        break;
+      case kEvDeparture:
+        OnDeparture({static_cast<std::uint32_t>(event.a), event.gen});
+        break;
+      case kEvUpgradePass:
+        RunUpgradePass(static_cast<std::size_t>(event.a));
+        break;
+      case kEvFault:
+        faults_->AdvanceTo(now_, [this](const fault::FaultEvent& applied,
+                                        double now) {
+          if (applied.kind == fault::FaultKind::kLinkDown) {
+            OnLinkDown(applied.link, now);
+          } else if (applied.kind == fault::FaultKind::kControllerCrash) {
+            OnControllerCrash(applied.link, now);
+          }
+        });
+        break;
+      default:
+        Require(false, "engine: unknown event payload kind");
+    }
   }
 
   /// Little's-law estimate of the concurrency high-water mark when the
@@ -284,12 +314,12 @@ class Simulation {
 
   void ScheduleArrival(std::size_t c) {
     const double when =
-        engine_.now() +
+        now_ +
         rng_.Exponential(1.0 / options_.classes[c].arrival_rate_per_s);
     EventPayload payload;
     payload.kind = kEvArrival;
     payload.a = static_cast<std::uint64_t>(c);
-    engine_.Post(when, payload);
+    queue_.Post(when, payload);
   }
 
   bool RouteFits(const std::vector<std::size_t>& route,
@@ -361,15 +391,20 @@ class Simulation {
   /// never iterated, so behavior is unchanged).
   void MakeRenegotiator(std::uint32_t handle, signaling::SignalingPath* path,
                         std::uint64_t id, double rate_bps) {
+    if (handle >= renegotiators_.size()) {
+      renegotiators_.resize(static_cast<std::size_t>(handle) + 1);
+    }
+    renegotiators_[handle].emplace(path, id, rate_bps, ChannelOptions(),
+                                   &rng_);
+  }
+
+  signaling::LossyChannelOptions ChannelOptions() const {
     signaling::LossyChannelOptions lossy;
     lossy.cell_loss_probability = options_.cell_loss_probability;
     lossy.resync_every_cells = options_.resync_every_cells;
     lossy.recorder = options_.signaling_recorder;
     if (faults_.has_value()) lossy.conditions = &faults_->conditions();
-    if (handle >= renegotiators_.size()) {
-      renegotiators_.resize(static_cast<std::size_t>(handle) + 1);
-    }
-    renegotiators_[handle].emplace(path, id, rate_bps, lossy, &rng_);
+    return lossy;
   }
 
   signaling::LossyPathRenegotiator* Renegotiator(std::uint32_t handle) {
@@ -402,7 +437,7 @@ class Simulation {
         rng_.UniformInt(0, profile.rates_bps.length() - 1);
     const double initial_rate =
         CallStore::RotatedInitialRate(profile.rates_bps, shift);
-    const double now = engine_.now();
+    const double now = now_;
 
     // Walk the class's ladder best rung first and grant the first rung
     // that both physically fits a candidate route and passes the
@@ -492,10 +527,10 @@ class Simulation {
     if (store_.HasStep(ref.handle, next_step)) {
       payload.kind = kEvTransition;
       payload.b = next_step;
-      engine_.Post(store_.StepTime(ref.handle, next_step), payload);
+      queue_.Post(store_.StepTime(ref.handle, next_step), payload);
     } else {
       payload.kind = kEvDeparture;
-      engine_.Post(store_.DepartureTime(ref.handle), payload);
+      queue_.Post(store_.DepartureTime(ref.handle), payload);
     }
   }
 
@@ -533,7 +568,7 @@ class Simulation {
   void OnRateChange(const CallRef& ref, std::size_t step) {
     if (!store_.Alive(ref)) return;
     const std::uint32_t h = ref.handle;
-    const double now = engine_.now();
+    const double now = now_;
     const double new_base = store_.StepRate(h, step);
     const RateLadder& ladder = options_.classes[store_.class_index(h)].ladder;
     const std::uint32_t rung = store_.rung(h);
@@ -618,7 +653,7 @@ class Simulation {
       EventPayload payload;
       payload.kind = kEvUpgradePass;
       payload.a = static_cast<std::uint64_t>(link);
-      engine_.Post(engine_.now(), payload);
+      queue_.Post(now_, payload);
     }
   }
 
@@ -628,7 +663,7 @@ class Simulation {
   /// that later waiters in the same pass then contend for.
   void RunUpgradePass(std::size_t link) {
     pass_pending_[link] = 0;
-    const double now = engine_.now();
+    const double now = now_;
     // Promotions edit the queue (a grant to rung 0 removes the waiter),
     // so iterate a snapshot.
     const std::vector<std::uint64_t> waiters =
@@ -682,7 +717,7 @@ class Simulation {
 
   /// Samples reserved bandwidth on every link of `route` — called at the
   /// mutation points (admit, grant, teardown) so the series tracks each
-  /// change without touching the per-event advance hook.
+  /// change without touching the per-event clock advance.
   void SampleRoute(const std::vector<std::size_t>& route, double now) {
     if (ts_links_.empty()) return;
     for (std::size_t link : route) {
@@ -791,7 +826,7 @@ class Simulation {
   void OnDeparture(const CallRef& ref) {
     if (!store_.Alive(ref)) return;
     const std::uint32_t h = ref.handle;
-    const double now = engine_.now();
+    const double now = now_;
     const double rate = store_.rate_bps(h);
     const std::uint64_t id = store_.id(h);
     // Untracked ports release the hint; tracked ports release what they
@@ -828,7 +863,9 @@ class Simulation {
   const bool lossy_;
   Rng& rng_;
   MeasurementWindow window_;
-  Engine engine_;
+  EventQueue queue_;
+  /// Simulation clock: the time of the event being dispatched.
+  double now_ = 0;
   /// One controller per link, indexed by link.
   std::vector<signaling::PortController> ports_;
   std::vector<std::unique_ptr<signaling::SignalingPath>> paths_;
@@ -853,7 +890,7 @@ class Simulation {
   bool ladders_on_ = false;
   bool upgrades_enabled_ = false;
   /// Sum of alive calls' utility-per-second, per class (event-order
-  /// deterministic; integrated by the advance hook).
+  /// deterministic; integrated by AdvanceTo).
   std::vector<double> utility_rate_;
   /// Per-link "an upgrade pass is already queued" dedupe.
   std::vector<std::uint8_t> pass_pending_;

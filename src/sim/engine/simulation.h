@@ -1,4 +1,14 @@
-// The unified call/network/signaling simulation on top of the engine.
+// The unified call/network/signaling simulation and its event loop.
+//
+// The paper's efficiency argument (Sec. VI) is that RCBR only needs to
+// simulate renegotiation events, not frames. RunSimulation is that loop:
+// it owns an EventQueue of POD payloads and a clock, fires events in
+// (time, seq) order while the earliest is strictly before the horizon,
+// advances the clock to each event's time before dispatching it (the
+// reserved-rate integrals are accumulated on that advance), dispatches
+// with a direct switch on the payload kind, and after the last due event
+// advances to the horizon so the trailing segment is integrated. Nothing
+// on that path is a stored callable.
 //
 // One configuration drives everything the tree previously simulated three
 // separate ways:
@@ -152,7 +162,7 @@ struct SimulationResult {
   /// utilization `util_total[l] / (span * capacity)` keeps its pinned
   /// summation order).
   std::vector<double> util_total;
-  /// Engine events dispatched over the whole run (arrivals, transitions,
+  /// Events dispatched over the whole run (arrivals, transitions,
   /// departures, faults) — the numerator of the macro-capacity
   /// events/sec metric.
   std::int64_t events_processed = 0;

@@ -9,11 +9,14 @@ namespace rcbr::sim::fault {
 
 namespace {
 
+// Every event time (and every burst end, which the simulation posts as
+// an event of its own) must be a finite number: the simulation clock
+// advances to it.
 void ValidateEvent(const FaultEvent& event) {
-  Require(!std::isnan(event.time_s) && event.time_s >= 0,
-          "FaultPlan: event time must be >= 0");
-  Require(!std::isnan(event.duration_s) && event.duration_s >= 0,
-          "FaultPlan: negative burst duration");
+  Require(std::isfinite(event.time_s) && event.time_s >= 0,
+          "FaultPlan: event time must be finite and >= 0");
+  Require(std::isfinite(event.duration_s) && event.duration_s >= 0,
+          "FaultPlan: burst duration must be finite and >= 0");
   Require(!std::isnan(event.loss_probability) &&
               event.loss_probability >= 0 && event.loss_probability <= 1,
           "FaultPlan: burst loss probability must be in [0,1]");
@@ -21,8 +24,18 @@ void ValidateEvent(const FaultEvent& event) {
           "FaultPlan: negative burst delay");
 }
 
+// Generate draws until each process passes the horizon, so an infinite
+// horizon, rate or downtime would append forever or place events at
+// infinity.
 void ValidateOptions(const FaultPlanOptions& options) {
-  Require(options.horizon_s >= 0, "FaultPlan: negative horizon");
+  Require(std::isfinite(options.horizon_s) && options.horizon_s >= 0,
+          "FaultPlan: horizon must be finite and >= 0");
+  Require(std::isfinite(options.burst_rate_per_s) &&
+              std::isfinite(options.link_failure_rate_per_s) &&
+              std::isfinite(options.crash_rate_per_s) &&
+              std::isfinite(options.burst_duration_s) &&
+              std::isfinite(options.link_downtime_s),
+          "FaultPlan: fault rates and durations must be finite");
   Require(options.num_links > 0, "FaultPlan: need at least one link");
   Require(options.burst_rate_per_s >= 0 &&
               options.link_failure_rate_per_s >= 0 &&

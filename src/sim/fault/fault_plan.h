@@ -10,9 +10,9 @@
 // (docs/algorithms.md §7), not perturbations of it.
 //
 // The plan is pure data. FaultTimeline (fault_timeline.h) interprets it
-// against a running simulation: RunSimulation posts one engine event per
-// plan entry (plus one per loss-burst expiry), and each of those events
-// advances the timeline to the engine clock.
+// against a running simulation: RunSimulation posts one event per plan
+// entry (plus one per loss-burst expiry), and each of those events
+// advances the timeline to the simulation clock.
 #pragma once
 
 #include <cstddef>

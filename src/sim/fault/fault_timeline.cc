@@ -40,7 +40,7 @@ void FaultTimeline::ExpireBursts(double now) {
   if (changed) RecomputeConditions();
 }
 
-void FaultTimeline::Apply(const FaultEvent& event, double now) {
+bool FaultTimeline::Apply(const FaultEvent& event) {
   switch (event.kind) {
     case FaultKind::kRmLossBurst: {
       active_bursts_.push_back({event.time_s + event.duration_s,
@@ -55,10 +55,10 @@ void FaultTimeline::Apply(const FaultEvent& event, double now) {
                   {"delay_s", event.extra_delay_s},
                   {"duration_s", event.duration_s});
       }
-      break;
+      return false;
     }
     case FaultKind::kLinkDown: {
-      if (!link_up_[event.link]) break;  // idempotent on manual plans
+      if (!link_up_[event.link]) return false;  // idempotent on manual plans
       link_up_[event.link] = false;
       ++stats_.link_failures;
       if constexpr (obs::kEnabled) {
@@ -69,19 +69,17 @@ void FaultTimeline::Apply(const FaultEvent& event, double now) {
         obs::TriggerFlight(obs_, event.time_s, obs::EventKind::kLinkDown,
                            event.link);
       }
-      if (callbacks_.on_link_down) callbacks_.on_link_down(event.link, now);
-      break;
+      return true;
     }
     case FaultKind::kLinkUp: {
-      if (link_up_[event.link]) break;
+      if (link_up_[event.link]) return false;
       link_up_[event.link] = true;
       ++stats_.link_repairs;
       if constexpr (obs::kEnabled) {
         obs::Count(obs_, "fault.link_repairs");
         obs::Emit(obs_, event.time_s, obs::EventKind::kLinkUp, event.link);
       }
-      if (callbacks_.on_link_up) callbacks_.on_link_up(event.link, now);
-      break;
+      return true;
     }
     case FaultKind::kControllerCrash: {
       ++stats_.crashes;
@@ -92,15 +90,13 @@ void FaultTimeline::Apply(const FaultEvent& event, double now) {
         obs::TriggerFlight(obs_, event.time_s,
                            obs::EventKind::kControllerRestart, event.link);
       }
-      if (callbacks_.on_controller_crash) {
-        callbacks_.on_controller_crash(event.link, now);
-      }
-      break;
+      return true;
     }
   }
+  return false;
 }
 
-void FaultTimeline::AdvanceTo(double now) {
+const FaultEvent* FaultTimeline::NextDue(double now) {
   const std::vector<FaultEvent>& events = plan_->events();
   for (;;) {
     // Interleave burst expiries with scheduled events so conditions drop
@@ -116,23 +112,9 @@ void FaultTimeline::AdvanceTo(double now) {
       ExpireBursts(next_end);
       continue;
     }
-    if (next_event <= now) {
-      Apply(events[cursor_], now);
-      ++cursor_;
-      continue;
-    }
-    break;
+    if (next_event <= now) return &events[cursor_];
+    return nullptr;
   }
-}
-
-double FaultTimeline::NextEventTime() const {
-  double next = std::numeric_limits<double>::infinity();
-  const std::vector<FaultEvent>& events = plan_->events();
-  if (cursor_ < events.size()) next = events[cursor_].time_s;
-  for (const ActiveBurst& burst : active_bursts_) {
-    next = std::min(next, burst.end_s);
-  }
-  return next;
 }
 
 }  // namespace rcbr::sim::fault

@@ -5,14 +5,16 @@
 //  * opens/closes RM-cell loss/delay bursts, maintaining a single
 //    ChannelConditions the signaling channels read per cell (overlapping
 //    bursts combine by max, so closing one burst cannot erase another);
-//  * flips per-link up/down state and notifies the owner via callbacks;
-//  * reports controller crashes via a callback (the owner wipes the port
-//    and drives the resync repair — the timeline never touches ports
-//    itself, keeping the repair path explicit and testable).
+//  * flips per-link up/down state;
+//  * hands every link-down, link-up and controller-crash event that
+//    changed state to the handler the owner passes to AdvanceTo (the
+//    owner re-routes calls or wipes the port and drives the resync repair
+//    — the timeline never touches ports itself, keeping the repair path
+//    explicit and testable). The timeline stores no callable.
 //
-// The timeline knows nothing about the event engine. RunSimulation posts
-// one engine event per plan entry (and per burst end), each of which just
-// advances the timeline to the engine clock. They are posted before
+// The timeline knows nothing about the event loop. RunSimulation posts
+// one event per plan entry (and per burst end), each of which just
+// advances the timeline to the simulation clock. They are posted before
 // arrival seeding, so a fault at time t fires before any same-time call
 // event — a fixed order, which is all determinism needs. A slot-clocked
 // owner (bench/fig_fault_sweep) advances it directly instead.
@@ -23,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "obs/recorder.h"
@@ -31,12 +32,6 @@
 #include "sim/fault/fault_plan.h"
 
 namespace rcbr::sim::fault {
-
-struct FaultCallbacks {
-  std::function<void(std::size_t link, double now)> on_link_down;
-  std::function<void(std::size_t link, double now)> on_link_up;
-  std::function<void(std::size_t link, double now)> on_controller_crash;
-};
 
 struct FaultStats {
   std::int64_t bursts = 0;
@@ -52,14 +47,18 @@ class FaultTimeline {
   FaultTimeline(const FaultPlan* plan, std::size_t num_links,
                 obs::Recorder* recorder = nullptr);
 
-  void set_callbacks(FaultCallbacks callbacks) {
-    callbacks_ = std::move(callbacks);
-  }
-
   /// Applies every event with time <= now, in schedule order (burst ends
-  /// interleave at their expiry times). Idempotent per event; `now` must
-  /// not go backwards.
-  void AdvanceTo(double now);
+  /// interleave at their expiry times), and calls `on_fault(event, now)`
+  /// right after applying each link-down, link-up or controller-crash
+  /// event that changed state (a repeated down or up is a no-op and is
+  /// not reported). Idempotent per event; `now` must not go backwards.
+  template <typename OnFault>
+  void AdvanceTo(double now, OnFault&& on_fault) {
+    while (const FaultEvent* event = NextDue(now)) {
+      if (Apply(*event)) on_fault(*event, now);
+      ++cursor_;
+    }
+  }
 
   /// The channel impairment currently in force. Stable address: wire it
   /// into LossyChannelOptions::conditions once and it stays fresh.
@@ -68,10 +67,6 @@ class FaultTimeline {
   }
 
   bool link_up(std::size_t link) const { return link_up_[link]; }
-  std::size_t num_links() const { return link_up_.size(); }
-
-  /// Earliest unapplied event or burst-end time (+infinity when drained).
-  double NextEventTime() const;
 
   const FaultStats& stats() const { return stats_; }
 
@@ -82,7 +77,11 @@ class FaultTimeline {
     double extra_delay_s;
   };
 
-  void Apply(const FaultEvent& event, double now);
+  /// Expires the bursts due by `now` in time order and returns the next
+  /// unapplied plan event with time <= now (nullptr when none is due).
+  const FaultEvent* NextDue(double now);
+  /// Applies `event`; true when the owner's handler must see it.
+  bool Apply(const FaultEvent& event);
   void ExpireBursts(double now);
   void RecomputeConditions();
 
@@ -91,7 +90,6 @@ class FaultTimeline {
   std::vector<ActiveBurst> active_bursts_;
   signaling::ChannelConditions conditions_;
   std::vector<bool> link_up_;
-  FaultCallbacks callbacks_;
   FaultStats stats_;
   obs::Recorder* obs_ = nullptr;
 };

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -109,9 +110,36 @@ TEST(FaultPlan, Validation) {
   EXPECT_FALSE(plan.has_bursts());
 }
 
+TEST(FaultPlan, RejectsNonFiniteTimes) {
+  // A simulation clock cannot advance to infinity: an infinite horizon
+  // with a positive rate would make Generate append forever, and an
+  // event (or burst end) at infinity would be posted to the event loop.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(1);
+  FaultPlanOptions options = BusyOptions();
+  options.horizon_s = kInf;
+  EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
+  options = BusyOptions();
+  options.horizon_s = std::nan("");
+  EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
+  options = BusyOptions();
+  options.burst_rate_per_s = kInf;
+  EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
+  options = BusyOptions();
+  options.link_downtime_s = kInf;
+  EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
+
+  FaultPlan plan;
+  EXPECT_THROW(plan.Add({kInf, FaultKind::kLinkDown, 0, 0, 0, 0}),
+               InvalidArgument);
+  EXPECT_THROW(plan.Add({1.0, FaultKind::kRmLossBurst, 0, kInf, 0.5, 0}),
+               InvalidArgument);
+  EXPECT_TRUE(plan.empty());
+}
+
 // ---------------------------------------------------------------------
 // FaultTimeline: bursts combine by max and expire; link state flips
-// idempotently; callbacks fire in schedule order.
+// idempotently; the AdvanceTo handler sees changes in schedule order.
 // ---------------------------------------------------------------------
 
 TEST(FaultTimeline, BurstsCombineByMaxAndExpire) {
@@ -119,17 +147,19 @@ TEST(FaultTimeline, BurstsCombineByMaxAndExpire) {
   plan.Add({1.0, FaultKind::kRmLossBurst, 0, 4.0, 0.5, 0.1});
   plan.Add({2.0, FaultKind::kRmLossBurst, 0, 1.0, 0.8, 0.05});
   FaultTimeline timeline(&plan, 1);
-  timeline.AdvanceTo(0.5);
+  const auto ignore = [](const FaultEvent&, double) {};
+  timeline.AdvanceTo(0.5, ignore);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_loss_probability, 0.0);
-  timeline.AdvanceTo(1.5);
+  timeline.AdvanceTo(1.5, ignore);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_loss_probability, 0.5);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_delay_s, 0.1);
-  timeline.AdvanceTo(2.5);  // both active: max per field
+  timeline.AdvanceTo(2.5, ignore);  // both active: max per field
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_loss_probability, 0.8);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_delay_s, 0.1);
-  timeline.AdvanceTo(3.5);  // the short burst expired, the long one holds
+  // The short burst expired, the long one holds.
+  timeline.AdvanceTo(3.5, ignore);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_loss_probability, 0.5);
-  timeline.AdvanceTo(10.0);
+  timeline.AdvanceTo(10.0, ignore);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_loss_probability, 0.0);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_delay_s, 0.0);
   EXPECT_EQ(timeline.stats().bursts, 2);
@@ -143,26 +173,27 @@ TEST(FaultTimeline, LinkEventsFlipStateAndFireCallbacksOnce) {
   plan.Add({4.0, FaultKind::kControllerCrash, 1, 0, 0, 0});
   FaultTimeline timeline(&plan, 2);
   std::vector<std::pair<char, std::size_t>> fired;
-  FaultCallbacks callbacks;
-  callbacks.on_link_down = [&](std::size_t link, double) {
-    fired.emplace_back('d', link);
+  std::vector<double> fired_at;
+  const auto record = [&](const FaultEvent& event, double now) {
+    const char tag = event.kind == FaultKind::kLinkDown ? 'd'
+                     : event.kind == FaultKind::kLinkUp ? 'u'
+                     : event.kind == FaultKind::kControllerCrash ? 'c'
+                                                               : '?';
+    fired.emplace_back(tag, event.link);
+    fired_at.push_back(now);
   };
-  callbacks.on_link_up = [&](std::size_t link, double) {
-    fired.emplace_back('u', link);
-  };
-  callbacks.on_controller_crash = [&](std::size_t link, double) {
-    fired.emplace_back('c', link);
-  };
-  timeline.set_callbacks(std::move(callbacks));
   EXPECT_TRUE(timeline.link_up(0));
-  timeline.AdvanceTo(2.5);
+  timeline.AdvanceTo(2.5, record);
   EXPECT_FALSE(timeline.link_up(0));
   EXPECT_TRUE(timeline.link_up(1));
-  timeline.AdvanceTo(5.0);
+  timeline.AdvanceTo(5.0, record);
   EXPECT_TRUE(timeline.link_up(0));
+  timeline.AdvanceTo(6.0, record);  // drained: nothing fires again
   const std::vector<std::pair<char, std::size_t>> expected = {
       {'d', 0u}, {'u', 0u}, {'c', 1u}};
   EXPECT_EQ(fired, expected);
+  // The handler sees the time the owner advanced to, not the event's.
+  EXPECT_EQ(fired_at, (std::vector<double>{2.5, 5.0, 5.0}));
   EXPECT_EQ(timeline.stats().link_failures, 1);
   EXPECT_EQ(timeline.stats().link_repairs, 1);
   EXPECT_EQ(timeline.stats().crashes, 1);
