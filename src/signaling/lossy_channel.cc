@@ -1,8 +1,6 @@
 #include "signaling/lossy_channel.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "util/error.h"
 
@@ -18,6 +16,18 @@ void ValidateChannelOptions(const LossyChannelOptions& options) {
           "LossyChannelOptions: negative resync period");
 }
 
+bool DrawCellLoss(const LossyChannelOptions& options, Rng& rng,
+                  std::uint64_t vci, double delta_bps, std::size_t hop,
+                  double now_seconds) {
+  if (!rng.Bernoulli(EffectiveLossProbability(options))) return false;
+  if constexpr (obs::kEnabled) {
+    obs::Count(options.recorder, "signaling.cells_lost");
+    obs::Emit(options.recorder, now_seconds, obs::EventKind::kRmCellLoss, vci,
+              {"delta_bps", delta_bps}, {"hop", static_cast<double>(hop)});
+  }
+  return true;
+}
+
 LossyPathRenegotiator::LossyPathRenegotiator(
     SignalingPath* path, std::uint64_t vci, double initial_rate_bps,
     const LossyChannelOptions& options, Rng* rng)
@@ -28,6 +38,11 @@ LossyPathRenegotiator::LossyPathRenegotiator(
       believed_(initial_rate_bps) {
   Require(path != nullptr, "LossyPathRenegotiator: null path");
   Require(rng != nullptr, "LossyPathRenegotiator: null rng");
+  for (std::size_t k = 0; k < path->hop_count(); ++k) {
+    Require(path->hop(k)->tracks_connections(),
+            "LossyPathRenegotiator: every hop must track connections "
+            "(resync repair)");
+  }
   ValidateChannelOptions(options);
   Require(initial_rate_bps >= 0, "LossyPathRenegotiator: negative rate");
 }
@@ -36,49 +51,20 @@ bool LossyPathRenegotiator::Renegotiate(double new_rate_bps,
                                         double now_seconds) {
   Require(new_rate_bps >= 0, "LossyPathRenegotiator: negative rate");
   const double delta = new_rate_bps - believed_;
-  ++stats_.cells_sent;
   ++cells_since_resync_;
-  bool accepted = true;
-  std::vector<CellVerdict> grants;
-  grants.reserve(path_->hop_count());
-  for (std::size_t k = 0; k < path_->hop_count(); ++k) {
-    if (rng_->Bernoulli(EffectiveLossProbability(options_))) {
-      // Lost in flight: hops 0..k-1 already applied the delta, the rest
-      // never see it. The unacked source cannot tell, so no rollback —
-      // the downstream hops drift until the next resync.
-      ++stats_.cells_lost;
-      if constexpr (obs::kEnabled) {
-        obs::Count(options_.recorder, "signaling.cells_lost");
-        obs::Emit(options_.recorder, now_seconds,
-                  obs::EventKind::kRmCellLoss, vci_, {"delta_bps", delta},
-                  {"hop", static_cast<double>(k)});
-      }
-      break;
-    }
-    const CellVerdict verdict =
-        path_->hop(k)->Handle(RmCell::Delta(vci_, delta, rung_),
-                              now_seconds);
-    if (!verdict.accepted) {
-      // All-or-nothing: roll the upstream grants back over the same lossy
-      // channel; a lost rollback cell leaves that hop drifted.
-      for (std::size_t j = 0; j < grants.size(); ++j) {
-        if (rng_->Bernoulli(EffectiveLossProbability(options_))) {
-          ++stats_.cells_lost;
-          if constexpr (obs::kEnabled) {
-            obs::Count(options_.recorder, "signaling.cells_lost");
-            obs::Emit(options_.recorder, now_seconds,
-                      obs::EventKind::kRmCellLoss, vci_,
-                      {"delta_bps", -delta}, {"hop", static_cast<double>(j)});
-          }
-          continue;
-        }
-        path_->hop(j)->RollbackDelta(vci_, grants[j]);
-      }
-      accepted = false;
-      break;
-    }
-    grants.push_back(verdict);
-  }
+  // Rollback cells ride the same lossy channel. The unacked source sees
+  // no loss; the drift it leaves lasts until the next resync.
+  const auto lost = [&](std::size_t hop, double cell_delta_bps) {
+    const bool dropped =
+        DrawCellLoss(options_, *rng_, vci_, cell_delta_bps, hop, now_seconds);
+    stats_.cells_lost += dropped;
+    return dropped;
+  };
+  const bool accepted =
+      path_->WalkDelta(vci_, delta, now_seconds, rung_,
+                       [&](std::size_t k) { return lost(k, delta); },
+                       [&](std::size_t j) { return lost(j, -delta); })
+          .end != DeltaWalk::End::kDenied;
   if (accepted) believed_ = new_rate_bps;
   if (options_.resync_every_cells > 0 &&
       cells_since_resync_ >= options_.resync_every_cells) {
@@ -97,18 +83,6 @@ void LossyPathRenegotiator::Resync(double now_seconds) {
   path_->Resync(vci_, believed_, now_seconds, rung_);
   ++stats_.resyncs_sent;
   cells_since_resync_ = 0;
-}
-
-double LossyPathRenegotiator::DriftBps(std::size_t hop) const {
-  return path_->hop(hop)->TrackedRate(vci_) - believed_;
-}
-
-double LossyPathRenegotiator::MaxAbsDriftBps() const {
-  double worst = 0;
-  for (std::size_t k = 0; k < path_->hop_count(); ++k) {
-    worst = std::max(worst, std::abs(DriftBps(k)));
-  }
-  return worst;
 }
 
 }  // namespace rcbr::signaling

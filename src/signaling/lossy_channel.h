@@ -6,17 +6,20 @@
 // periodically sending an RM cell with the true explicit rate."
 //
 // LossyPathRenegotiator models exactly that failure mode along a
-// SignalingPath: delta cells are dropped with a configurable probability
-// per hop (an unacknowledged lightweight scheme, so the source proceeds
-// on its own view of the rate), and the source periodically emits an
-// absolute-rate resync cell that repairs every hop's per-connection and
-// aggregate state. A cell lost in flight at hop k leaves hops 0..k-1
-// granted but the rest drifted, and the rollback cells of an explicit
-// denial can themselves be lost — both repaired by the periodic resync.
-// A 1-hop path is the single-port case of the paper's footnote: one
-// Bernoulli draw per delta cell, and a denial there has no upstream
-// grants to roll back. The ablation bench sweeps loss probability against
-// resync period on such a path and reports the residual drift.
+// SignalingPath: delta cells are dropped with a configurable probability per
+// hop (an unacknowledged lightweight scheme, so the source proceeds on its
+// own view of the rate), and the source periodically emits an absolute-rate
+// resync cell that repairs every hop's per-connection and aggregate state.
+// It runs on the path's one delta-cell walk (SignalingPath::WalkDelta) with
+// the same loss hook for the forward cell and for the rollback cells: a cell
+// lost in flight at hop k leaves hops 0..k-1 granted but the rest drifted,
+// and the rollback cells of an explicit denial can themselves be lost — both
+// repaired by the periodic resync. DrawCellLoss draws and records the loss
+// of any cell, for both renegotiators. A 1-hop path is the single-port case
+// of the paper's footnote: one Bernoulli draw per delta cell, and a denial
+// there has no upstream grants to roll back. The ablation bench sweeps loss
+// probability against resync period on such a path and reports the residual
+// drift.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +81,15 @@ inline double ExtraDelaySeconds(const LossyChannelOptions& options) {
   return options.conditions ? options.conditions->extra_delay_s : 0.0;
 }
 
+/// Whether a cell sent now is lost in flight before `hop`: one
+/// Bernoulli(EffectiveLossProbability) draw from `rng`. A loss counts
+/// "signaling.cells_lost" and emits kRmCellLoss (`delta_bps`, `hop`) —
+/// the one place either renegotiator records a lost cell.
+bool DrawCellLoss(const LossyChannelOptions& options, Rng& rng,
+                  std::uint64_t vci, double delta_bps, std::size_t hop,
+                  double now_seconds);
+
 struct DriftStats {
-  std::int64_t cells_sent = 0;
   std::int64_t cells_lost = 0;
   std::int64_t resyncs_sent = 0;
 };
@@ -90,11 +100,12 @@ struct DriftStats {
 /// 0..k-1 applied the delta but downstream hops never saw it; an explicit
 /// denial at hop k triggers per-hop rollback cells, each of which may
 /// itself be lost. Either way the periodic absolute-rate resync restores
-/// every hop (the ports must run with tracking enabled).
+/// every hop.
 class LossyPathRenegotiator {
  public:
   /// `path` is borrowed and must outlive the renegotiator. The connection
-  /// must already be set up at `initial_rate_bps` on every hop.
+  /// must already be set up at `initial_rate_bps` on every hop, and every
+  /// hop must track connections (resync repair depends on it; checked).
   LossyPathRenegotiator(SignalingPath* path, std::uint64_t vci,
                         double initial_rate_bps,
                         const LossyChannelOptions& options, Rng* rng);
@@ -115,8 +126,12 @@ class LossyPathRenegotiator {
   std::uint32_t rung() const { return rung_; }
 
   /// Hop k's tracked rate minus the source belief, bits/s.
-  double DriftBps(std::size_t hop) const;
-  double MaxAbsDriftBps() const;
+  double DriftBps(std::size_t hop) const {
+    return path_->DriftBps(hop, vci_, believed_);
+  }
+  double MaxAbsDriftBps() const {
+    return path_->MaxAbsDriftBps(vci_, believed_);
+  }
 
   const DriftStats& stats() const { return stats_; }
 

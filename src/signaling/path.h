@@ -8,6 +8,9 @@
 // restoring each hop's pre-grant snapshot, so a denied request leaves
 // every port byte-identical to its prior state. It also models the
 // signaling round-trip so online sources can reason about latency.
+// WalkDelta is the one hop-by-hop walk of a delta cell: RequestDelta and
+// both renegotiators (lossy_channel.h, retry.h) differ only in the loss
+// hooks they pass it and in what they do around it.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,14 @@ struct PathStats {
   std::int64_t failures = 0;
 };
 
+/// How a delta cell's walk ended: granted by every hop, lost in flight
+/// before hop `hop` (hops 0..hop-1 keep the delta), or denied at `hop`.
+struct DeltaWalk {
+  enum class End : std::uint8_t { kGranted, kLost, kDenied };
+  End end = End::kGranted;
+  std::size_t hop = 0;
+};
+
 class SignalingPath {
  public:
   /// `hops` are borrowed; they must outlive the path. `per_hop_delay_s`
@@ -38,7 +49,6 @@ class SignalingPath {
 
   std::size_t hop_count() const { return hops_.size(); }
   PortController* hop(std::size_t k) const { return hops_[k]; }
-  double per_hop_delay_s() const { return per_hop_delay_; }
   /// Full round trip across all hops and back.
   double RoundTripSeconds() const;
   const PathStats& stats() const { return stats_; }
@@ -63,16 +73,46 @@ class SignalingPath {
   PathOutcome RequestDelta(std::uint64_t vci, double delta_bps,
                            double now_seconds, std::uint32_t rung = 0);
 
+  /// Before hop k handles the cell, `lost_before(k)` says whether it is
+  /// lost there (ending the walk). A denial at hop k restores hops
+  /// 0..k-1, in order, from their pre-grant snapshots (held in a buffer
+  /// the path owns), skipping each hop j whose `rollback_lost(j)` is true.
+  template <typename LostBefore, typename RollbackLost>
+  DeltaWalk WalkDelta(std::uint64_t vci, double delta_bps,
+                      double now_seconds, std::uint32_t rung,
+                      LostBefore&& lost_before,
+                      RollbackLost&& rollback_lost) {
+    const RmCell cell = RmCell::Delta(vci, delta_bps, rung);
+    for (std::size_t k = 0; k < hops_.size(); ++k) {
+      if (lost_before(k)) return {DeltaWalk::End::kLost, k};
+      grants_[k] = hops_[k]->Handle(cell, now_seconds);
+      if (!grants_[k].accepted) {
+        for (std::size_t j = 0; j < k; ++j) {
+          if (!rollback_lost(j)) hops_[j]->RollbackDelta(vci, grants_[j]);
+        }
+        return {DeltaWalk::End::kDenied, k};
+      }
+    }
+    return {DeltaWalk::End::kGranted, hops_.size()};
+  }
+
   /// Sends a drift-resync cell along the path (never fails). The cell
   /// carries the connection's rung so crash repair also rebuilds the
   /// upgrade queues.
   void Resync(std::uint64_t vci, double absolute_rate_bps,
               double now_seconds, std::uint32_t rung = 0);
 
+  /// Drift audit: hop k's tracked rate for `vci` minus `rate_bps`.
+  double DriftBps(std::size_t hop, std::uint64_t vci, double rate_bps) const;
+  /// The largest |DriftBps| over the hops.
+  double MaxAbsDriftBps(std::uint64_t vci, double rate_bps) const;
+
  private:
   std::vector<PortController*> hops_;
   double per_hop_delay_;
   PathStats stats_;
+  /// Per-hop grant snapshots of the walk in progress.
+  std::vector<CellVerdict> grants_;
 };
 
 }  // namespace rcbr::signaling

@@ -43,6 +43,8 @@ class PortController {
   double capacity_bps() const { return capacity_; }
   double utilization_bps() const { return used_; }
   double available_bps() const { return capacity_ - used_; }
+  /// Whether the per-VCI audit map is on (resync repair needs it).
+  bool tracks_connections() const { return tracking_; }
   const PortStats& stats() const { return stats_; }
 
   /// Processes one RM cell in O(1) (plus one hash lookup when tracking).
@@ -76,9 +78,6 @@ class PortController {
   /// Releases a connection (call teardown). With tracking enabled the
   /// released rate is looked up; otherwise the caller supplies it.
   void ReleaseConnection(std::uint64_t vci, double rate_bps_hint = 0);
-
-  /// Injects aggregate-state corruption (lost RM cells) for drift tests.
-  void CorruptUtilization(double delta_bps) { used_ += delta_bps; }
 
   /// Simulates a controller crash/restart with total state loss: the
   /// aggregate utilization and the per-VCI audit map reset to a cold

@@ -1,8 +1,6 @@
 #include "signaling/retry.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "util/error.h"
 
@@ -53,45 +51,16 @@ RetryingRenegotiator::RetryingRenegotiator(SignalingPath* path,
       granted_(initial_rate_bps) {
   Require(path != nullptr, "RetryingRenegotiator: null path");
   Require(rng != nullptr, "RetryingRenegotiator: null rng");
+  for (std::size_t k = 0; k < path->hop_count(); ++k) {
+    Require(path->hop(k)->tracks_connections(),
+            "RetryingRenegotiator: every hop must track connections "
+            "(resync repair)");
+  }
   ValidateRetryOptions(retry);
   ValidateChannelOptions(channel);
   Require(initial_rate_bps >= 0, "RetryingRenegotiator: negative rate");
   span_latency_ = obs::FindSpan(retry_.recorder, "signaling.span.reneg_latency_s");
   span_budget_ = obs::FindSpan(retry_.recorder, "signaling.span.retry_budget");
-}
-
-bool RetryingRenegotiator::Traverse(double delta_bps, double now_seconds,
-                                    bool* lost) {
-  *lost = false;
-  std::vector<CellVerdict> grants;
-  grants.reserve(path_->hop_count());
-  for (std::size_t k = 0; k < path_->hop_count(); ++k) {
-    if (rng_->Bernoulli(EffectiveLossProbability(channel_))) {
-      // Lost in flight: hops 0..k-1 hold a phantom grant until the
-      // timeout-path resync rescinds it.
-      if constexpr (obs::kEnabled) {
-        obs::Count(channel_.recorder, "signaling.cells_lost");
-        obs::Emit(channel_.recorder, now_seconds, obs::EventKind::kRmCellLoss,
-                  vci_, {"delta_bps", delta_bps},
-                  {"hop", static_cast<double>(k)});
-      }
-      *lost = true;
-      return false;
-    }
-    const CellVerdict verdict =
-        path_->hop(k)->Handle(RmCell::Delta(vci_, delta_bps, rung_),
-                              now_seconds);
-    if (!verdict.accepted) {
-      // Explicit denial: the controller answers, so the rollback cells are
-      // part of the (reliable) response path — byte-exact restore.
-      for (std::size_t j = 0; j < grants.size(); ++j) {
-        path_->hop(j)->RollbackDelta(vci_, grants[j]);
-      }
-      return false;
-    }
-    grants.push_back(verdict);
-  }
-  return true;
 }
 
 RenegotiationOutcome RetryingRenegotiator::Renegotiate(double new_rate_bps,
@@ -107,35 +76,37 @@ RenegotiationOutcome RetryingRenegotiator::Renegotiate(double new_rate_bps,
   for (std::int64_t attempt = 0;; ++attempt) {
     ++stats_.attempts;
     ++out.attempts;
-    bool lost = false;
-    const bool granted = Traverse(delta, now_seconds, &lost);
-    if (!granted && !lost) {
+    // A loss leaves a phantom grant upstream until the timeout resync
+    // rescinds it; a denial's rollback rides the reliable response path.
+    const DeltaWalk walk = path_->WalkDelta(
+        vci_, delta, now_seconds, rung_,
+        [&](std::size_t k) {
+          return DrawCellLoss(channel_, *rng_, vci_, delta, k, now_seconds);
+        },
+        [](std::size_t) { return false; });
+    const double rtt = path_->RoundTripSeconds() + ExtraDelaySeconds(channel_);
+    if (walk.end == DeltaWalk::End::kDenied) {
       // Definitive answer; never retried.
       ++stats_.denials;
-      out.latency_s += path_->RoundTripSeconds() + ExtraDelaySeconds(channel_);
+      out.latency_s += rtt;
       RecordSpans(out);
       return out;
     }
-    if (granted) {
-      const double rtt =
-          path_->RoundTripSeconds() + ExtraDelaySeconds(channel_);
-      if (rtt <= retry_.timeout_s) {
-        granted_ = new_rate_bps;
-        acked_rung_ = rung_;  // a probe's rung becomes the contract rung
-        out.accepted = true;
-        out.latency_s += rtt;
-        if (retry_.resync_every_grants > 0 &&
-            ++grants_since_resync_ >= retry_.resync_every_grants) {
-          Resync(now_seconds);
-        }
-        RecordSpans(out);
-        return out;
+    if (walk.end == DeltaWalk::End::kGranted && rtt <= retry_.timeout_s) {
+      granted_ = new_rate_bps;
+      acked_rung_ = rung_;  // a probe's rung becomes the contract rung
+      out.accepted = true;
+      out.latency_s += rtt;
+      if (retry_.resync_every_grants > 0 &&
+          ++grants_since_resync_ >= retry_.resync_every_grants) {
+        Resync(now_seconds);
       }
-      // Delivered, but the response is past the deadline (delay spike):
-      // the source has already declared the attempt dead, so the stale
-      // grant must not stand.
+      RecordSpans(out);
+      return out;
     }
-    // Timed out — either lost in flight or delivered too late. Rescind
+    // Timed out — either lost in flight, or delivered but with the
+    // response past the deadline (delay spike), so the source has already
+    // declared the attempt dead and the stale grant must not stand. Rescind
     // whatever partial or stale state the attempt left with a reliable
     // absolute resync at the acknowledged rate *and rung*: carrying the
     // in-flight requested rung here would rewrite the upgrade queues for
@@ -180,18 +151,6 @@ void RetryingRenegotiator::Resync(double now_seconds) {
   ++stats_.resyncs;
   grants_since_resync_ = 0;
   obs::Count(retry_.recorder, "signaling.resyncs");
-}
-
-double RetryingRenegotiator::DriftBps(std::size_t hop) const {
-  return path_->hop(hop)->TrackedRate(vci_) - granted_;
-}
-
-double RetryingRenegotiator::MaxAbsDriftBps() const {
-  double worst = 0;
-  for (std::size_t k = 0; k < path_->hop_count(); ++k) {
-    worst = std::max(worst, std::abs(DriftBps(k)));
-  }
-  return worst;
 }
 
 }  // namespace rcbr::signaling

@@ -11,9 +11,11 @@
 // bounded number of attempts. RetryingRenegotiator implements that
 // acknowledged variant on top of the same lossy per-hop channel:
 //
-//  - A request cell traverses the path hop by hop; each hop may lose it
-//    (base loss plus any active ChannelConditions burst). Loss at hop k
-//    leaves hops 0..k-1 holding a phantom grant.
+//  - A request cell takes the path's one delta-cell walk
+//    (SignalingPath::WalkDelta); each hop may lose it (base loss plus any
+//    active ChannelConditions burst, drawn by DrawCellLoss). Loss at hop k
+//    leaves hops 0..k-1 holding a phantom grant. The walk's rollback
+//    cells never get a loss hook: they ride the acknowledged response.
 //  - Before every retransmit (and before giving up) the source sends a
 //    reliable absolute-rate resync at its last *acknowledged* rate, so a
 //    timed-out attempt leaves no drift behind — this is what makes bounded
@@ -99,7 +101,7 @@ class RetryingRenegotiator {
   /// `path` and `rng` are borrowed and must outlive the renegotiator; the
   /// connection must already be set up at `initial_rate_bps` on every
   /// hop, and every hop must run with per-VCI tracking (resync repair
-  /// depends on it).
+  /// depends on it; checked).
   RetryingRenegotiator(SignalingPath* path, std::uint64_t vci,
                        double initial_rate_bps, const RetryOptions& retry,
                        const LossyChannelOptions& channel, Rng* rng);
@@ -140,16 +142,16 @@ class RetryingRenegotiator {
   /// Hop k's tracked rate minus the acknowledged rate, bits/s. Nonzero
   /// only while some hop's state is corrupted (e.g. after a crash,
   /// before the next repair).
-  double DriftBps(std::size_t hop) const;
-  double MaxAbsDriftBps() const;
+  double DriftBps(std::size_t hop) const {
+    return path_->DriftBps(hop, vci_, granted_);
+  }
+  double MaxAbsDriftBps() const {
+    return path_->MaxAbsDriftBps(vci_, granted_);
+  }
 
   const RetryStats& stats() const { return stats_; }
 
  private:
-  /// One request cell along the path. Returns true when every hop
-  /// granted; `lost` reports loss-in-flight (vs an explicit denial).
-  bool Traverse(double delta_bps, double now_seconds, bool* lost);
-
   /// Feeds the latency / retry-budget spans for a resolved request.
   void RecordSpans(const RenegotiationOutcome& out);
 

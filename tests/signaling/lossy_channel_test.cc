@@ -102,6 +102,12 @@ TEST(LossyRenegotiator, Validation) {
   options.resync_every_cells = -1;
   EXPECT_THROW(LossyPathRenegotiator(&path, 1, 0.0, options, &rng),
                InvalidArgument);
+  // Resync repairs drift from the per-VCI rates, so an untracked hop
+  // anywhere on the path is rejected.
+  PortController untracked(1e6, /*track_connections=*/false);
+  SignalingPath mixed({&port, &untracked}, 0.0);
+  EXPECT_THROW(LossyPathRenegotiator(&mixed, 1, 0.0, {}, &rng),
+               InvalidArgument);
 }
 
 TEST(LossyRenegotiator, LosslessChannelNeverDrifts) {

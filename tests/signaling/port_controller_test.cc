@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "signaling/lossy_channel.h"
+#include "signaling/path.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace rcbr::signaling {
 namespace {
@@ -77,19 +80,29 @@ TEST(PortController, TracksPerConnectionRate) {
 }
 
 TEST(PortController, ResyncCorrectsDrift) {
-  // A lost delta cell (simulated by corrupting the aggregate) makes the
-  // port believe less utilization than reality; resync repairs both the
-  // per-VCI view and the aggregate.
+  // A delta cell lost in flight leaves the port at the old rate while the
+  // source believes the new one; resync repairs both the per-VCI view and
+  // the aggregate.
   PortController port(10.0);
-  port.AdmitConnection(1, 4.0);
-  port.CorruptUtilization(-2.0);  // aggregate now 2.0, truth 4.0
-  EXPECT_DOUBLE_EQ(port.utilization_bps(), 2.0);
-  // Resync claims the connection truly runs at 4.0; the port believed 4.0
-  // per-VCI, so only the believed-vs-claimed difference is applied: the
-  // per-VCI table said 4.0 -> no aggregate change from this connection.
-  port.Handle(RmCell::Resync(1, 4.0), 0.0);
+  ASSERT_TRUE(port.AdmitConnection(1, 4.0));
+  SignalingPath path({&port}, 0.0);
+  ChannelConditions outage;
+  outage.extra_loss_probability = 1.0;
+  LossyChannelOptions channel;
+  channel.conditions = &outage;
+  Rng rng(1);
+  LossyPathRenegotiator source(&path, 1, 4.0, channel, &rng);
+  EXPECT_TRUE(source.Renegotiate(6.0, 0.0));  // lost, but unacknowledged
+  EXPECT_EQ(source.stats().cells_lost, 1);
+  EXPECT_DOUBLE_EQ(port.utilization_bps(), 4.0);
   EXPECT_DOUBLE_EQ(port.TrackedRate(1), 4.0);
+  EXPECT_DOUBLE_EQ(source.DriftBps(0), -2.0);
+  source.Resync(1.0);
+  EXPECT_DOUBLE_EQ(port.utilization_bps(), 6.0);
+  EXPECT_DOUBLE_EQ(port.TrackedRate(1), 6.0);
+  EXPECT_DOUBLE_EQ(source.DriftBps(0), 0.0);
   EXPECT_EQ(port.stats().resyncs, 1);
+  EXPECT_EQ(port.stats().delta_accepted, 0);
 }
 
 TEST(PortController, ResyncAfterLostDeltaRestoresAggregate) {

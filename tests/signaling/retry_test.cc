@@ -63,6 +63,11 @@ TEST_F(RetryTest, Validation) {
   EXPECT_THROW(
       RetryingRenegotiator(path_.get(), 1, 0.0, retry, channel, &rng),
       InvalidArgument);
+  // The rescind and repair resyncs need per-VCI rates on every hop.
+  PortController untracked(1e6, /*track_connections=*/false);
+  SignalingPath mixed({ports_[0].get(), &untracked}, 0.001);
+  EXPECT_THROW(RetryingRenegotiator(&mixed, 1, 0.0, {}, {}, &rng),
+               InvalidArgument);
 }
 
 TEST_F(RetryTest, LosslessAcceptsOnFirstAttempt) {
