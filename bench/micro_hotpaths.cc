@@ -1,11 +1,12 @@
 // Google-benchmark microbenchmarks for the hot paths: fluid-queue steps,
 // DP trellis slots, signaling admission, event-queue schedule/pop,
-// memory-MBAC decisions, and trace synthesis.
+// memory-MBAC decisions, tilting-point solves, and trace synthesis.
 #include <benchmark/benchmark.h>
 
 #include "admission/policies.h"
 #include "core/dp_scheduler.h"
 #include "core/online_heuristic.h"
+#include "ldev/mgf.h"
 #include "signaling/port_controller.h"
 #include "sim/engine/event_queue.h"
 #include "sim/fluid_queue.h"
@@ -167,6 +168,30 @@ void BM_MemoryPolicyAdmit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemoryPolicyAdmit)->Arg(100)->Arg(1000)->Arg(10000);
+
+// One tilting-point solve on the same 41-level grid, every level carrying
+// a seeded random mass, for a per-call rate a = mean + (peak - mean) * f
+// near the mean, mid-range and near the peak. The solve reads the
+// distribution's mean and peak itself, as a Chernoff admission test does.
+void BM_TiltingPoint(benchmark::State& state, double f) {
+  const std::vector<double> grid = UniformGrid(0.0, 2.56e6, 41);
+  Rng rng(5);
+  std::vector<double> probabilities(grid.size());
+  double total = 0;
+  for (double& p : probabilities) {
+    p = rng.Uniform(0.05, 1.0);
+    total += p;
+  }
+  for (double& p : probabilities) p /= total;
+  const ldev::DiscreteDistribution dist(grid, probabilities);
+  const double a = dist.Mean() + (dist.Max() - dist.Mean()) * f;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ldev::TiltingPoint(dist, a));
+  }
+}
+BENCHMARK_CAPTURE(BM_TiltingPoint, near_mean, 1e-3);
+BENCHMARK_CAPTURE(BM_TiltingPoint, mid_range, 0.5);
+BENCHMARK_CAPTURE(BM_TiltingPoint, near_peak, 1.0 - 1e-3);
 
 void BM_StarWarsSynthesis(benchmark::State& state) {
   for (auto _ : state) {
