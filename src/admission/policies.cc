@@ -21,16 +21,15 @@ PolicyOptions Checked(PolicyOptions options, const std::string& policy) {
 
 /// Chernoff admission test shared by the estimating policies: admit iff
 /// the estimated failure probability with one more call stays at or below
-/// the target. `estimate` must carry positive mass. Decisions are
-/// reported through `obs` (if any) together with the Chernoff margin.
+/// the target. `estimate` must carry positive mass; the test reads it in
+/// place, normalized or not, and allocates nothing. Decisions are reported
+/// through `obs` (if any) together with the Chernoff margin.
 bool ChernoffAdmit(const Histogram& estimate, std::int64_t current_calls,
                    double capacity_bps, double target, obs::Recorder* obs,
                    double now) {
-  const ldev::DiscreteDistribution dist(estimate.values(),
-                                        estimate.Probabilities());
-  const double failure =
-      ldev::ChernoffOverflowProbability(dist, current_calls + 1,
-                                        capacity_bps);
+  const double failure = ldev::ChernoffOverflowProbability(
+      ldev::TiltFamily(estimate.values(), estimate.weights()),
+      current_calls + 1, capacity_bps);
   const bool admit = failure <= target;
   if constexpr (obs::kEnabled) {
     obs::Count(obs, admit ? "mbac.admit_accept" : "mbac.admit_reject");
@@ -61,10 +60,9 @@ bool ChernoffAdmitDowngraded(const Histogram& estimate,
   bool admit = false;
   double failure = 1.0;
   if (residual > 0) {
-    const ldev::DiscreteDistribution dist(estimate.values(),
-                                          estimate.Probabilities());
-    failure =
-        ldev::ChernoffOverflowProbability(dist, current_calls, residual);
+    failure = ldev::ChernoffOverflowProbability(
+        ldev::TiltFamily(estimate.values(), estimate.weights()),
+        current_calls, residual);
     admit = failure <= target;
   }
   if constexpr (obs::kEnabled) {
@@ -113,9 +111,13 @@ MemorylessPolicy::MemorylessPolicy(PolicyOptions options)
 
 const Histogram& MemorylessPolicy::Snapshot() {
   snapshot_.Clear();
+  // Shares rather than counts: the snapshot is then the normalized
+  // empirical law, so the test reads the same inputs, bit for bit, as a
+  // from-scratch normalization of the counts.
+  const auto live = static_cast<double>(level_of_.size());
   for (std::size_t b = 0; b < counts_.size(); ++b) {
     if (counts_[b] > 0) {
-      snapshot_.AddAt(b, static_cast<double>(counts_[b]));
+      snapshot_.AddAt(b, static_cast<double>(counts_[b]) / live);
     }
   }
   return snapshot_;
@@ -175,7 +177,8 @@ MemoryPolicy::MemoryPolicy(PolicyOptions options)
 AgedMemoryPolicy::AgedMemoryPolicy(PolicyOptions options,
                                    double aging_tau_seconds)
     : options_(Checked(std::move(options), "AgedMemoryPolicy")),
-      tau_seconds_(aging_tau_seconds) {
+      tau_seconds_(aging_tau_seconds),
+      pooled_(options_.rate_grid_bps) {
   Require(aging_tau_seconds > 0, "AgedMemoryPolicy: tau must be positive");
 }
 
@@ -190,19 +193,19 @@ void AgedMemoryPolicy::Roll(CallHistory& call, double now) const {
   call.since = now;
 }
 
-Histogram AgedMemoryPolicy::Pooled(double now) {
-  Histogram pooled(options_.rate_grid_bps);
+const Histogram& AgedMemoryPolicy::Pooled(double now) {
+  pooled_.Clear();
   for (auto& [id, call] : calls_) {
     Roll(call, now);
-    pooled.Merge(call.levels);
+    pooled_.Merge(call.levels);
   }
-  return pooled;
+  return pooled_;
 }
 
 bool AgedMemoryPolicy::Admit(double now, const sim::LinkView& view,
                              double /*initial_rate_bps*/) {
   if (calls_.empty()) return true;
-  const Histogram pooled = Pooled(now);
+  const Histogram& pooled = Pooled(now);
   if (pooled.total_weight() <= 0) return true;
   return ChernoffAdmit(pooled, static_cast<std::int64_t>(calls_.size()),
                        view.capacity_bps,
@@ -214,7 +217,7 @@ bool AgedMemoryPolicy::AdmitAtRung(double now, const sim::LinkView& view,
                                    double rung_rate_bps, std::size_t rung) {
   if (rung == 0) return Admit(now, view, rung_rate_bps);
   if (calls_.empty()) return true;
-  const Histogram pooled = Pooled(now);
+  const Histogram& pooled = Pooled(now);
   if (pooled.total_weight() <= 0) return true;
   return ChernoffAdmitDowngraded(
       pooled, static_cast<std::int64_t>(calls_.size()), view.capacity_bps,

@@ -93,7 +93,8 @@ class MemorylessPolicy final : public sim::AdmissionPolicy {
                    double rate_bps) override;
 
  private:
-  /// The live calls' reservations as a histogram of counts, written into
+  /// The live calls' reservations as the share of the calls at each grid
+  /// level, the snapshot's empirical distribution, written into
   /// `snapshot_`.
   const Histogram& Snapshot();
 
@@ -137,22 +138,26 @@ class AgedMemoryPolicy final : public sim::AdmissionPolicy {
   /// interval at its current level.
   void Roll(CallHistory& call, double now) const;
 
-  /// Pooled marginal estimate across the (rolled) call histories.
-  Histogram Pooled(double now);
+  /// Pooled marginal estimate across the (rolled) call histories, written
+  /// into `pooled_`.
+  const Histogram& Pooled(double now);
 
   PolicyOptions options_;
   double tau_seconds_;
   std::unordered_map<std::uint64_t, CallHistory> calls_;
+  Histogram pooled_;
 };
 
 /// Memory-based MBAC: time-weighted per-call reservation histories.
 ///
 /// The pooled estimate is kept incrementally: per grid level, the closed
 /// mass of the live calls plus the open mass of the calls currently at
-/// that level. A decision costs O(grid) plus the Chernoff test, a rate
-/// change O(1), a departure O(grid). The estimate equals the merge of the
-/// per-call histories whenever no live call entered its current level
-/// after the decision time, as holds for a simulation's clock.
+/// that level. A decision costs O(grid) to pool plus the Chernoff test, a
+/// handful of fused passes over the occupied levels with no allocation; a
+/// rate change costs O(1), a departure O(grid). The estimate equals the
+/// merge of the per-call histories whenever no live call entered its
+/// current level after the decision time, as holds for a simulation's
+/// clock.
 class MemoryPolicy final : public sim::AdmissionPolicy {
  public:
   explicit MemoryPolicy(PolicyOptions options);

@@ -7,47 +7,43 @@
 
 namespace rcbr::ldev {
 
-double ChernoffExponent(const DiscreteDistribution& demand, double c) {
+double ChernoffExponent(const TiltFamily& demand, double c) {
   return LegendreTransform(demand, c);
 }
 
-double ChernoffOverflowProbability(const DiscreteDistribution& demand,
+double ChernoffOverflowProbability(const TiltFamily& demand,
                                    std::int64_t n_calls, double capacity) {
   Require(n_calls >= 1, "ChernoffOverflowProbability: need n_calls >= 1");
   Require(capacity >= 0, "ChernoffOverflowProbability: negative capacity");
   const double c = capacity / static_cast<double>(n_calls);
-  if (c <= demand.Mean()) return 1.0;
-  if (c > demand.Max()) return 0.0;
+  if (c <= demand.mean()) return 1.0;
+  if (c > demand.peak()) return 0.0;
   const double exponent =
       static_cast<double>(n_calls) * ChernoffExponent(demand, c);
   return std::exp(-exponent);
 }
 
-double RefinedOverflowProbability(const DiscreteDistribution& demand,
+double RefinedOverflowProbability(const TiltFamily& demand,
                                   std::int64_t n_calls, double capacity) {
   Require(n_calls >= 1, "RefinedOverflowProbability: need n_calls >= 1");
   Require(capacity >= 0, "RefinedOverflowProbability: negative capacity");
   const double c = capacity / static_cast<double>(n_calls);
-  if (c <= demand.Mean()) return 1.0;
-  if (c >= demand.Max()) {
+  if (c <= demand.mean()) return 1.0;
+  if (c >= demand.peak()) {
     // Degenerate tilt: fall back to the bare estimate.
     return ChernoffOverflowProbability(demand, n_calls, capacity);
   }
-  const double s_star = TiltingPoint(demand, c);
-  const double exponent =
-      static_cast<double>(n_calls) *
-      (s_star * c - demand.LogMgf(s_star));
-  const double variance = demand.LogMgfSecondDerivative(s_star);
-  if (s_star <= 0 || variance <= 0) {
+  const Tilt tilt = TiltingPoint(demand, c);
+  if (tilt.s <= 0 || tilt.curvature <= 0) {
     return ChernoffOverflowProbability(demand, n_calls, capacity);
   }
+  const double n = static_cast<double>(n_calls);
   const double prefactor =
-      s_star * std::sqrt(2.0 * 3.14159265358979323846 *
-                         static_cast<double>(n_calls) * variance);
-  return std::min(1.0, std::exp(-exponent) / prefactor);
+      tilt.s * std::sqrt(2.0 * 3.14159265358979323846 * n * tilt.curvature);
+  return std::min(1.0, std::exp(-n * tilt.rate) / prefactor);
 }
 
-std::int64_t MaxAdmissibleCalls(const DiscreteDistribution& demand,
+std::int64_t MaxAdmissibleCalls(const TiltFamily& demand,
                                 double capacity, double target) {
   Require(target > 0 && target < 1, "MaxAdmissibleCalls: target in (0,1)");
   if (ChernoffOverflowProbability(demand, 1, capacity) > target) return 0;

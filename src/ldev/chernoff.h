@@ -17,12 +17,12 @@
 namespace rcbr::ldev {
 
 /// The large-deviations exponent I(c) for per-call capacity c.
-double ChernoffExponent(const DiscreteDistribution& demand, double c);
+double ChernoffExponent(const TiltFamily& demand, double c);
 
 /// exp(-N I(C/N)): the estimated probability that N calls' total demand
 /// exceeds capacity C. Returns 1 when C/N <= mean demand (the estimate is
 /// vacuous there) and 0 when C/N exceeds the peak demand.
-double ChernoffOverflowProbability(const DiscreteDistribution& demand,
+double ChernoffOverflowProbability(const TiltFamily& demand,
                                    std::int64_t n_calls, double capacity);
 
 /// Bahadur-Rao refinement of the Chernoff estimate:
@@ -31,14 +31,14 @@ double ChernoffOverflowProbability(const DiscreteDistribution& demand,
 /// than the bare exponent for moderate N (the paper cites the Chernoff
 /// accuracy as "quite good"; this quantifies the prefactor). Same edge
 /// conventions as ChernoffOverflowProbability.
-double RefinedOverflowProbability(const DiscreteDistribution& demand,
+double RefinedOverflowProbability(const TiltFamily& demand,
                                   std::int64_t n_calls, double capacity);
 
 /// The largest N such that ChernoffOverflowProbability(demand, N, C) stays
 /// <= target. Returns 0 if even one call violates the target. The
 /// probability is nondecreasing in N for fixed C, so this is a binary
 /// search.
-std::int64_t MaxAdmissibleCalls(const DiscreteDistribution& demand,
+std::int64_t MaxAdmissibleCalls(const TiltFamily& demand,
                                 double capacity, double target);
 
 }  // namespace rcbr::ldev

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace rcbr {
 
@@ -29,9 +30,10 @@ class Infeasible : public Error {
   explicit Infeasible(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with `message` unless `condition` holds.
-inline void Require(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgument(message);
+/// Throws InvalidArgument with `message` unless `condition` holds. The
+/// message is a view, so a check that passes builds no string.
+inline void Require(bool condition, std::string_view message) {
+  if (!condition) throw InvalidArgument(std::string(message));
 }
 
 }  // namespace rcbr

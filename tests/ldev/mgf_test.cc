@@ -119,16 +119,6 @@ TEST(LogMgfSecondDerivative, IsTiltedVariance) {
   EXPECT_GE(d.LogMgfSecondDerivative(1.3), 0.0);
 }
 
-TEST(TiltingPoint, SolvesTheTiltEquation) {
-  const DiscreteDistribution d({1.0, 2.0, 7.0}, {0.2, 0.5, 0.3});
-  for (double a : {3.5, 4.0, 5.5, 6.5}) {
-    const double s = TiltingPoint(d, a);
-    EXPECT_NEAR(d.LogMgfDerivative(s), a, 1e-6) << "a=" << a;
-  }
-  EXPECT_THROW(TiltingPoint(d, 3.0), InvalidArgument);  // below mean 3.3
-  EXPECT_THROW(TiltingPoint(d, 7.0), InvalidArgument);  // at the max
-}
-
 TEST(LegendreTransform, ConvexAboveMean) {
   const DiscreteDistribution d({0.0, 10.0}, {0.5, 0.5});
   const double a1 = 6.0;
