@@ -107,12 +107,10 @@ void BM_LogHistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_LogHistogramRecord);
 
-// Span record through a resolved handle at sampling 1 and 16; at 16 most
-// calls are one modulo + increment.
-void BM_SpanRecordSampled(benchmark::State& state) {
-  obs::RecorderOptions options;
-  options.span_sample = state.range(0);
-  obs::Recorder recorder(options);
+// Span record through a resolved handle: the histogram record plus the
+// span's mutex.
+void BM_SpanRecord(benchmark::State& state) {
+  obs::Recorder recorder;
   obs::SpanHistogram* span = obs::FindSpan(&recorder, "bench.span");
   Rng rng(3);
   std::vector<double> values(4096);
@@ -123,7 +121,7 @@ void BM_SpanRecordSampled(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_SpanRecordSampled)->Arg(1)->Arg(16);
+BENCHMARK(BM_SpanRecord);
 
 // Time-series sample folding into the current window (the per-slot case).
 void BM_TimeSeriesSample(benchmark::State& state) {

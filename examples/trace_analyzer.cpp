@@ -14,10 +14,13 @@
 //   trace_analyzer                     # analyze the bundled synthesizer
 //   trace_analyzer <file>              # analyze a trace file
 //   trace_analyzer --genre=sportscast  # analyze a catalog genre
+// An unknown flag, a second input, an unknown genre or an unreadable
+// trace file prints a message and exits with status 2.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/dp_scheduler.h"
@@ -35,20 +38,45 @@
 
 namespace {
 
+[[noreturn]] void Fail(const char* argv0, const std::string& message) {
+  std::fprintf(stderr,
+               "%s: %s\nusage: %s [<trace-file> | --genre=NAME]\n",
+               argv0, message.c_str(), argv0);
+  std::exit(2);
+}
+
 rcbr::trace::FrameTrace LoadTrace(int argc, char** argv) {
   using namespace rcbr::trace;
+  const char* argv0 = argc > 0 ? argv[0] : "trace_analyzer";
+  std::vector<std::string> inputs;
+  const char* genre = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--genre=", 8) == 0) {
-      const std::string name = argv[i] + 8;
-      for (Genre genre : AllGenres()) {
-        if (GenreName(genre) == name) {
-          return MakeGenreTrace(genre, 2026, 28800);
-        }
-      }
-      std::fprintf(stderr, "unknown genre '%s'\n", name.c_str());
-      std::exit(1);
+      genre = argv[i] + 8;
+    } else if (argv[i][0] == '-') {
+      Fail(argv0, std::string("unknown argument '") + argv[i] + "'");
+    } else {
+      inputs.emplace_back(argv[i]);
     }
-    if (argv[i][0] != '-') return ReadTraceFile(argv[i]);
+  }
+  if (inputs.size() + (genre != nullptr ? 1 : 0) > 1) {
+    Fail(argv0, "give at most one trace file or --genre");
+  }
+  if (genre != nullptr) {
+    std::string names;
+    for (Genre g : AllGenres()) {
+      if (GenreName(g) == genre) return MakeGenreTrace(g, 2026, 28800);
+      names += (names.empty() ? "" : ", ") + GenreName(g);
+    }
+    Fail(argv0, std::string("unknown genre '") + genre + "' (one of: " +
+                    names + ")");
+  }
+  if (!inputs.empty()) {
+    try {
+      return ReadTraceFile(inputs.front());
+    } catch (const rcbr::Error& e) {
+      Fail(argv0, e.what());
+    }
   }
   return MakeStarWarsTrace(2026, 28800);
 }

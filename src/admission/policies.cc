@@ -33,7 +33,6 @@ bool ChernoffAdmit(const Histogram& estimate, std::int64_t current_calls,
   const bool admit = failure <= target;
   if constexpr (obs::kEnabled) {
     obs::Count(obs, admit ? "mbac.admit_accept" : "mbac.admit_reject");
-    obs::SetGauge(obs, "mbac.failure_estimate", failure);
     obs::Emit(obs, now,
               admit ? obs::EventKind::kAdmitAccept
                     : obs::EventKind::kAdmitReject,
@@ -68,7 +67,6 @@ bool ChernoffAdmitDowngraded(const Histogram& estimate,
   if constexpr (obs::kEnabled) {
     obs::Count(obs, admit ? "mbac.admit_accept" : "mbac.admit_reject");
     if (admit) obs::Count(obs, "mbac.downgraded_admits");
-    obs::SetGauge(obs, "mbac.failure_estimate", failure);
     obs::Emit(obs, now,
               admit ? obs::EventKind::kAdmitAccept
                     : obs::EventKind::kAdmitReject,

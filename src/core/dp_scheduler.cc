@@ -845,14 +845,6 @@ DpResult Trellis::Solve() {
   result.peak_resident_nodes = peak_resident_;
   result.recomputed_epochs = recomputed_epochs_;
   if constexpr (obs::kEnabled) {
-    obs::SetGauge(opt_.recorder, "dp.peak_live_nodes",
-                  static_cast<double>(result.peak_live_nodes));
-    obs::SetGauge(opt_.recorder, "dp.total_nodes",
-                  static_cast<double>(result.total_nodes));
-    obs::SetGauge(opt_.recorder, "dp.peak_resident_nodes",
-                  static_cast<double>(result.peak_resident_nodes));
-    obs::SetGauge(opt_.recorder, "dp.recomputed_epochs",
-                  static_cast<double>(result.recomputed_epochs));
     obs::Count(opt_.recorder, "dp.spilled_blocks", spilled_blocks_);
   }
   return result;
@@ -867,7 +859,6 @@ std::vector<double> UniformRateLevels(double lo, double hi,
 
 DpResult ComputeOptimalSchedule(const std::vector<double>& workload_bits,
                                 const DpOptions& options) {
-  const obs::ScopedTimer dp_timer(options.recorder, "dp.compute");
   Trellis trellis(workload_bits, options);
   return trellis.Solve();
 }

@@ -28,8 +28,7 @@ namespace rcbr::obs {
 /// (bucket key, count) pairs sorted by key; keys decode to value bounds
 /// via LogHistogram::BucketLowerBound / BucketUpperBound.
 struct LogHistogramValue {
-  /// Values recorded into buckets + `underflow` (not the pre-sampling
-  /// stream length — see MetricsSnapshot's span `seen` field for that).
+  /// Values recorded into buckets + `underflow`.
   std::int64_t count = 0;
   /// Recorded values that were <= 0 or non-finite (no log bucket).
   std::int64_t underflow = 0;

@@ -1,61 +1,39 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-
 #include "util/json.h"
 
 namespace rcbr::obs {
 
-void GaugeValue::Observe(double x) {
-  if (count == 0) {
-    min = x;
-    max = x;
-  } else {
-    min = std::min(min, x);
-    max = std::max(max, x);
+namespace {
+
+/// The instrument named `name`, registered on first use. The caller holds
+/// the registry mutex; only a registration builds a std::string.
+template <typename Instrument>
+Instrument& Resolve(
+    std::map<std::string, std::unique_ptr<Instrument>, std::less<>>& named,
+    std::string_view name) {
+  auto it = named.find(name);
+  if (it == named.end()) {
+    it = named.emplace(std::string(name), std::make_unique<Instrument>())
+             .first;
   }
-  ++count;
-  last = x;
-  sum += x;
+  return *it->second;
 }
 
-void GaugeValue::Merge(const GaugeValue& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    *this = other;
-    return;
-  }
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
-  count += other.count;
-  sum += other.sum;
-  last = other.last;
-}
-
-void Gauge::Set(double x) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  value_.Observe(x);
-}
-
-GaugeValue Gauge::value() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return value_;
-}
+}  // namespace
 
 void SpanHistogram::Record(double seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (seen_ % sample_every_ == 0) histogram_.Record(seconds);
-  ++seen_;
+  histogram_.Record(seconds);
 }
 
-SpanValue SpanHistogram::value() const {
+LogHistogramValue SpanHistogram::value() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {histogram_.value(), seen_};
+  return histogram_.value();
 }
 
 void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) gauges[name].Merge(value);
   for (const auto& [name, value] : other.spans) spans[name].Merge(value);
 }
 
@@ -80,30 +58,14 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
     }
     out += "\n" + pad + "}";
   }
-  if (!gauges.empty()) {
-    open_section("gauges");
-    bool first = true;
-    for (const auto& [name, g] : gauges) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += pad2 + json::Quote(name) + ": {\"count\": " +
-             std::to_string(g.count) + ", \"last\": " + json::Number(g.last) +
-             ", \"sum\": " + json::Number(g.sum) +
-             ", \"min\": " + json::Number(g.min) +
-             ", \"max\": " + json::Number(g.max) + "}";
-    }
-    out += "\n" + pad + "}";
-  }
   if (!spans.empty()) {
     open_section("spans");
     bool first = true;
-    for (const auto& [name, s] : spans) {
+    for (const auto& [name, v] : spans) {
       out += first ? "\n" : ",\n";
       first = false;
-      const LogHistogramValue& v = s.value;
-      out += pad2 + json::Quote(name) + ": {\"seen\": " +
-             std::to_string(s.seen) +
-             ", \"count\": " + std::to_string(v.count) +
+      out += pad2 + json::Quote(name) +
+             ": {\"count\": " + std::to_string(v.count) +
              ", \"underflow\": " + std::to_string(v.underflow) +
              ", \"min\": " + json::Number(v.min) +
              ", \"max\": " + json::Number(v.max) +
@@ -126,26 +88,14 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
   return out;
 }
 
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
+Counter& MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
+  return Resolve(counters_, name);
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
+SpanHistogram& MetricsRegistry::GetSpan(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-SpanHistogram& MetricsRegistry::GetSpan(const std::string& name,
-                                        std::int64_t sample_every) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = spans_[name];
-  if (slot == nullptr) slot = std::make_unique<SpanHistogram>(sample_every);
-  return *slot;
+  return Resolve(spans_, name);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -154,12 +104,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, counter] : counters_) {
     snapshot.counters[name] = counter->value();
   }
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges[name] = gauge->value();
-  }
   for (const auto& [name, span] : spans_) {
-    SpanValue value = span->value();
-    if (value.seen > 0) snapshot.spans.emplace(name, std::move(value));
+    LogHistogramValue value = span->value();
+    if (value.count > 0) snapshot.spans.emplace(name, std::move(value));
   }
   return snapshot;
 }

@@ -1,7 +1,9 @@
 // The handle instrumented code holds: one Recorder bundles the metrics
-// registry, the wall-clock profile, an optional event log (the first-N
-// trace prefix and the last-N flight ring in one object), and an optional
-// sim-time time-series sampler.
+// registry, an optional event log (the first-N trace prefix and the
+// last-N flight ring in one object), and an optional sim-time time-series
+// sampler. Each instrument has one job: counters count, spans hold
+// distributions, time series hold trajectories, and the event log
+// explains single events.
 //
 // Wiring pattern: every instrumented module takes an `obs::Recorder*`
 // (default nullptr) through its options struct or constructor. Call sites
@@ -18,34 +20,28 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "obs/enabled.h"
 #include "obs/event_trace.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/time_series.h"
 
 namespace rcbr::obs {
 
 /// Which optional subsystems a Recorder carries. All default to off, so
-/// `Recorder{}` stays the cheap metrics+profile bundle.
+/// `Recorder{}` stays the cheap metrics-only bundle.
 struct RecorderOptions {
   /// Event-log head (trace prefix) size; 0 = no head.
   std::size_t event_capacity = 0;
   /// Time-series window width in sim seconds; 0 = no sampler.
   double ts_window_s = 0;
-  /// Span sampling: 1 = every span, N = every Nth, 0 = spans off.
-  std::int64_t span_sample = 1;
   /// Event-log ring (flight recorder) size; 0 = no ring.
   std::size_t flight_capacity = 0;
 };
 
 class Recorder {
  public:
-  explicit Recorder(const RecorderOptions& options = {})
-      : span_sample_(options.span_sample) {
+  explicit Recorder(const RecorderOptions& options = {}) {
     if (options.event_capacity > 0 || options.flight_capacity > 0) {
       events_.emplace(options.event_capacity, options.flight_capacity);
     }
@@ -53,7 +49,6 @@ class Recorder {
   }
 
   MetricsRegistry& metrics() { return metrics_; }
-  ProfileRegistry& profile() { return profile_; }
 
   /// The event log, or nullptr when both event_capacity and
   /// flight_capacity were 0.
@@ -68,18 +63,14 @@ class Recorder {
     return time_series_ ? &*time_series_ : nullptr;
   }
 
-  std::int64_t span_sample() const { return span_sample_; }
-
   void Emit(const TraceEvent& event) {
     if (events_) events_->Record(event);
   }
 
  private:
   MetricsRegistry metrics_;
-  ProfileRegistry profile_;
   std::optional<EventLog> events_;
   std::optional<TimeSeriesSampler> time_series_;
-  std::int64_t span_sample_ = 1;
 };
 
 // ---- Call-site helpers -------------------------------------------------
@@ -105,12 +96,6 @@ inline void Count(Recorder* recorder, const char* name,
   }
 }
 
-inline void SetGauge(Recorder* recorder, const char* name, double value) {
-  if constexpr (kEnabled) {
-    if (recorder != nullptr) recorder->metrics().GetGauge(name).Set(value);
-  }
-}
-
 /// The time series named `name`, or nullptr when the recorder has no
 /// sampler (no --ts-dir, recording off). Sampling through the resolved
 /// handle costs one branch when telemetry is disabled.
@@ -125,36 +110,14 @@ inline TimeSeries* FindSeries(Recorder* recorder, const char* name) {
   return nullptr;
 }
 
-inline void Sample(Recorder* recorder, const char* name, double t,
-                   double value) {
-  if constexpr (kEnabled) {
-    if (recorder != nullptr && recorder->time_series() != nullptr) {
-      recorder->time_series()->GetSeries(name).Sample(t, value);
-    }
-  }
-}
-
-/// The span histogram named `name` (carrying the recorder's sampling
-/// knob), or nullptr when spans are off (--span-sample 0, recording off).
+/// The span histogram named `name`, or nullptr when recording is off.
 inline SpanHistogram* FindSpan(Recorder* recorder, const char* name) {
   if constexpr (kEnabled) {
-    if (recorder != nullptr && recorder->span_sample() > 0) {
-      return &recorder->metrics().GetSpan(name, recorder->span_sample());
-    }
+    if (recorder != nullptr) return &recorder->metrics().GetSpan(name);
   }
   (void)recorder;
   (void)name;
   return nullptr;
-}
-
-inline void RecordSpan(Recorder* recorder, const char* name,
-                       double seconds) {
-  if constexpr (kEnabled) {
-    if (recorder != nullptr && recorder->span_sample() > 0) {
-      recorder->metrics().GetSpan(name, recorder->span_sample())
-          .Record(seconds);
-    }
-  }
 }
 
 inline void Emit(Recorder* recorder, const TraceEvent& event) {

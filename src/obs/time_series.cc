@@ -32,11 +32,15 @@ std::vector<SeriesWindow> TimeSeries::Windows() const {
   return windows_;
 }
 
-TimeSeries& TimeSeriesSampler::GetSeries(const std::string& name) {
+TimeSeries& TimeSeriesSampler::GetSeries(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = series_[name];
-  if (!slot) slot = std::make_unique<TimeSeries>(window_s_);
-  return *slot;
+  auto it = series_.find(name);
+  if (it == series_.end()) {
+    it = series_.emplace(std::string(name),
+                         std::make_unique<TimeSeries>(window_s_))
+             .first;
+  }
+  return *it->second;
 }
 
 TimeSeriesSnapshot TimeSeriesSampler::Snapshot() const {

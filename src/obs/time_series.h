@@ -15,10 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rcbr::obs {
@@ -80,21 +82,21 @@ struct TimeSeriesSnapshot {
 
 /// Registry of named TimeSeries sharing one window width. Mirrors
 /// MetricsRegistry: GetSeries returns a stable reference for resolve-once
-/// handles on hot paths.
+/// handles on hot paths, and builds a std::string only on registration.
 class TimeSeriesSampler {
  public:
   explicit TimeSeriesSampler(double window_s) : window_s_(window_s) {}
 
   double window_s() const { return window_s_; }
 
-  TimeSeries& GetSeries(const std::string& name);
+  TimeSeries& GetSeries(std::string_view name);
 
   TimeSeriesSnapshot Snapshot() const;
 
  private:
   const double window_s_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<TimeSeries>> series_;
+  std::map<std::string, std::unique_ptr<TimeSeries>, std::less<>> series_;
 };
 
 }  // namespace rcbr::obs

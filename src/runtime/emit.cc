@@ -38,18 +38,6 @@ std::string Serialize(const SweepResult& result, bool include_timings) {
     out += "  \"threads\": " + std::to_string(result.threads) + ",\n";
     out +=
         "  \"total_seconds\": " + json::Number(result.total_seconds) + ",\n";
-    if (!result.profile.empty()) {
-      out += "  \"profile\": {";
-      bool first = true;
-      for (const auto& [phase, profile] : result.profile) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    " + json::Quote(phase) +
-               ": {\"calls\": " + std::to_string(profile.calls) +
-               ", \"seconds\": " + json::Number(profile.seconds) + "}";
-      }
-      out += "\n  },\n";
-    }
   }
   out += "  \"notes\": " + JsonStringArray(spec.notes) + ",\n";
   out += "  \"parameters\": " + JsonStringArray(spec.parameters) + ",\n";

@@ -113,8 +113,6 @@ ExperimentArgs ParseExperimentArgs(int argc, char** argv) {
       args.ts_dir = arg + 9;
     } else if (std::strncmp(arg, "--ts-window=", 12) == 0) {
       args.ts_window = ParseFlagPositiveDouble(arg + 12, "--ts-window");
-    } else if (std::strncmp(arg, "--span-sample=", 14) == 0) {
-      args.span_sample = ParseFlagInt(arg + 14, "--span-sample");
     } else if (std::strncmp(arg, "--flight-events=", 16) == 0) {
       args.flight_events =
           static_cast<std::size_t>(ParseFlagInt(arg + 16, "--flight-events"));
@@ -155,7 +153,7 @@ ExperimentArgs ParseExperimentArgsOrExit(int argc, char** argv) {
         "usage: %s [--frames=N] [--seed=S] [--threads=N] [--quick]\n"
         "       [--json-dir=D] [--no-json] [--trace-dir=D]\n"
         "       [--trace-events=N] [--ts-dir=D] [--ts-window=W]\n"
-        "       [--span-sample=N] [--flight-events=N]\n"
+        "       [--flight-events=N]\n"
         "       [--ladder-rungs=1,0.7,...] [--ladder-utilities=1,0.8,...]\n"
         "       [--progress]\n",
         argc > 0 ? argv[0] : "experiment");
@@ -170,7 +168,6 @@ SweepOptions ToSweepOptions(const ExperimentArgs& args) {
   options.recorder.event_capacity =
       args.trace_dir.empty() ? 0 : args.trace_events;
   options.recorder.ts_window_s = args.ts_dir.empty() ? 0.0 : args.ts_window;
-  options.recorder.span_sample = args.span_sample;
   options.recorder.flight_capacity = args.flight_events;
   options.progress = args.progress;
   return options;

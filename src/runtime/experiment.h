@@ -11,10 +11,10 @@
 //   --json-dir=D   directory for the BENCH_<name>.json output (default ".")
 //   --no-json      skip writing the JSON document
 //   --trace-dir=D  capture domain events and write TRACE_<name>.jsonl to D
+//   --trace-events=N  events kept per point with --trace-dir (default
+//                  4096; later events are counted as dropped)
 //   --ts-dir=D     sample sim-time time series, write TS_<name>.jsonl to D
 //   --ts-window=W  time-series window width in sim seconds (default 1.0)
-//   --span-sample=N  record every Nth call-lifecycle span (1 = all,
-//                  0 = spans off; default 1)
 //   --flight-events=N  arm an N-event flight recorder per point and write
 //                  FLIGHT_<name>.jsonl postmortems on faults/overflows
 //   --ladder-rungs=1,0.7,...  multi-resolution contract: comma-separated
@@ -51,8 +51,6 @@ struct ExperimentArgs {
   std::string ts_dir;
   /// Time-series window width in sim seconds (only used with --ts-dir).
   double ts_window = 1.0;
-  /// Span sampling: 1 records every span, N every Nth, 0 disables spans.
-  std::int64_t span_sample = 1;
   /// Nonzero arms a flight recorder of this many events per point;
   /// FLIGHT_<name>.jsonl lands in --trace-dir (or --json-dir without one).
   std::size_t flight_events = 0;
@@ -67,10 +65,9 @@ struct ExperimentArgs {
 
 /// Parses the shared flags strictly: unknown flags, positional arguments,
 /// non-numeric or negative values for --frames/--seed/--threads/
-/// --trace-events/--span-sample/--flight-events, a --ts-window that is
-/// not a finite positive number, an explicitly requested
-/// --json-dir/--trace-dir/--ts-dir that is not a writable directory, and
-/// an invalid ladder (empty list, NaN/negative entries, a first rung that
+/// --trace-events/--flight-events, a --ts-window that is not a finite
+/// positive number, an explicitly requested --json-dir/--trace-dir/
+/// --ts-dir that is not a writable directory, and an invalid ladder (empty list, NaN/negative entries, a first rung that
 /// is not 1, increasing rung scales, or mismatched
 /// --ladder-rungs/--ladder-utilities lengths) all throw InvalidArgument
 /// with a message naming the offending flag.

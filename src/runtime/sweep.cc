@@ -70,9 +70,6 @@ SweepResult RunSweep(const SweepSpec& spec, const PointFn& fn,
     std::int64_t truncated_points = 0;
     for (std::size_t i = 0; i < recorders.size(); ++i) {
       result.metrics.Merge(recorders[i]->metrics().Snapshot());
-      for (const auto& [phase, profile] : recorders[i]->profile().Snapshot()) {
-        result.profile[phase].Merge(profile);
-      }
       const obs::EventLog* log = recorders[i]->events();
       if (log != nullptr) {
         PointEvents events{i, log->Head(), log->dropped()};

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -103,9 +102,6 @@ struct SweepResult {
   /// Per-point metrics merged in point-index order — deterministic for
   /// every thread count. Empty when nothing was recorded (or obs is off).
   obs::MetricsSnapshot metrics;
-  /// Wall-clock phase profile (ScopedTimer), merged across points. Run
-  /// provenance, not portable data: excluded from ToJsonWithoutTimings.
-  std::map<std::string, obs::PhaseProfile> profile;
   /// Trace events of every point that recorded any, in point order; only
   /// populated when SweepOptions::recorder.event_capacity > 0.
   std::vector<PointEvents> events;
@@ -123,8 +119,8 @@ struct SweepOptions {
   /// Worker threads; 0 means HardwareThreads().
   std::size_t threads = 0;
   /// What each point's private recorder carries: the event-log head and
-  /// ring, the time-series window, and span sampling. Metrics are always
-  /// captured — they are cheap and bounded.
+  /// ring and the time-series window. Metrics are always captured — they
+  /// are cheap and bounded.
   obs::RecorderOptions recorder;
   /// Print per-point completion to stderr ("# progress: ..."); stdout
   /// (table/JSON) is never touched, so piping stays clean.

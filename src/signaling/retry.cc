@@ -89,7 +89,7 @@ RenegotiationOutcome RetryingRenegotiator::Renegotiate(double new_rate_bps,
       // Definitive answer; never retried.
       ++stats_.denials;
       out.latency_s += rtt;
-      RecordSpans(out);
+      ObserveSpans(out);
       return out;
     }
     if (walk.end == DeltaWalk::End::kGranted && rtt <= retry_.timeout_s) {
@@ -101,7 +101,7 @@ RenegotiationOutcome RetryingRenegotiator::Renegotiate(double new_rate_bps,
           ++grants_since_resync_ >= retry_.resync_every_grants) {
         Resync(now_seconds);
       }
-      RecordSpans(out);
+      ObserveSpans(out);
       return out;
     }
     // Timed out — either lost in flight, or delivered but with the
@@ -123,7 +123,7 @@ RenegotiationOutcome RetryingRenegotiator::Renegotiate(double new_rate_bps,
     if (attempt >= retry_.max_retries) {
       ++stats_.abandoned;
       out.timed_out = true;
-      RecordSpans(out);
+      ObserveSpans(out);
       return out;
     }
     const double backoff = BackoffSeconds(retry_, attempt, rng_);
@@ -138,7 +138,7 @@ RenegotiationOutcome RetryingRenegotiator::Renegotiate(double new_rate_bps,
   }
 }
 
-void RetryingRenegotiator::RecordSpans(const RenegotiationOutcome& out) {
+void RetryingRenegotiator::ObserveSpans(const RenegotiationOutcome& out) {
   if (span_latency_ != nullptr) span_latency_->Record(out.latency_s);
   if (span_budget_ != nullptr) {
     span_budget_->Record(static_cast<double>(out.attempts) /

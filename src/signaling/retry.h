@@ -153,7 +153,7 @@ class RetryingRenegotiator {
 
  private:
   /// Feeds the latency / retry-budget spans for a resolved request.
-  void RecordSpans(const RenegotiationOutcome& out);
+  void ObserveSpans(const RenegotiationOutcome& out);
 
   SignalingPath* path_;
   std::uint64_t vci_;

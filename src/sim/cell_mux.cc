@@ -63,10 +63,6 @@ CellMuxResult SimulateCellMux(std::int64_t n_streams, std::int64_t period,
   if constexpr (obs::kEnabled) {
     obs::Count(recorder, "cellmux.replications", replications);
     obs::Count(recorder, "cellmux.measured_slots", samples);
-    obs::SetGauge(recorder, "cellmux.max_queue_cells",
-                  static_cast<double>(max_queue));
-    obs::SetGauge(recorder, "cellmux.mean_queue_cells",
-                  result.mean_queue_cells);
   }
   return result;
 }

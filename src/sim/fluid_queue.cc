@@ -43,7 +43,6 @@ double SlottedQueue::Step(double arrival_bits, double service_bits) {
     }
     if (lost_now > 0) {
       if (overflow_slots_ != nullptr) overflow_slots_->Add();
-      obs::SetGauge(obs_, "queue.lost_bits_per_overflow", lost_now);
       obs::Emit(obs_, static_cast<double>(slot_),
                 obs::EventKind::kBufferOverflow, obs_id_,
                 {"lost_bits", lost_now}, {"occupancy_bits", occupancy_});

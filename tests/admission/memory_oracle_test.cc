@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,8 +32,35 @@ PolicyOptions Options(obs::Recorder* recorder) {
   return options;
 }
 
-obs::GaugeValue FailureGauge(obs::Recorder& recorder) {
-  return recorder.metrics().GetGauge("mbac.failure_estimate").value();
+/// A recorder whose event-log head holds every decision of these tests.
+obs::RecorderOptions AllDecisions() { return {.event_capacity = 1 << 16}; }
+
+/// The "failure_est" of every admission event in the recorder's head, in
+/// decision order.
+std::vector<double> FailureEstimates(const obs::Recorder& recorder) {
+  std::vector<double> estimates;
+  const obs::EventLog* log = recorder.events();
+  EXPECT_EQ(log->dropped(), 0);
+  for (const obs::TraceEvent& event : log->Head()) {
+    if (event.kind != obs::EventKind::kAdmitAccept &&
+        event.kind != obs::EventKind::kAdmitReject) {
+      continue;
+    }
+    for (const obs::TraceEvent::Field& field : event.fields) {
+      if (field.name != nullptr &&
+          std::string_view(field.name) == "failure_est") {
+        estimates.push_back(field.value);
+      }
+    }
+  }
+  return estimates;
+}
+
+/// The estimate of the latest decision.
+double LastFailureEstimate(const obs::Recorder& recorder) {
+  const std::vector<double> estimates = FailureEstimates(recorder);
+  EXPECT_FALSE(estimates.empty());
+  return estimates.empty() ? -1.0 : estimates.back();
 }
 
 /// Drives any number of policies through the same seeded stream of
@@ -116,8 +144,8 @@ bool Decide(sim::AdmissionPolicy& policy, double now, const Decision& d) {
 }
 
 TEST(Memory, MatchesFromScratchOracle) {
-  obs::Recorder fast_rec;
-  obs::Recorder slow_rec;
+  obs::Recorder fast_rec(AllDecisions());
+  obs::Recorder slow_rec(AllDecisions());
   MemoryPolicy fast(Options(&fast_rec));
   ReferenceMemoryPolicy slow(Options(&slow_rec));
   CallChurn churn(20260514);
@@ -130,13 +158,6 @@ TEST(Memory, MatchesFromScratchOracle) {
       ASSERT_EQ(admit, Decide(slow, churn.now(), d))
           << "op " << op << " rung " << d.rung;
       ++(admit ? accepts : rejects);
-      if constexpr (obs::kEnabled) {
-        const double a = FailureGauge(fast_rec).last;
-        const double b = FailureGauge(slow_rec).last;
-        const double scale = std::max(std::abs(a), std::abs(b));
-        const double relative = scale > 0 ? std::abs(a - b) / scale : 0.0;
-        ASSERT_LE(relative, 1e-12) << "op " << op << ": " << a << " vs " << b;
-      }
     } else {
       churn.Step({&fast, &slow});
     }
@@ -144,6 +165,20 @@ TEST(Memory, MatchesFromScratchOracle) {
   // Both outcomes must be well exercised for the comparison to mean much.
   EXPECT_GT(accepts, 2000);
   EXPECT_GT(rejects, 2000);
+  if constexpr (obs::kEnabled) {
+    // Every Chernoff decision's estimate, in order.
+    const std::vector<double> a = FailureEstimates(fast_rec);
+    const std::vector<double> b = FailureEstimates(slow_rec);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_GT(a.size(), 4000u);
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      const double scale = std::max(std::abs(a[k]), std::abs(b[k]));
+      const double relative =
+          scale > 0 ? std::abs(a[k] - b[k]) / scale : 0.0;
+      ASSERT_LE(relative, 1e-12)
+          << "decision " << k << ": " << a[k] << " vs " << b[k];
+    }
+  }
 }
 
 // Rounding must not put mass on a level the from-scratch merge leaves
@@ -162,8 +197,8 @@ TEST(Memory, EmptyLevelsWeighNothing) {
   {
     // Closed mass: two calls alternate between the top level and 0, then
     // depart; their closed holds at the top cancel only up to rounding.
-    obs::Recorder fast_rec;
-    obs::Recorder slow_rec;
+    obs::Recorder fast_rec(AllDecisions());
+    obs::Recorder slow_rec(AllDecisions());
     MemoryPolicy fast(Options(&fast_rec));
     ReferenceMemoryPolicy slow(Options(&slow_rec));
     const std::vector<sim::AdmissionPolicy*> both = {&fast, &slow};
@@ -183,15 +218,15 @@ TEST(Memory, EmptyLevelsWeighNothing) {
     EXPECT_TRUE(Decide(slow, 90.0, decision(1)));
     EXPECT_TRUE(Decide(fast, 90.0, decision(1)));
     if constexpr (obs::kEnabled) {
-      EXPECT_EQ(FailureGauge(slow_rec).last, 0.0);
-      EXPECT_EQ(FailureGauge(fast_rec).last, 0.0);
+      EXPECT_EQ(LastFailureEstimate(slow_rec), 0.0);
+      EXPECT_EQ(LastFailureEstimate(fast_rec), 0.0);
     }
   }
   {
     // Open mass: three calls at the top level depart at the instant a
     // fourth enters it, so every open interval left there is empty.
-    obs::Recorder fast_rec;
-    obs::Recorder slow_rec;
+    obs::Recorder fast_rec(AllDecisions());
+    obs::Recorder slow_rec(AllDecisions());
     MemoryPolicy fast(Options(&fast_rec));
     ReferenceMemoryPolicy slow(Options(&slow_rec));
     const std::vector<sim::AdmissionPolicy*> both = {&fast, &slow};
@@ -208,8 +243,8 @@ TEST(Memory, EmptyLevelsWeighNothing) {
     EXPECT_TRUE(Decide(slow, 38.8, decision(2)));
     EXPECT_TRUE(Decide(fast, 38.8, decision(2)));
     if constexpr (obs::kEnabled) {
-      EXPECT_EQ(FailureGauge(slow_rec).last, 0.0);
-      EXPECT_EQ(FailureGauge(fast_rec).last, 0.0);
+      EXPECT_EQ(LastFailureEstimate(slow_rec), 0.0);
+      EXPECT_EQ(LastFailureEstimate(fast_rec), 0.0);
     }
   }
 }
@@ -219,8 +254,8 @@ TEST(Memory, EmptyLevelsWeighNothing) {
 // a plain running sum; once they depart, what remains must not carry the
 // rounding of all that churn.
 TEST(Memory, ChurnLeavesNoDrift) {
-  obs::Recorder fast_rec;
-  obs::Recorder slow_rec;
+  obs::Recorder fast_rec(AllDecisions());
+  obs::Recorder slow_rec(AllDecisions());
   MemoryPolicy fast(Options(&fast_rec));
   ReferenceMemoryPolicy slow(Options(&slow_rec));
   const std::vector<sim::AdmissionPolicy*> both = {&fast, &slow};
@@ -257,15 +292,15 @@ TEST(Memory, ChurnLeavesNoDrift) {
     const Decision d{12.0 * per_call, 0.0, 0};
     EXPECT_EQ(Decide(fast, now, d), Decide(slow, now, d));
     if constexpr (obs::kEnabled) {
-      const double a = FailureGauge(fast_rec).last;
-      const double b = FailureGauge(slow_rec).last;
+      const double a = LastFailureEstimate(fast_rec);
+      const double b = LastFailureEstimate(slow_rec);
       EXPECT_LE(std::abs(a - b), 1e-12 * std::max(a, b)) << a << " vs " << b;
     }
   }
 }
 
 TEST(Memory, AggregateDrainsToEmpty) {
-  obs::Recorder used_rec;
+  obs::Recorder used_rec(AllDecisions());
   MemoryPolicy used(Options(&used_rec));
   CallChurn churn(7);
   for (int op = 0; op < 20000; ++op) churn.Step({&used});
@@ -281,28 +316,30 @@ TEST(Memory, AggregateDrainsToEmpty) {
   // bit, a fresh policy fed the same calls — no residue of the drained
   // aggregate survives.
   for (int round = 0; round < 2; ++round) {
-    obs::Recorder fresh_rec;
+    obs::Recorder fresh_rec(AllDecisions());
     MemoryPolicy fresh(Options(&fresh_rec));
-    const std::int64_t used_before = FailureGauge(used_rec).count;
+    const std::size_t used_before = FailureEstimates(used_rec).size();
     for (int op = 0; op < 5000; ++op) {
       if (churn.rng().Bernoulli(0.25)) {
         const Decision d = RandomDecision(churn.rng(), churn.live());
         ASSERT_EQ(Decide(used, churn.now(), d),
                   Decide(fresh, churn.now(), d))
             << "round " << round << " op " << op;
-        if constexpr (obs::kEnabled) {
-          const obs::GaugeValue a = FailureGauge(used_rec);
-          const obs::GaugeValue b = FailureGauge(fresh_rec);
-          ASSERT_EQ(a.count - used_before, b.count);
-          if (b.count > 0) {
-            ASSERT_EQ(a.last, b.last) << "round " << round << " op " << op;
-          }
-        }
       } else {
         churn.Step({&used, &fresh});
       }
     }
     churn.Drain({&used, &fresh});
+    if constexpr (obs::kEnabled) {
+      const std::vector<double> a = FailureEstimates(used_rec);
+      const std::vector<double> b = FailureEstimates(fresh_rec);
+      ASSERT_EQ(a.size() - used_before, b.size());
+      EXPECT_GT(b.size(), 500u);
+      for (std::size_t k = 0; k < b.size(); ++k) {
+        ASSERT_EQ(a[used_before + k], b[k])
+            << "round " << round << " decision " << k;
+      }
+    }
   }
 }
 

@@ -29,7 +29,8 @@ class ReferenceMemoryPolicy final : public sim::AdmissionPolicy {
 
   /// Rung 0 tests n+1 calls against the capacity; rung k > 0 tests the n
   /// existing calls against the capacity left by a constant
-  /// `rung_rate_bps` load. Sets the "mbac.failure_estimate" gauge.
+  /// `rung_rate_bps` load. Each decision emits an admission event carrying
+  /// its "failure_est".
   bool AdmitAtRung(double now, const sim::LinkView& view,
                    double rung_rate_bps, std::size_t rung) override {
     if (calls_.empty()) return true;
@@ -44,8 +45,12 @@ class ReferenceMemoryPolicy final : public sim::AdmissionPolicy {
       failure = ldev::ChernoffOverflowProbability(
           Marginal(pooled), downgraded ? n : n + 1, capacity);
     }
-    obs::SetGauge(options_.recorder, "mbac.failure_estimate", failure);
-    return failure <= options_.target_failure_probability;
+    const bool admit = failure <= options_.target_failure_probability;
+    obs::Emit(options_.recorder, now,
+              admit ? obs::EventKind::kAdmitAccept
+                    : obs::EventKind::kAdmitReject,
+              static_cast<std::uint64_t>(n + 1), {"failure_est", failure});
+    return admit;
   }
 
   void OnAdmitted(double now, std::uint64_t call_id,

@@ -77,7 +77,6 @@ class ReferenceMemorylessPolicy final : public sim::AdmissionPolicy {
     const double target = options_.target_failure_probability;
     obs::Count(obs, admit ? "mbac.admit_accept" : "mbac.admit_reject");
     if (downgraded && admit) obs::Count(obs, "mbac.downgraded_admits");
-    obs::SetGauge(obs, "mbac.failure_estimate", failure);
     const obs::EventKind kind = admit ? obs::EventKind::kAdmitAccept
                                       : obs::EventKind::kAdmitReject;
     const auto id = static_cast<std::uint64_t>(n + 1);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/recorder.h"
-#include "obs/scoped_timer.h"
 
 namespace rcbr::obs {
 namespace {
@@ -215,8 +214,9 @@ TEST(Recorder, EmitLandsInTracer) {
 
 TEST(RecorderHelpers, AreNullSafe) {
   EXPECT_EQ(FindCounter(nullptr, "x"), nullptr);
+  EXPECT_EQ(FindSpan(nullptr, "x"), nullptr);
+  EXPECT_EQ(FindSeries(nullptr, "x"), nullptr);
   Count(nullptr, "x");
-  SetGauge(nullptr, "x", 1.0);
   Emit(nullptr, 0.0, EventKind::kResync, 0);
 }
 
@@ -225,36 +225,15 @@ TEST(RecorderHelpers, UpdateMetricsWhenEnabled) {
   Recorder recorder;
   Count(&recorder, "c", 2);
   Count(&recorder, "c");
-  SetGauge(&recorder, "g", 4.5);
   Counter* c = FindCounter(&recorder, "c");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value(), 3);
+  SpanHistogram* span = FindSpan(&recorder, "s");
+  ASSERT_NE(span, nullptr);
+  span->Record(0.5);
   const MetricsSnapshot snap = recorder.metrics().Snapshot();
-  EXPECT_DOUBLE_EQ(snap.gauges.at("g").last, 4.5);
-}
-
-TEST(ScopedTimer, AccumulatesPhaseProfile) {
-  Recorder recorder;
-  {
-    const ScopedTimer t1(&recorder, "phase_a");
-    const ScopedTimer t2(&recorder, "phase_a");
-  }
-  { const ScopedTimer ignored(nullptr, "phase_a"); }  // null-safe
-  const auto profile = recorder.profile().Snapshot();
-  if constexpr (!kEnabled) {
-    EXPECT_TRUE(profile.empty());
-    return;
-  }
-  ASSERT_TRUE(profile.contains("phase_a"));
-  EXPECT_EQ(profile.at("phase_a").calls, 2);
-  EXPECT_GE(profile.at("phase_a").seconds, 0.0);
-}
-
-TEST(PhaseProfile, MergeAddsCallsAndSeconds) {
-  PhaseProfile a{2, 0.5};
-  a.Merge(PhaseProfile{3, 0.25});
-  EXPECT_EQ(a.calls, 5);
-  EXPECT_DOUBLE_EQ(a.seconds, 0.75);
+  EXPECT_EQ(snap.counters.at("c"), 3);
+  EXPECT_EQ(snap.spans.at("s").count, 1);
 }
 
 }  // namespace

@@ -29,7 +29,6 @@ TEST(ExperimentArgs, DefaultsWithNoFlags) {
   EXPECT_TRUE(args.trace_dir.empty());
   EXPECT_TRUE(args.ts_dir.empty());
   EXPECT_EQ(args.ts_window, 1.0);
-  EXPECT_EQ(args.span_sample, 1);
   EXPECT_EQ(args.flight_events, 0u);
   EXPECT_FALSE(args.progress);
 }
@@ -38,7 +37,7 @@ TEST(ExperimentArgs, ParsesEveryFlag) {
   const ExperimentArgs args =
       Parse({"--frames=1000", "--seed=7", "--threads=4", "--quick",
              "--no-json", "--trace-events=128", "--ts-dir=.",
-             "--ts-window=0.5", "--span-sample=16", "--flight-events=256",
+             "--ts-window=0.5", "--flight-events=256",
              "--progress"});
   EXPECT_EQ(args.frames, 1000);
   EXPECT_EQ(args.seed, 7u);
@@ -48,7 +47,6 @@ TEST(ExperimentArgs, ParsesEveryFlag) {
   EXPECT_EQ(args.trace_events, 128u);
   EXPECT_EQ(args.ts_dir, ".");
   EXPECT_EQ(args.ts_window, 0.5);
-  EXPECT_EQ(args.span_sample, 16);
   EXPECT_EQ(args.flight_events, 256u);
   EXPECT_TRUE(args.progress);
 }
@@ -106,14 +104,13 @@ TEST(ExperimentArgs, TsWindowMustBeAPositiveFiniteNumber) {
   EXPECT_EQ(Parse({"--ts-window=0.25"}).ts_window, 0.25);
 }
 
-TEST(ExperimentArgs, SpanSampleAndFlightEventsAreStrictIntegers) {
-  EXPECT_THROW(Parse({"--span-sample=-1"}), InvalidArgument);
-  EXPECT_THROW(Parse({"--span-sample=every"}), InvalidArgument);
-  EXPECT_THROW(Parse({"--span-sample=2.5"}), InvalidArgument);
+TEST(ExperimentArgs, TraceAndFlightEventsAreStrictIntegers) {
+  EXPECT_THROW(Parse({"--trace-events=-1"}), InvalidArgument);
+  EXPECT_THROW(Parse({"--trace-events=2.5"}), InvalidArgument);
   EXPECT_THROW(Parse({"--flight-events=-8"}), InvalidArgument);
   EXPECT_THROW(Parse({"--flight-events=4k"}), InvalidArgument);
-  // 0 is a valid value for both: spans off, flight recorder off.
-  EXPECT_EQ(Parse({"--span-sample=0"}).span_sample, 0);
+  // 0 is a valid value for both: no trace head, flight recorder off.
+  EXPECT_EQ(Parse({"--trace-events=0"}).trace_events, 0u);
   EXPECT_EQ(Parse({"--flight-events=0"}).flight_events, 0u);
 }
 

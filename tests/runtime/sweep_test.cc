@@ -248,7 +248,6 @@ TEST(RunSweep, SeriesAreOffWithoutAWindow) {
       [](const SweepContext& ctx) {
         // Resolves to nullptr: the recorder has no sampler.
         EXPECT_EQ(obs::FindSeries(ctx.recorder, "probe.occupancy"), nullptr);
-        obs::Sample(ctx.recorder, "probe.occupancy", 1.0, 2.0);
         return std::vector<double>{0.0};
       },
       {});

@@ -285,7 +285,7 @@ TEST_F(WalkPin, RetryingRenegotiatorBytesArePinned) {
   EXPECT_GT(ports_[2]->stats().delta_denied, 0);
   EXPECT_GT(timeouts, 30) << "the delay spike must time out grants";
   ExpectPinned(dump, 19946u, 2610336182405444573ull, 173036u,
-               6436086178052126272ull, 839u, 9171045975307369375ull);
+               6436086178052126272ull, 813u, 15090941044723921747ull);
 }
 
 }  // namespace

@@ -480,22 +480,18 @@ TEST(FaultSimulation, ComposedFaultRunMatchesPinnedOutputs) {
     EXPECT_EQ(r.points[i].metrics, pinned[i]) << "point " << i;
   }
   if constexpr (obs::kEnabled) {
-    // The obs counters and the event trace, byte for byte. Re-pinned when
-    // the tilting point moved from bisection to safeguarded Newton: only
-    // the last digits of the Chernoff failure estimate moved (the
-    // "mbac.failure_estimate" gauge and the trace's "failure_est", at
-    // most 1.8e-15 relative); no decision did.
+    // The obs counters and the event trace, byte for byte.
     const std::string json = runtime::ToJsonWithoutTimings(r);
     const std::string trace = runtime::ToTraceJsonl(r);
-    EXPECT_EQ(Fnv1a64(json), 0xf2dcf5e8144e8913ull) << json;
+    EXPECT_EQ(Fnv1a64(json), 0xe2af377906206b02ull) << json;
     EXPECT_EQ(trace.size(), 65783u);
     EXPECT_EQ(Fnv1a64(trace), 0x7de7e1767f6ac15bull);
   }
 }
 
 // BENCH_<name>.json text minus its run-provenance fields ("threads",
-// "total_seconds", per-point "seconds"): for a run without a phase
-// profile, the text runtime::ToJsonWithoutTimings gives for its result.
+// "total_seconds", per-point "seconds"): the text
+// runtime::ToJsonWithoutTimings gives for its result.
 std::string WithoutTimings(const std::string& bench_json) {
   std::istringstream in(bench_json);
   std::string out;
@@ -530,8 +526,8 @@ TEST(FaultSimulation, FigFaultSweepQuickMatchesPinnedOutput) {
   text << file.rdbuf();
   fs::remove_all(dir);
   const std::string json = WithoutTimings(text.str());
-  EXPECT_EQ(json.size(), 4138u);
-  EXPECT_EQ(Fnv1a64(json), 0x205744c79af147f5ull) << json;
+  EXPECT_EQ(json.size(), 3875u);
+  EXPECT_EQ(Fnv1a64(json), 0xb5036d6df6526ae8ull) << json;
 }
 
 }  // namespace

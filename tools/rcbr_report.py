@@ -5,9 +5,9 @@ Collects the artifacts a harness drops for a single experiment —
 BENCH_<name>.json (required) plus the optional TRACE_<name>.jsonl,
 TS_<name>.jsonl, and FLIGHT_<name>.jsonl from the same directory — and
 renders them into a single human-readable markdown document: the results
-table, the merged counters/gauges snapshot, span-latency quantiles,
-per-series time-series sparklines, flight-recorder postmortems, and the
-wall-clock phase profile when present. Stdlib only.
+table, the merged counters, span-latency quantiles, per-series
+time-series sparklines, flight-recorder postmortems, and per-kind trace
+event counts. Stdlib only.
 
 Usage: rcbr_report.py NAME [--dir D] [--out FILE]
        rcbr_report.py fig_fault_sweep --dir runs/ --out report.md
@@ -110,24 +110,14 @@ def normalize_points(bench):
     return points
 
 
-def render_snapshot(bench, out):
-    obs = bench.get("obs_metrics", {})
-    counters = obs.get("counters", {})
-    gauges = obs.get("gauges", {})
-    if not counters and not gauges:
+def render_counters(bench, out):
+    counters = bench.get("obs_metrics", {}).get("counters", {})
+    if not counters:
         return
-    out.append("## Metrics snapshot")
+    out.append("## Counters")
     out.append("")
-    if counters:
-        out.extend(table(["counter", "value"], sorted(counters.items())))
-        out.append("")
-    if gauges:
-        rows = [
-            (name, g["count"], fmt(g["min"]), fmt(g["max"]), fmt(g["last"]))
-            for name, g in sorted(gauges.items())
-        ]
-        out.extend(table(["gauge", "n", "min", "max", "last"], rows))
-        out.append("")
+    out.extend(table(["counter", "value"], sorted(counters.items())))
+    out.append("")
 
 
 def render_spans(bench, out):
@@ -140,13 +130,12 @@ def render_spans(bench, out):
                "upper bounds, ~12.5% relative error).")
     out.append("")
     rows = [
-        (name, s["seen"], s["count"], fmt(s["min"]), fmt(s["p50"]),
-         fmt(s["p90"]), fmt(s["p99"]), fmt(s["max"]))
+        (name, s["count"], fmt(s["min"]), fmt(s["p50"]), fmt(s["p90"]),
+         fmt(s["p99"]), fmt(s["max"]))
         for name, s in sorted(spans.items())
     ]
     out.extend(table(
-        ["span", "seen", "recorded", "min", "p50", "p90", "p99", "max"],
-        rows))
+        ["span", "count", "min", "p50", "p90", "p99", "max"], rows))
     out.append("")
 
 
@@ -263,21 +252,6 @@ def render_session(bench, out):
         out.append("")
 
 
-def render_profile(bench, out):
-    profile = bench.get("profile", {})
-    if not profile:
-        return
-    out.append("## Wall-clock profile")
-    out.append("")
-    rows = [
-        (name, p.get("calls", ""), fmt(p.get("total_s", "")),
-         fmt(p.get("max_s", "")))
-        for name, p in sorted(profile.items())
-    ]
-    out.extend(table(["phase", "calls", "total_s", "max_s"], rows))
-    out.append("")
-
-
 def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -296,12 +270,11 @@ def main(argv):
     out = []
     render_results(bench, out)
     render_session(bench, out)
-    render_snapshot(bench, out)
+    render_counters(bench, out)
     render_spans(bench, out)
     render_series(read_jsonl(directory / f"TS_{args.name}.jsonl"), out)
     render_flight(read_jsonl(directory / f"FLIGHT_{args.name}.jsonl"), out)
     render_trace(read_jsonl(directory / f"TRACE_{args.name}.jsonl"), out)
-    render_profile(bench, out)
 
     text = "\n".join(out).rstrip() + "\n"
     if args.out:
