@@ -129,11 +129,20 @@ void BM_DpSchedulerPerSlot(benchmark::State& state) {
   }
   options.buffer_bits = 300 * kKilobit;
   options.cost = {3000.0, 1.0 / 24.0};
+  std::size_t total_nodes = 0;
+  std::size_t peak_live_nodes = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::ComputeOptimalSchedule(clip.frame_bits(), options));
+    const core::DpResult result =
+        core::ComputeOptimalSchedule(clip.frame_bits(), options);
+    benchmark::DoNotOptimize(result.optimal_cost);
+    total_nodes = result.total_nodes;
+    peak_live_nodes = result.peak_live_nodes;
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  // The trellis size of one solve: with it, a longer solve time splits
+  // into a bigger trellis and a costlier node.
+  state.counters["total_nodes"] = static_cast<double>(total_nodes);
+  state.counters["peak_live_nodes"] = static_cast<double>(peak_live_nodes);
 }
 BENCHMARK(BM_DpSchedulerPerSlot)->Arg(1440)->Arg(2880);
 

@@ -266,22 +266,53 @@ struct SliceOut {
   }
 };
 
-/// Backtracking records for one streaming block of epochs, SoA. `parent`
-/// is the record index one epoch earlier within the same block; a record
-/// in the block's first epoch stores the flat index of its seed node in
-/// the checkpoint frontier entering the block (kNoParent in block 0).
+/// Backtracking records live in pages of 2^14 4-byte parents (64 KiB). A
+/// page is allocated once and never moves, so an append never copies the
+/// records before it: a block holds its records plus one partly filled
+/// page.
+constexpr std::size_t kPageShift = 14;
+constexpr std::size_t kPageRecords = std::size_t{1} << kPageShift;
+
+/// Backtracking records for one streaming block of epochs. A record's
+/// parent is the record index one epoch earlier within the same block; a
+/// record in the block's first epoch stores the flat index of its seed
+/// node in the checkpoint frontier entering the block (kNoParent in block
+/// 0). Each epoch appends its survivors rate-major, so a record's rate is
+/// the run it falls in: `run_end` keeps the K run-end offsets of every
+/// epoch, epoch-major.
 struct ArenaBlock {
   std::int64_t first_epoch = 0;
   std::int64_t epochs = 0;
   std::size_t nodes = 0;  // records appended (survives spilling)
   bool resident = true;
-  std::vector<std::uint32_t> parent;
-  std::vector<std::uint16_t> rate;
+  std::vector<std::unique_ptr<std::uint32_t[]>> pages;
+  std::vector<std::uint32_t> run_end;
+
+  std::uint32_t parent(std::uint32_t r) const {
+    return pages[r >> kPageShift][r & (kPageRecords - 1)];
+  }
+
+  /// Copies `n` parents to records [at, at + n), adding pages as needed.
+  void Write(std::size_t at, const std::uint32_t* src, std::size_t n) {
+    while (n != 0) {
+      const std::size_t page = at >> kPageShift;
+      if (page == pages.size()) {
+        pages.push_back(
+            std::make_unique_for_overwrite<std::uint32_t[]>(kPageRecords));
+      }
+      const std::size_t off = at & (kPageRecords - 1);
+      const std::size_t chunk = std::min(n, kPageRecords - off);
+      std::memcpy(pages[page].get() + off, src, chunk * sizeof(*src));
+      at += chunk;
+      src += chunk;
+      n -= chunk;
+    }
+  }
 
   void Free() {
     resident = false;
-    parent = {};
-    rate = {};
+    pages = decltype(pages)();
+    run_end = decltype(run_end)();
   }
 };
 
@@ -315,6 +346,8 @@ class Trellis {
   void TransformRate(const Frontier& cur, std::size_t v, std::int64_t e,
                      SliceOut& out);
   void StartBlock(std::int64_t first_epoch);
+  /// Sizes the run-end offsets of `blk` once, so appends never move them.
+  void ReserveRunEnds(ArenaBlock& blk) const;
   void SnapshotInto(const Frontier& cur, Checkpoint& ckpt) const;
   void SpillOverBudget();
   void RecomputeBlock(std::size_t b);
@@ -334,7 +367,6 @@ class Trellis {
   std::vector<ParetoList> partial_scratch_;
   std::vector<EpochCoeffs> coeffs_;
   std::vector<std::uint32_t> cap_off_;  // per-rate output offsets, size K+1
-  std::vector<std::size_t> rec_off_;    // per-rate record offsets, size K+1
 
   std::vector<ArenaBlock> blocks_;
   std::vector<Checkpoint> checkpoints_;  // entering block b (b >= 1)
@@ -457,7 +489,6 @@ Trellis::Trellis(const std::vector<double>& workload,
   partial_scratch_.resize(team_->workers());
   coeffs_.resize(cfg_.num_rates);
   cap_off_.resize(cfg_.num_rates + 1);
-  rec_off_.resize(cfg_.num_rates + 1);
 
   ctr_epochs_ = obs::FindCounter(opt_.recorder, "dp.epochs");
   ctr_candidates_ = obs::FindCounter(opt_.recorder, "dp.candidate_nodes");
@@ -624,7 +655,15 @@ void Trellis::StartBlock(std::int64_t first_epoch) {
     }
   }
   blocks_.emplace_back();
-  blocks_.back().first_epoch = first_epoch;
+  ArenaBlock& blk = blocks_.back();
+  blk.first_epoch = first_epoch;
+  ReserveRunEnds(blk);
+}
+
+void Trellis::ReserveRunEnds(ArenaBlock& blk) const {
+  const std::int64_t epochs =
+      std::min(block_epochs_, cfg_.num_epochs - blk.first_epoch);
+  blk.run_end.reserve(static_cast<std::size_t>(epochs) * cfg_.num_rates);
 }
 
 void Trellis::SpillOverBudget() {
@@ -634,7 +673,7 @@ void Trellis::SpillOverBudget() {
        resident_nodes_ > opt_.max_resident_nodes && b + 1 < blocks_.size();
        ++b) {
     if (!blocks_[b].resident) continue;
-    resident_nodes_ -= blocks_[b].parent.size();
+    resident_nodes_ -= blocks_[b].nodes;
     blocks_[b].Free();
     ++spilled_blocks_;
   }
@@ -685,34 +724,23 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
         " (largest rate level below the bound's requirement)");
   }
 
-  // Record the survivors for backtracking, rate-major: bulk-copy each
-  // rate's contiguous backpointer run, then renumber it to record indices.
-  // Record positions are fixed by the prefix sum, so the parallel writes
-  // are disjoint and the block contents don't depend on the worker count.
-  const std::size_t base = block.parent.size();
-  rec_off_[0] = base;
+  // Record the survivors for backtracking, rate-major: copy each rate's
+  // contiguous backpointer run into the pages, then renumber it to record
+  // indices. The epoch's run ends give every record its rate back.
+  Require(block.nodes + live < kNoParent,
+          "ComputeOptimalSchedule: one block exceeds 2^32 - 2 backtracking "
+          "records; lower checkpoint_slots");
+  auto at = static_cast<std::uint32_t>(block.nodes);
   for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
-    rec_off_[v + 1] = rec_off_[v] + nxt_.size(v);
-  }
-  block.parent.resize(base + live);
-  block.rate.resize(base + live);
-  team_->Run([&](std::size_t w) {
-    const auto [v0, v1] = Chunk(w);
-    for (std::size_t v = v0; v < v1; ++v) {
-      const std::size_t run = nxt_.size(v);
-      if (run == 0) continue;
-      const std::size_t at = rec_off_[v];
-      std::memcpy(block.parent.data() + at,
-                  nxt_.back.data() + nxt_.begin[v],
-                  run * sizeof(std::uint32_t));
-      std::fill_n(block.rate.data() + at, run,
-                  static_cast<std::uint16_t>(v));
-      for (std::size_t i = 0; i < run; ++i) {
-        nxt_.back[nxt_.begin[v] + i] = static_cast<std::uint32_t>(at + i);
-      }
+    const std::size_t run = nxt_.size(v);
+    block.Write(at, nxt_.back.data() + nxt_.begin[v], run);
+    for (std::size_t i = 0; i < run; ++i) {
+      nxt_.back[nxt_.begin[v] + i] = at + static_cast<std::uint32_t>(i);
     }
-  });
-  block.nodes += live;
+    at += static_cast<std::uint32_t>(run);
+    block.run_end.push_back(at);
+  }
+  block.nodes = at;
   block.epochs += 1;
 
   if (record) {
@@ -755,8 +783,7 @@ void Trellis::RecomputeBlock(std::size_t b) {
   blk.resident = true;
   blk.epochs = 0;
   blk.nodes = 0;
-  blk.parent.clear();
-  blk.rate.clear();
+  ReserveRunEnds(blk);
 
   // Reseed the forward state entering the block and replay it. The replay
   // runs the identical code path (including the parallel transform), so
@@ -824,9 +851,14 @@ DpResult Trellis::Solve() {
     ArenaBlock& blk = blocks_[b];
     const bool replayed = !blk.resident;
     if (replayed) RecomputeBlock(b);
-    for (std::int64_t e = blk.first_epoch + blk.epochs; e-- > blk.first_epoch;) {
-      decisions[static_cast<std::size_t>(e)] = blk.rate[cursor];
-      cursor = blk.parent[cursor];
+    const std::size_t k = cfg_.num_rates;
+    for (std::int64_t e = blk.epochs; e-- > 0;) {
+      const std::uint32_t* ends =
+          blk.run_end.data() + static_cast<std::size_t>(e) * k;
+      decisions[static_cast<std::size_t>(blk.first_epoch + e)] =
+          static_cast<std::uint16_t>(std::upper_bound(ends, ends + k, cursor) -
+                                     ends);
+      cursor = blk.parent(cursor);
     }
     if (replayed) blk.Free();  // keep the working set bounded
     if (b > 0) cursor = checkpoints_[b - 1].frontier.back[cursor];

@@ -118,6 +118,9 @@ struct DpOptions {
   /// which are recomputed from their checkpoint during backtracking.
   /// Memory is therefore bounded for arbitrarily long traces — unlike the
   /// pre-streaming implementation, nothing throws on large trellises.
+  /// A record is one 4-byte parent, stored in 64 KiB pages of 16384
+  /// records that never move; a resident block adds one partly filled
+  /// page and 4 bytes per rate level per epoch (its run-end offsets).
   std::size_t max_resident_nodes = 60'000'000;
 
   /// Checkpoint cadence in slots. 0 picks a cadence automatically (a few
@@ -133,7 +136,7 @@ struct DpOptions {
 
   /// Optional observability sink: per-epoch kDpPrune events (time = first
   /// slot of the epoch, id = `obs_id`) comparing candidate nodes against
-  /// Lemma-1 survivors, "dp.*" counters, and a "dp.compute" profile phase.
+  /// Lemma-1 survivors, and the "dp.*" counters.
   obs::Recorder* recorder = nullptr;
   /// Identifier stamped into this run's events (e.g. a trace index).
   std::uint64_t obs_id = 0;

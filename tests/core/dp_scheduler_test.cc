@@ -1,5 +1,6 @@
 #include "core/dp_scheduler.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -7,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "core/schedule.h"
+#include "trace/star_wars.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace rcbr::core {
 namespace {
@@ -397,6 +400,78 @@ TEST(DpScheduler, ByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.total_nodes, serial.total_nodes);
     EXPECT_EQ(parallel.peak_live_nodes, serial.peak_live_nodes);
     EXPECT_EQ(parallel.recomputed_epochs, serial.recomputed_epochs);
+  }
+}
+
+TEST(DpScheduler, PagedArenaMatchesRoomySerialSolve) {
+  // Records live in pages of 16384 (DpOptions::max_resident_nodes). Blocks
+  // of several pages each are spilled never, always, or under a budget of
+  // whole pages, at 1, 2 and 4 threads: every solve must reproduce the
+  // roomy serial one bit for bit.
+  constexpr std::size_t kPageRecords = 16384;
+  const trace::FrameTrace movie = trace::MakeStarWarsTrace(5, 120);
+  const std::vector<double>& workload = movie.frame_bits();
+  DpOptions options;
+  options.rate_levels.push_back(0.0);
+  const auto grid = UniformRateLevels(48.0 * kKilobit / movie.fps(),
+                                      2400.0 * kKilobit / movie.fps(), 100);
+  options.rate_levels.insert(options.rate_levels.end(), grid.begin(),
+                             grid.end());
+  options.buffer_bits = 300 * kKilobit;
+  options.cost = {3000.0, 1.0 / movie.fps()};
+  options.buffer_quantum_bits = 4.0 * kKilobit;
+
+  std::vector<std::size_t> arena_after;  // records after each epoch
+  options.inspect = [&](const DpFrontierView& view) {
+    arena_after.push_back(view.arena_nodes);
+  };
+  const DpResult roomy = ComputeOptimalSchedule(workload, options);
+  options.inspect = nullptr;
+  ASSERT_EQ(roomy.recomputed_epochs, 0);
+
+  for (const std::int64_t checkpoint : {24, 40}) {
+    // The sweep means something only if every block spans over two pages.
+    const auto epochs = static_cast<std::int64_t>(arena_after.size());
+    for (std::int64_t first = 0; first < epochs; first += checkpoint) {
+      const std::int64_t last = std::min(first + checkpoint, epochs) - 1;
+      const std::size_t before =
+          first == 0 ? 0 : arena_after[static_cast<std::size_t>(first - 1)];
+      ASSERT_GT(arena_after[static_cast<std::size_t>(last)] - before,
+                2 * kPageRecords)
+          << "block at epoch " << first;
+    }
+    // Epochs before the last block: what spilling every block replays.
+    const std::int64_t before_last = (epochs - 1) / checkpoint * checkpoint;
+    for (const std::size_t budget :
+         {std::size_t{60'000'000}, std::size_t{1}, 8 * kPageRecords}) {
+      options.checkpoint_slots = checkpoint;
+      options.max_resident_nodes = budget;
+      options.threads = 1;
+      const DpResult serial = ComputeOptimalSchedule(workload, options);
+      if (budget == 60'000'000) {
+        EXPECT_EQ(serial.recomputed_epochs, 0);
+      } else if (budget == 1) {
+        EXPECT_EQ(serial.recomputed_epochs, before_last);
+      } else {  // some blocks spill, not all
+        EXPECT_GT(serial.recomputed_epochs, 0);
+        EXPECT_LT(serial.recomputed_epochs, before_last);
+      }
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        options.threads = threads;
+        const DpResult r = threads == 1
+                               ? serial
+                               : ComputeOptimalSchedule(workload, options);
+        SCOPED_TRACE(testing::Message() << "checkpoint " << checkpoint
+                                        << " budget " << budget
+                                        << " threads " << threads);
+        EXPECT_EQ(r.optimal_cost, roomy.optimal_cost);
+        EXPECT_TRUE(r.schedule == roomy.schedule);
+        EXPECT_EQ(r.total_nodes, roomy.total_nodes);
+        EXPECT_EQ(r.peak_live_nodes, roomy.peak_live_nodes);
+        EXPECT_EQ(r.recomputed_epochs, serial.recomputed_epochs);
+        EXPECT_EQ(r.peak_resident_nodes, serial.peak_resident_nodes);
+      }
+    }
   }
 }
 
