@@ -57,7 +57,7 @@ ChaosResult RunChaos(const ChaosOptions& options) {
   result.desyncs = client.stats().desyncs;
   result.crash_generations = server.crash_generation();
   result.session_canonical = client.log().CanonicalText();
-  result.session_jsonl = client.log().ToJsonl();
+  result.session = client.log();
   result.final_rate_bps = client.granted_bps();
   result.final_rung = client.rung();
   result.server_utilization_bps = server.utilization_bps();
@@ -66,26 +66,6 @@ ChaosResult RunChaos(const ChaosOptions& options) {
 
 std::string ChaosReportJson(const ChaosOptions& options,
                             const ChaosResult& result) {
-  // Rebuild the session array from the JSONL lines so the report embeds
-  // the exact events the determinism check compares.
-  std::string session = "[";
-  {
-    bool first = true;
-    std::size_t start = 0;
-    const std::string& jsonl = result.session_jsonl;
-    while (start < jsonl.size()) {
-      std::size_t end = jsonl.find('\n', start);
-      if (end == std::string::npos) end = jsonl.size();
-      if (end > start) {
-        session += first ? "\n    " : ",\n    ";
-        session += jsonl.substr(start, end - start);
-        first = false;
-      }
-      start = end + 1;
-    }
-    session += first ? "]" : "\n  ]";
-  }
-
   std::string out = "{\n";
   out += "  \"experiment\": " + json::Quote(options.name) + ",\n";
   out += "  \"base_seed\": " + std::to_string(options.client.seed) + ",\n";
@@ -134,7 +114,7 @@ std::string ChaosReportJson(const ChaosOptions& options,
          ",\n";
   out += "    \"final_rung\": " + std::to_string(result.final_rung) + "\n";
   out += "  },\n";
-  out += "  \"session\": " + session;
+  out += "  \"session\": " + result.session.ToJsonArray("  ");
   if (options.client.recorder != nullptr) {
     const obs::MetricsSnapshot snapshot =
         options.client.recorder->metrics().Snapshot();

@@ -53,7 +53,7 @@ struct ChaosResult {
   ServerStats server;
   ProxyStats proxy;
   std::string session_canonical;  // determinism-comparison text
-  std::string session_jsonl;
+  SessionLog session;
   double final_rate_bps = 0;
   std::uint32_t final_rung = 0;
   /// Aggregate reservation left on the port after the session — 0 when

@@ -34,6 +34,7 @@ Client::Client(const ClientOptions& options)
           "Client: chunk_bytes must fit one frame");
   Require(options.heartbeat_every_slots > 0,
           "Client: heartbeat period must be positive");
+  signaling::ValidateRetryOptions(options.retry);
   next_heartbeat_slot_ = options_.heartbeat_every_slots;
   next_upgrade_slot_ = options_.upgrade_every_slots;
 }
@@ -87,7 +88,7 @@ bool Client::SendFrame(Frame frame) {
   return true;
 }
 
-bool Client::HandleAsyncFrame(const Frame& frame) {
+bool Client::AcceptSequence(const Frame& frame) {
   if (saw_seq_in_ && frame.seq <= last_seq_in_) {
     log_.Append(slot_, SessionEventKind::kProtocolError, frame.seq,
                 granted_bps_, rung_, "stale_sequence");
@@ -96,6 +97,11 @@ bool Client::HandleAsyncFrame(const Frame& frame) {
   }
   saw_seq_in_ = true;
   last_seq_in_ = frame.seq;
+  return true;
+}
+
+bool Client::HandleAsyncFrame(const Frame& frame) {
+  if (!AcceptSequence(frame)) return false;
   switch (frame.type) {
     case FrameType::kDataAck:
       stats_.acked_bytes =
@@ -165,7 +171,7 @@ Client::TxStatus Client::AwaitResponse(FrameType expect,
         log_.Append(slot_, SessionEventKind::kProtocolError, 0, granted_bps_,
                     rung_, decoder_.error_message());
         connected_ = false;
-        return TxStatus::kConnLost;
+        return TxStatus::kAborted;
       }
       // A kDeny is the other legitimate answer to a delta — definitive,
       // never retried — so an expected kGrant matches either verdict.
@@ -174,25 +180,18 @@ Client::TxStatus Client::AwaitResponse(FrameType expect,
           (frame.type == expect ||
            (expect == FrameType::kGrant && frame.type == FrameType::kDeny));
       if (matches) {
-        if (saw_seq_in_ && frame.seq <= last_seq_in_) {
-          log_.Append(slot_, SessionEventKind::kProtocolError, frame.seq,
-                      granted_bps_, rung_, "stale_sequence");
-          connected_ = false;
-          return TxStatus::kConnLost;
-        }
-        saw_seq_in_ = true;
-        last_seq_in_ = frame.seq;
+        if (!AcceptSequence(frame)) return TxStatus::kAborted;
         *out = frame;
-        return TxStatus::kOk;
+        return TxStatus::kAnswered;
       }
-      if (!HandleAsyncFrame(frame)) return TxStatus::kConnLost;
+      if (!HandleAsyncFrame(frame)) return TxStatus::kAborted;
     }
     if (remaining_ms <= 0) return TxStatus::kTimedOut;
     const RecvResult r = stream_.RecvSome(buf, sizeof(buf), remaining_ms);
     if (r.status == RecvStatus::kTimeout) return TxStatus::kTimedOut;
     if (r.status != RecvStatus::kData) {
       connected_ = false;
-      return TxStatus::kConnLost;
+      return TxStatus::kAborted;
     }
     decoder_.Feed(buf, r.bytes);
     // Coarse budget decay: each successful read spends at least a
@@ -204,44 +203,43 @@ Client::TxStatus Client::AwaitResponse(FrameType expect,
 
 Client::TxStatus Client::Transaction(Frame request, FrameType expect,
                                      Frame* response) {
-  for (std::int64_t attempt = 0;; ++attempt) {
-    request.slot = static_cast<std::uint32_t>(slot_);
-    if (!SendFrame(request)) return TxStatus::kConnLost;
-    const TxStatus status = AwaitResponse(expect, request.slot, response);
-    if (status != TxStatus::kTimedOut) return status;
-
-    ++stats_.timeouts;
-    obs::Count(options_.recorder, "net.client.timeouts");
-    log_.Append(slot_, SessionEventKind::kTimeout, request.seq, granted_bps_,
-                rung_, std::string(FrameTypeName(request.type)) +
-                           " attempt=" + std::to_string(attempt + 1));
-    ChargeSlots(SlotsFor(options_.retry.timeout_s));
-    if (attempt >= options_.retry.max_retries) return TxStatus::kTimedOut;
-
-    // Rescind before retransmitting, exactly like the in-process
-    // renegotiator: an absolute resync at the acknowledged rate and rung
-    // erases whatever the lost attempt may have half-applied. Only then
-    // is a retransmit safe against double-application.
-    if (request.type != FrameType::kResync) {
-      Frame rescind;
-      rescind.type = FrameType::kResync;
-      rescind.rate_bps = granted_bps_;
-      rescind.rung = rung_;
-      rescind.slot = static_cast<std::uint32_t>(slot_);
-      if (!SendFrame(rescind)) return TxStatus::kConnLost;
-      Frame echo;
-      const TxStatus rs = AwaitResponse(FrameType::kGrant, rescind.slot, &echo);
-      if (rs != TxStatus::kOk) {
-        // The reliable repair itself failed: the link is suspect.
-        connected_ = false;
-        return TxStatus::kConnLost;
-      }
-      ++stats_.resyncs;
-      obs::Count(options_.recorder, "net.client.resyncs");
-    }
-    ChargeSlots(SlotsFor(
-        signaling::BackoffSeconds(options_.retry, attempt, &backoff_rng_)));
-  }
+  return signaling::RetryLoop(
+      options_.retry, &backoff_rng_,
+      [&](std::int64_t) {
+        request.slot = static_cast<std::uint32_t>(slot_);
+        if (!SendFrame(request)) return TxStatus::kAborted;
+        return AwaitResponse(expect, request.slot, response);
+      },
+      [&](std::int64_t attempt) {
+        ++stats_.timeouts;
+        obs::Count(options_.recorder, "net.client.timeouts");
+        log_.Append(slot_, SessionEventKind::kTimeout, request.seq,
+                    granted_bps_, rung_,
+                    std::string(FrameTypeName(request.type)) +
+                        " attempt=" + std::to_string(attempt + 1));
+        ChargeSlots(SlotsFor(options_.retry.timeout_s));
+        // Rescind: an absolute resync at the acknowledged rate and rung
+        // erases whatever the timed-out attempt may have half-applied, so
+        // a retransmit cannot double-apply and giving up leaves the
+        // server at the held rate.
+        Frame rescind;
+        rescind.type = FrameType::kResync;
+        rescind.rate_bps = granted_bps_;
+        rescind.rung = rung_;
+        rescind.slot = static_cast<std::uint32_t>(slot_);
+        if (!SendFrame(rescind)) return false;
+        Frame echo;
+        if (AwaitResponse(FrameType::kGrant, rescind.slot, &echo) !=
+            TxStatus::kAnswered) {
+          // The reliable repair itself failed: the link is suspect.
+          connected_ = false;
+          return false;
+        }
+        ++stats_.resyncs;
+        obs::Count(options_.recorder, "net.client.resyncs");
+        return true;
+      },
+      [&](std::int64_t, double backoff) { ChargeSlots(SlotsFor(backoff)); });
 }
 
 bool Client::DialAndHello(bool resync) {
@@ -268,7 +266,7 @@ bool Client::DialAndHello(bool resync) {
   if (!SendFrame(hello)) return false;
   Frame welcome;
   if (AwaitResponse(FrameType::kWelcome, hello.slot, &welcome) !=
-          TxStatus::kOk ||
+          TxStatus::kAnswered ||
       !welcome.accepted) {
     stream_.Close();
     connected_ = false;
@@ -316,7 +314,7 @@ bool Client::ConnectSession() {
       Frame welcome;
       const TxStatus status =
           AwaitResponse(FrameType::kWelcome, hello.slot, &welcome);
-      if (status != TxStatus::kOk) {
+      if (status != TxStatus::kAnswered) {
         dead = true;
         break;
       }
@@ -356,7 +354,8 @@ void Client::VerifyServerState() {
   Frame query;
   query.type = FrameType::kStateQuery;
   Frame report;
-  if (Transaction(query, FrameType::kStateReport, &report) != TxStatus::kOk) {
+  if (Transaction(query, FrameType::kStateReport, &report) !=
+      TxStatus::kAnswered) {
     return;  // audit is best-effort; a dead link surfaces elsewhere
   }
   // The whole point of the absolute-rate resync: after any crash and
@@ -422,7 +421,8 @@ void Client::TryUpgrade() {
     Frame response;
     const TxStatus status =
         Transaction(request, FrameType::kGrant, &response);
-    if (status == TxStatus::kOk && response.type == FrameType::kGrant) {
+    if (status == TxStatus::kAnswered &&
+        response.type == FrameType::kGrant) {
       granted_bps_ = response.rate_bps;
       rung_ = target;
       ++stats_.upgrades;
@@ -432,8 +432,8 @@ void Client::TryUpgrade() {
       controller_->OnRateImposed(granted_bits_per_slot());
       return;
     }
-    if (status == TxStatus::kOk) continue;  // denied: probe the next rung
-    if (status == TxStatus::kConnLost) {
+    if (status == TxStatus::kAnswered) continue;  // denied: next rung
+    if (status == TxStatus::kAborted) {
       Reconnect();
       return;
     }
@@ -446,7 +446,7 @@ void Client::Shutdown() {
   Frame bye;
   bye.type = FrameType::kBye;
   Frame ack;
-  if (Transaction(bye, FrameType::kByeAck, &ack) == TxStatus::kOk) {
+  if (Transaction(bye, FrameType::kByeAck, &ack) == TxStatus::kAnswered) {
     stats_.completed = true;
     log_.Append(slot_, SessionEventKind::kBye, ack.seq, granted_bps_, rung_);
     obs::Count(options_.recorder, "net.client.byes");
@@ -506,13 +506,14 @@ bool Client::StepSlot() {
       Frame response;
       const TxStatus status =
           Transaction(request, FrameType::kGrant, &response);
-      if (status == TxStatus::kOk && response.type == FrameType::kGrant) {
+      if (status == TxStatus::kAnswered &&
+          response.type == FrameType::kGrant) {
         granted_bps_ = response.rate_bps;
         ++stats_.grants;
         log_.Append(slot_, SessionEventKind::kGrant, response.seq,
                     granted_bps_, rung_);
         obs::Count(options_.recorder, "net.client.grants");
-      } else if (status == TxStatus::kOk) {  // kDeny: definitive answer
+      } else if (status == TxStatus::kAnswered) {  // kDeny: definitive answer
         ++stats_.denies;
         log_.Append(slot_, SessionEventKind::kDeny, response.seq,
                     response.rate_bps, response.rung);
@@ -538,7 +539,7 @@ bool Client::StepSlot() {
     hb.type = FrameType::kHeartbeat;
     Frame ack;
     const TxStatus status = Transaction(hb, FrameType::kHeartbeatAck, &ack);
-    if (status == TxStatus::kOk) {
+    if (status == TxStatus::kAnswered) {
       ++stats_.heartbeats;
     } else if (!Reconnect()) {
       return false;

@@ -20,12 +20,12 @@
 //    failed, never which slot it failed at.
 //
 // Failure model (the client half):
-//  * control transactions are blocking with a response deadline; a
-//    timeout first rescinds in-flight state with an absolute-rate
-//    resync at the acknowledged rate/rung (the RetryingRenegotiator
-//    rescind discipline verbatim), then backs off per the shared
-//    signaling::BackoffSeconds contract and retransmits, bounded by
-//    RetryOptions::max_retries;
+//  * control transactions are blocking with a response deadline and run
+//    the in-process renegotiator's loop (signaling::RetryLoop): every
+//    timeout, the last included, rescinds in-flight state with an
+//    absolute-rate resync at the acknowledged rate/rung; then the loop
+//    gives up (RetryOptions::max_retries spent) or backs off per
+//    signaling::BackoffSeconds and retransmits;
 //  * a dead connection (EOF, reset, resync timeout) triggers reconnect
 //    with the same bounded backoff, then a Hello{resync} that repairs
 //    the restarted server byte-exactly from the client's acknowledged
@@ -146,11 +146,9 @@ class Client {
   std::int64_t slot() const { return slot_; }
 
  private:
-  enum class TxStatus : std::uint8_t {
-    kOk,        // expected response received
-    kTimedOut,  // retry budget exhausted, connection still standing
-    kConnLost,  // the connection is dead; reconnect or give up
-  };
+  /// kAnswered: expected response received; kTimedOut: retry budget
+  /// exhausted, connection still standing; kAborted: connection dead.
+  using TxStatus = signaling::AttemptEnd;
 
   double granted_bits_per_slot() const {
     return granted_bps_ * options_.slot_seconds;
@@ -162,6 +160,8 @@ class Client {
   std::int64_t SlotsFor(double seconds) const;
 
   bool SendFrame(Frame frame);
+  /// Logs and kills the connection on a stale or duplicate inbound seq.
+  bool AcceptSequence(const Frame& frame);
   /// Drains everything already buffered on the socket (data acks, async
   /// errors). False = connection lost.
   bool PollIncoming();
@@ -172,8 +172,8 @@ class Client {
   /// stale responses discarded.
   TxStatus AwaitResponse(FrameType expect, std::uint32_t expect_slot,
                          Frame* out);
-  /// One bounded-retry control transaction: send, await, on timeout
-  /// rescind-with-resync + backoff + retransmit.
+  /// One bounded-retry control transaction (signaling::RetryLoop): send,
+  /// await, on timeout rescind-with-resync, then back off or give up.
   TxStatus Transaction(Frame request, FrameType expect, Frame* response);
 
   bool DialAndHello(bool resync);

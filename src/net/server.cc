@@ -89,7 +89,16 @@ Frame Server::Reply(Connection& conn, FrameType type,
   f.type = type;
   f.slot = request.slot;  // responses echo the request's logical slot
   f.seq = conn.next_seq_out;
+  f.rate_bps = conn.granted_bps;
+  f.rung = conn.rung;
   return f;
+}
+
+Frame& Server::Respond(Connection& conn, std::vector<Frame>& out,
+                       FrameType type, const Frame& request) {
+  MaybePiggybackDrain(conn, out);
+  out.push_back(Reply(conn, type, request));
+  return out.back();
 }
 
 void Server::MaybePiggybackDrain(Connection& conn,
@@ -164,9 +173,6 @@ bool Server::HandleHello(Connection& conn, const Frame& frame) {
                accepted ? "net.server.admits" : "net.server.admit_denies");
   }
 
-  std::vector<Frame> out;
-  Frame welcome = Reply(conn, FrameType::kWelcome, frame);
-  welcome.accepted = accepted;
   if (accepted) {
     conn.admitted = true;
     conn.vci = frame.vci;
@@ -175,11 +181,10 @@ bool Server::HandleHello(Connection& conn, const Frame& frame) {
     conn.slot_seconds = slot_seconds;
     conn.meter_started = false;
     conn.meter_credit_bits = 0;
-    welcome.rate_bps = conn.granted_bps;
-    welcome.rung = conn.rung;
   }
-  MaybePiggybackDrain(conn, out);
-  out.push_back(welcome);
+  // A refused Hello carries no contract: conn's rate and rung are zero.
+  std::vector<Frame> out;
+  Respond(conn, out, FrameType::kWelcome, frame).accepted = accepted;
   return SendFrames(conn, out);
   // A denied Hello leaves the connection open: the client walks its
   // rate ladder down and retries on the same stream.
@@ -213,39 +218,25 @@ bool Server::HandleFrame(Connection& conn, const Frame& frame) {
     case FrameType::kDelta: {
       // Draining servers refuse growth but still honor decreases, so
       // sessions can wind down to a clean Bye.
-      if (draining() && frame.delta_bps > 0) {
-        Frame deny = Reply(conn, FrameType::kDeny, frame);
-        deny.rate_bps = conn.granted_bps;
-        deny.rung = conn.rung;
-        deny.error_code =
-            static_cast<std::uint32_t>(WireError::kServerDraining);
-        ++stats_.denies;
-        MaybePiggybackDrain(conn, out);
-        out.push_back(deny);
-        break;
-      }
-      const auto verdict = port_controller_.Handle(
-          signaling::RmCell::Delta(conn.vci, frame.delta_bps, frame.rung),
-          now);
-      if (verdict.accepted) {
+      const bool refused = draining() && frame.delta_bps > 0;
+      const bool granted =
+          !refused &&
+          port_controller_
+              .Handle(signaling::RmCell::Delta(conn.vci, frame.delta_bps,
+                                               frame.rung),
+                      now)
+              .accepted;
+      if (granted) {
         conn.granted_bps += frame.delta_bps;
         conn.rung = frame.rung;
-        Frame grant = Reply(conn, FrameType::kGrant, frame);
-        grant.rate_bps = conn.granted_bps;
-        grant.rung = conn.rung;
-        ++stats_.grants;
-        obs::Count(options_.recorder, "net.server.grants");
-        MaybePiggybackDrain(conn, out);
-        out.push_back(grant);
-      } else {
-        Frame deny = Reply(conn, FrameType::kDeny, frame);
-        deny.rate_bps = conn.granted_bps;
-        deny.rung = conn.rung;
-        ++stats_.denies;
-        obs::Count(options_.recorder, "net.server.denies");
-        MaybePiggybackDrain(conn, out);
-        out.push_back(deny);
       }
+      ++(granted ? stats_.grants : stats_.denies);
+      if (!refused) {
+        obs::Count(options_.recorder,
+                   granted ? "net.server.grants" : "net.server.denies");
+      }
+      Respond(conn, out, granted ? FrameType::kGrant : FrameType::kDeny,
+              frame);
       break;
     }
     case FrameType::kResync: {
@@ -256,19 +247,13 @@ bool Server::HandleFrame(Connection& conn, const Frame& frame) {
       conn.rung = frame.rung;
       ++stats_.resyncs;
       obs::Count(options_.recorder, "net.server.resyncs");
-      Frame grant = Reply(conn, FrameType::kGrant, frame);
-      grant.rate_bps = conn.granted_bps;
-      grant.rung = conn.rung;
-      MaybePiggybackDrain(conn, out);
-      out.push_back(grant);
+      Respond(conn, out, FrameType::kGrant, frame);
       break;
     }
-    case FrameType::kHeartbeat: {
+    case FrameType::kHeartbeat:
       ++stats_.heartbeats;
-      MaybePiggybackDrain(conn, out);
-      out.push_back(Reply(conn, FrameType::kHeartbeatAck, frame));
+      Respond(conn, out, FrameType::kHeartbeatAck, frame);
       break;
-    }
     case FrameType::kData: {
       // Meter against the granted rate on the client's slot clock.
       if (!conn.meter_started) {
@@ -301,13 +286,10 @@ bool Server::HandleFrame(Connection& conn, const Frame& frame) {
       break;
     }
     case FrameType::kStateQuery: {
-      Frame report = Reply(conn, FrameType::kStateReport, frame);
+      Frame& report = Respond(conn, out, FrameType::kStateReport, frame);
       report.rate_bps = port_controller_.TrackedRate(conn.vci);
-      report.rung = conn.rung;
       report.known = report.rate_bps != 0 ||
                      port_controller_.IsUpgradeWaiter(conn.vci);
-      MaybePiggybackDrain(conn, out);
-      out.push_back(report);
       break;
     }
     case FrameType::kBye: {

@@ -136,7 +136,11 @@ class Server {
   void ProtocolError(Connection& conn, WireError code);
   /// The Drain notice due before the next control response, if any.
   void MaybePiggybackDrain(Connection& conn, std::vector<Frame>& frames);
+  /// A response to `request` carrying the session's contract (rate, rung).
   Frame Reply(Connection& conn, FrameType type, const Frame& request) const;
+  /// Queues Reply(...) in `out`, behind any Drain notice now due.
+  Frame& Respond(Connection& conn, std::vector<Frame>& out, FrameType type,
+                 const Frame& request);
 
   ServerOptions options_;
   TcpListener listener_;

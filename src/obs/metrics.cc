@@ -76,9 +76,10 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
              ", \"buckets\": [";
       for (std::size_t i = 0; i < v.buckets.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "[" + json::Number(LogHistogram::BucketLowerBound(
-                         v.buckets[i].first)) +
-               ", " + std::to_string(v.buckets[i].second) + "]";
+        out += '[';
+        out += json::Number(
+            LogHistogram::BucketLowerBound(v.buckets[i].first));
+        out += ", " + std::to_string(v.buckets[i].second) + "]";
       }
       out += "]}";
     }

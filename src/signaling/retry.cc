@@ -6,24 +6,19 @@
 
 namespace rcbr::signaling {
 
-namespace {
-
 void ValidateRetryOptions(const RetryOptions& retry) {
   Require(!std::isnan(retry.timeout_s) && retry.timeout_s > 0,
-          "RetryingRenegotiator: timeout must be positive");
-  Require(retry.max_retries >= 0,
-          "RetryingRenegotiator: negative retry count");
+          "RetryOptions: timeout must be positive");
+  Require(retry.max_retries >= 0, "RetryOptions: negative retry count");
   Require(!std::isnan(retry.backoff_base_s) && retry.backoff_base_s >= 0,
-          "RetryingRenegotiator: negative backoff base");
+          "RetryOptions: negative backoff base");
   Require(retry.backoff_multiplier >= 1,
-          "RetryingRenegotiator: backoff multiplier must be >= 1");
+          "RetryOptions: backoff multiplier must be >= 1");
   Require(retry.jitter_fraction >= 0 && retry.jitter_fraction < 1,
-          "RetryingRenegotiator: jitter fraction must be in [0,1)");
+          "RetryOptions: jitter fraction must be in [0,1)");
   Require(retry.resync_every_grants >= 0,
-          "RetryingRenegotiator: negative resync period");
+          "RetryOptions: negative resync period");
 }
-
-}  // namespace
 
 double BackoffSeconds(const RetryOptions& retry, std::int64_t attempt,
                       Rng* rng) {
@@ -73,77 +68,78 @@ RenegotiationOutcome RetryingRenegotiator::Renegotiate(double new_rate_bps,
   }
   ++stats_.requests;
   const double delta = new_rate_bps - granted_;
-  for (std::int64_t attempt = 0;; ++attempt) {
-    ++stats_.attempts;
-    ++out.attempts;
-    // A loss leaves a phantom grant upstream until the timeout resync
-    // rescinds it; a denial's rollback rides the reliable response path.
-    const DeltaWalk walk = path_->WalkDelta(
-        vci_, delta, now_seconds, rung_,
-        [&](std::size_t k) {
-          return DrawCellLoss(channel_, *rng_, vci_, delta, k, now_seconds);
-        },
-        [](std::size_t) { return false; });
-    const double rtt = path_->RoundTripSeconds() + ExtraDelaySeconds(channel_);
-    if (walk.end == DeltaWalk::End::kDenied) {
-      // Definitive answer; never retried.
-      ++stats_.denials;
-      out.latency_s += rtt;
-      ObserveSpans(out);
-      return out;
-    }
-    if (walk.end == DeltaWalk::End::kGranted && rtt <= retry_.timeout_s) {
-      granted_ = new_rate_bps;
-      acked_rung_ = rung_;  // a probe's rung becomes the contract rung
-      out.accepted = true;
-      out.latency_s += rtt;
-      if (retry_.resync_every_grants > 0 &&
-          ++grants_since_resync_ >= retry_.resync_every_grants) {
-        Resync(now_seconds);
-      }
-      ObserveSpans(out);
-      return out;
-    }
-    // Timed out — either lost in flight, or delivered but with the
-    // response past the deadline (delay spike), so the source has already
-    // declared the attempt dead and the stale grant must not stand. Rescind
-    // whatever partial or stale state the attempt left with a reliable
-    // absolute resync at the acknowledged rate *and rung*: carrying the
-    // in-flight requested rung here would rewrite the upgrade queues for
-    // a promotion that was never granted.
-    path_->Resync(vci_, granted_, now_seconds, acked_rung_);
-    ++stats_.timeouts;
-    out.latency_s += retry_.timeout_s;
-    if constexpr (obs::kEnabled) {
-      obs::Count(retry_.recorder, "signaling.reneg_timeouts");
-      obs::Emit(retry_.recorder, now_seconds, obs::EventKind::kRenegTimeout,
-                vci_, {"delta_bps", delta},
-                {"attempt", static_cast<double>(attempt + 1)});
-    }
-    if (attempt >= retry_.max_retries) {
-      ++stats_.abandoned;
-      out.timed_out = true;
-      ObserveSpans(out);
-      return out;
-    }
-    const double backoff = BackoffSeconds(retry_, attempt, rng_);
-    out.latency_s += backoff;
-    ++stats_.retries;
-    if constexpr (obs::kEnabled) {
-      obs::Count(retry_.recorder, "signaling.reneg_retries");
-      obs::Emit(retry_.recorder, now_seconds, obs::EventKind::kRenegRetry,
-                vci_, {"delta_bps", delta}, {"backoff_s", backoff},
-                {"attempt", static_cast<double>(attempt + 2)});
-    }
+  const AttemptEnd end = RetryLoop(
+      retry_, rng_,
+      [&](std::int64_t) {
+        ++stats_.attempts;
+        ++out.attempts;
+        // A loss leaves a phantom grant upstream until the timeout resync
+        // rescinds it; a denial's rollback rides the reliable response path.
+        const DeltaWalk walk = path_->WalkDelta(
+            vci_, delta, now_seconds, rung_,
+            [&](std::size_t k) {
+              return DrawCellLoss(channel_, *rng_, vci_, delta, k,
+                                  now_seconds);
+            },
+            [](std::size_t) { return false; });
+        const double rtt =
+            path_->RoundTripSeconds() + ExtraDelaySeconds(channel_);
+        if (walk.end == DeltaWalk::End::kDenied) {
+          // Definitive answer; never retried.
+          ++stats_.denials;
+          out.latency_s += rtt;
+          return AttemptEnd::kAnswered;
+        }
+        if (walk.end == DeltaWalk::End::kGranted && rtt <= retry_.timeout_s) {
+          granted_ = new_rate_bps;
+          acked_rung_ = rung_;  // a probe's rung becomes the contract rung
+          out.accepted = true;
+          out.latency_s += rtt;
+          if (retry_.resync_every_grants > 0 &&
+              ++grants_since_resync_ >= retry_.resync_every_grants) {
+            Resync(now_seconds);
+          }
+          return AttemptEnd::kAnswered;
+        }
+        return AttemptEnd::kTimedOut;
+      },
+      [&](std::int64_t attempt) {
+        // Lost in flight, or delivered with the response past the
+        // deadline (delay spike), so the stale grant must not stand.
+        // Rescind with the acknowledged rate *and rung*: carrying the
+        // in-flight requested rung here would rewrite the upgrade queues
+        // for a promotion that was never granted.
+        path_->Resync(vci_, granted_, now_seconds, acked_rung_);
+        ++stats_.timeouts;
+        out.latency_s += retry_.timeout_s;
+        if constexpr (obs::kEnabled) {
+          obs::Count(retry_.recorder, "signaling.reneg_timeouts");
+          obs::Emit(retry_.recorder, now_seconds,
+                    obs::EventKind::kRenegTimeout, vci_, {"delta_bps", delta},
+                    {"attempt", static_cast<double>(attempt + 1)});
+        }
+        return true;
+      },
+      [&](std::int64_t attempt, double backoff) {
+        out.latency_s += backoff;
+        ++stats_.retries;
+        if constexpr (obs::kEnabled) {
+          obs::Count(retry_.recorder, "signaling.reneg_retries");
+          obs::Emit(retry_.recorder, now_seconds, obs::EventKind::kRenegRetry,
+                    vci_, {"delta_bps", delta}, {"backoff_s", backoff},
+                    {"attempt", static_cast<double>(attempt + 2)});
+        }
+      });
+  if (end == AttemptEnd::kTimedOut) {
+    ++stats_.abandoned;
+    out.timed_out = true;
   }
-}
-
-void RetryingRenegotiator::ObserveSpans(const RenegotiationOutcome& out) {
   if (span_latency_ != nullptr) span_latency_->Record(out.latency_s);
   if (span_budget_ != nullptr) {
     span_budget_->Record(static_cast<double>(out.attempts) /
                          static_cast<double>(1 + retry_.max_retries));
   }
+  return out;
 }
 
 void RetryingRenegotiator::Resync(double now_seconds) {

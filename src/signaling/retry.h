@@ -20,6 +20,8 @@
 //    reliable absolute-rate resync at its last *acknowledged* rate, so a
 //    timed-out attempt leaves no drift behind — this is what makes bounded
 //    retries safe to compose with the all-or-nothing path semantics.
+//    RetryLoop owns that rule; this renegotiator and net::Client differ
+//    only in the hooks they pass it.
 //  - A response that arrives after the timeout (delivery delayed past the
 //    deadline by a ChannelConditions::extra_delay_s spike) is treated as
 //    lost-late: the grant is rescinded by the same resync and the source
@@ -64,15 +66,42 @@ struct RetryOptions {
   obs::Recorder* recorder = nullptr;
 };
 
+/// Throws InvalidArgument unless every field of `retry` is in range.
+void ValidateRetryOptions(const RetryOptions& retry);
+
 /// Backoff before retransmission `attempt` (0-based):
 ///   backoff_base_s * backoff_multiplier^attempt,
 /// scaled by (1 + U(-jitter_fraction, +jitter_fraction)) drawn from
-/// `rng` when jitter is on. This is *the* backoff contract — the
-/// renegotiator's retransmits and the daemon's reconnect loop
-/// (net/client.cc) both call it, so the sim-time retry tests pin the
-/// wall-clock behavior too.
+/// `rng` when jitter is on. This is *the* backoff contract — RetryLoop
+/// and the daemon's reconnect loop (net/client.cc) both call it, so the
+/// sim-time retry tests pin the wall-clock behavior too.
 double BackoffSeconds(const RetryOptions& retry, std::int64_t attempt,
                       Rng* rng);
+
+/// How one attempt of an acknowledged request ended.
+enum class AttemptEnd : std::uint8_t {
+  kAnswered,  // a definitive response (grant or denial) arrived in time
+  kTimedOut,  // no usable response by the deadline
+  kAborted,   // the transport died; nothing more can be sent
+};
+
+/// The acknowledged-request loop of RetryingRenegotiator and net::Client.
+/// After each timed-out `attempt(k)` it runs `on_timeout(k)` — the
+/// caller's rescind and bookkeeping, false if the link died — and only
+/// then gives up (budget spent: kTimedOut) or runs `on_backoff(k,
+/// BackoffSeconds(...))` and retransmits. So every timeout, the last
+/// included, is rescinded, and no backoff is drawn after the last one.
+template <typename Attempt, typename OnTimeout, typename OnBackoff>
+AttemptEnd RetryLoop(const RetryOptions& retry, Rng* rng, Attempt&& attempt,
+                     OnTimeout&& on_timeout, OnBackoff&& on_backoff) {
+  for (std::int64_t k = 0;; ++k) {
+    const AttemptEnd end = attempt(k);
+    if (end != AttemptEnd::kTimedOut) return end;
+    if (!on_timeout(k)) return AttemptEnd::kAborted;
+    if (k >= retry.max_retries) return AttemptEnd::kTimedOut;
+    on_backoff(k, BackoffSeconds(retry, k, rng));
+  }
+}
 
 struct RetryStats {
   std::int64_t requests = 0;   // Renegotiate() calls with a rate change
@@ -152,9 +181,6 @@ class RetryingRenegotiator {
   const RetryStats& stats() const { return stats_; }
 
  private:
-  /// Feeds the latency / retry-budget spans for a resolved request.
-  void ObserveSpans(const RenegotiationOutcome& out);
-
   SignalingPath* path_;
   std::uint64_t vci_;
   RetryOptions retry_;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -252,9 +253,10 @@ TEST(DpProperty, ByteIdenticalAcrossThreadCounts) {
 
 TEST(DpProperty, ValidationRejectsMalformedOptions) {
   const std::vector<double> workload = {1.0, 2.0, 1.0};
+  const std::vector<double> levels = {0.0, 2.0, 4.0};
   const auto expect_invalid = [&](auto mutate) {
     DpOptions options;
-    options.rate_levels = {0.0, 2.0, 4.0};
+    options.rate_levels = levels;
     options.buffer_bits = 5.0;
     options.cost = {3.0, 1.0};
     mutate(options);
@@ -264,11 +266,12 @@ TEST(DpProperty, ValidationRejectsMalformedOptions) {
   const double inf = std::numeric_limits<double>::infinity();
   expect_invalid([&](DpOptions& o) { o.buffer_bits = nan; });
   expect_invalid([&](DpOptions& o) { o.buffer_bits = -1.0; });
-  expect_invalid([&](DpOptions& o) { o.rate_levels = {0.0, 2.0, 2.0}; });
-  expect_invalid([&](DpOptions& o) { o.rate_levels = {4.0, 2.0}; });
-  expect_invalid([&](DpOptions& o) { o.rate_levels = {0.0, nan}; });
-  expect_invalid([&](DpOptions& o) { o.rate_levels = {0.0, inf}; });
-  expect_invalid([&](DpOptions& o) { o.rate_levels = {-1.0, 2.0}; });
+  // Malformed ladders are built whole and moved in.
+  for (std::vector<double> bad : {std::vector<double>{0.0, 2.0, 2.0},
+                                  {4.0, 2.0}, {0.0, nan}, {0.0, inf},
+                                  {-1.0, 2.0}}) {
+    expect_invalid([&](DpOptions& o) { o.rate_levels = std::move(bad); });
+  }
   expect_invalid([&](DpOptions& o) { o.cost.per_renegotiation = nan; });
   expect_invalid([&](DpOptions& o) { o.cost.per_bandwidth = nan; });
   expect_invalid([&](DpOptions& o) { o.cost.per_renegotiation = -1.0; });
@@ -285,7 +288,7 @@ TEST(DpProperty, ValidationRejectsMalformedOptions) {
 
   // Boundary values that must stay valid.
   DpOptions ok;
-  ok.rate_levels = {0.0, 2.0, 4.0};
+  ok.rate_levels = levels;
   ok.buffer_bits = 5.0;
   ok.cost = {0.0, 0.0};
   ok.decision_period = 1;

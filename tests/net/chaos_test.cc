@@ -98,7 +98,7 @@ TEST(ChaosTest, SameSeedsSameSessionLogByteForByte) {
   ASSERT_TRUE(first.Passed());
   ASSERT_TRUE(second.Passed());
   EXPECT_EQ(first.session_canonical, second.session_canonical);
-  EXPECT_EQ(first.session_jsonl, second.session_jsonl);
+  EXPECT_EQ(first.session.ToJsonl(), second.session.ToJsonl());
   EXPECT_TRUE(
       std::memcmp(&first.final_rate_bps, &second.final_rate_bps, 8) == 0);
   EXPECT_EQ(first.final_rung, second.final_rung);

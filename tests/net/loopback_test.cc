@@ -8,8 +8,10 @@
 // — and asserts every one dies as a clean kError frame, never a hang or
 // a silent accept.
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -19,6 +21,9 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "signaling/port_controller.h"
+#include "util/error.h"
+#include "util/rng.h"
 
 namespace rcbr::net {
 namespace {
@@ -354,6 +359,246 @@ TEST_F(ServerFixture, ResyncHelloRepairsACrashedServerByteExactly) {
   ASSERT_EQ(report->type, FrameType::kStateReport);
   EXPECT_TRUE(report->known);
   EXPECT_TRUE(SameBits(report->rate_bps, odd_rate * 1e6));
+}
+
+// --- The client's retry loop against a server that never answers deltas.
+
+// A scripted peer for one client session: it applies every kDelta to its
+// tracked rate but never answers one, echoes each kResync with a kGrant,
+// and answers kStateQuery from its own tracked rate, so the final audit
+// sees exactly what the client's rescinds left behind.
+class SilentDeltaServer {
+ public:
+  SilentDeltaServer() : listener_(*TcpListener::Bind(0)) {}
+
+  std::uint16_t port() const { return listener_.port(); }
+
+  /// Serves one connection until Bye or EOF.
+  void Serve() {
+    std::optional<TcpStream> stream;
+    for (int spins = 0; spins < 200 && !stream.has_value(); ++spins) {
+      stream = listener_.Accept(10);
+    }
+    if (!stream.has_value()) return;
+    FrameDecoder decoder;
+    std::uint64_t seq = 1;
+    for (;;) {
+      std::uint8_t buf[4096];
+      const RecvResult r = stream->RecvSome(buf, sizeof buf, 5000);
+      if (r.status != RecvStatus::kData) return;
+      decoder.Feed(buf, r.bytes);
+      Frame in;
+      while (decoder.Next(in) == DecodeStatus::kFrame) {
+        if (in.type == FrameType::kData) continue;
+        control_.push_back(in);
+        Frame out;
+        out.slot = in.slot;
+        out.seq = seq++;
+        out.rung = rung_;
+        switch (in.type) {
+          case FrameType::kHello:
+            rate_ = in.rate_bps;
+            out.rung = rung_ = in.rung;
+            out.type = FrameType::kWelcome;
+            out.accepted = true;
+            out.rate_bps = rate_;
+            break;
+          case FrameType::kDelta:
+            rate_ += in.delta_bps;  // applied, never answered
+            continue;
+          case FrameType::kResync:
+            rate_ = in.rate_bps;
+            out.rung = rung_ = in.rung;
+            out.type = FrameType::kGrant;
+            out.rate_bps = rate_;
+            break;
+          case FrameType::kStateQuery:
+            out.type = FrameType::kStateReport;
+            out.known = true;
+            out.rate_bps = rate_;
+            break;
+          case FrameType::kHeartbeat:
+            out.type = FrameType::kHeartbeatAck;
+            break;
+          default:  // kBye
+            out.type = FrameType::kByeAck;
+            break;
+        }
+        const std::vector<std::uint8_t> bytes = Encode(out);
+        if (!stream->SendAll(bytes.data(), bytes.size()) ||
+            out.type == FrameType::kByeAck) {
+          return;
+        }
+      }
+    }
+  }
+
+  // Call after Serve() has returned.
+  const std::vector<Frame>& control() const { return control_; }
+  double rate() const { return rate_; }
+
+ private:
+  TcpListener listener_;
+  std::vector<Frame> control_;  // every non-data frame received, in order
+  double rate_ = 0;
+  std::uint32_t rung_ = 0;
+};
+
+TEST(ClientRetry, EveryDeltaTimeoutIsRescindedTheLastOneToo) {
+  for (const std::int64_t max_retries : {0, 1}) {
+    SCOPED_TRACE(max_retries);
+    SilentDeltaServer server;
+    std::thread thread([&server] { server.Serve(); });
+    ClientOptions options;
+    options.port = server.port();
+    options.slots = 60;
+    options.slot_seconds = 0.005;
+    options.heuristic.initial_rate_bits_per_slot = 32e3;
+    options.heuristic.granularity_bits_per_slot = 4e3;
+    options.heuristic.max_rate_bits_per_slot = 96e3;
+    options.retry.max_retries = max_retries;
+    options.response_deadline_ms = 150;
+    options.seed = 11;
+    Client client(options);
+    const bool completed = client.Run();
+    thread.join();
+    ASSERT_TRUE(completed);
+
+    // No delta was ever granted, so the acknowledged rate is the
+    // admitted one, and every delta attempt — the last of each request
+    // included — is followed by a resync back to it.
+    const std::vector<Frame>& frames = server.control();
+    std::int64_t deltas = 0;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      if (frames[i].type != FrameType::kDelta) continue;
+      ++deltas;
+      ASSERT_LT(i + 1, frames.size());
+      EXPECT_EQ(frames[i + 1].type, FrameType::kResync);
+      EXPECT_TRUE(SameBits(frames[i + 1].rate_bps, client.granted_bps()));
+    }
+    const ClientStats& stats = client.stats();
+    EXPECT_GT(stats.holds, 0);
+    EXPECT_EQ(deltas, stats.holds * (1 + max_retries));
+    EXPECT_EQ(stats.timeouts, deltas);
+    EXPECT_EQ(stats.resyncs, deltas);
+    EXPECT_EQ(stats.grants, 0);
+    EXPECT_EQ(stats.desyncs, 0);
+    EXPECT_TRUE(SameBits(server.rate(), client.granted_bps()));
+  }
+}
+
+TEST(ClientRetry, ConstructorRejectsUnusableRetryOptions) {
+  const auto with = [](auto edit) {
+    ClientOptions options;
+    options.heuristic.initial_rate_bits_per_slot = 32e3;
+    options.heuristic.granularity_bits_per_slot = 4e3;
+    options.heuristic.max_rate_bits_per_slot = 96e3;
+    edit(options.retry);
+    return options;
+  };
+  using R = signaling::RetryOptions;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Client(with([](R& r) { r.timeout_s = 0; })), InvalidArgument);
+  EXPECT_THROW(Client(with([&](R& r) { r.timeout_s = nan; })),
+               InvalidArgument);
+  EXPECT_THROW(Client(with([](R& r) { r.max_retries = -1; })),
+               InvalidArgument);
+  EXPECT_THROW(Client(with([&](R& r) { r.backoff_base_s = nan; })),
+               InvalidArgument);
+  EXPECT_THROW(Client(with([](R& r) { r.backoff_multiplier = 0.5; })),
+               InvalidArgument);
+  EXPECT_THROW(Client(with([](R& r) { r.jitter_fraction = 1.0; })),
+               InvalidArgument);
+  EXPECT_THROW(Client(with([](R& r) { r.resync_every_grants = -1; })),
+               InvalidArgument);
+  EXPECT_NO_THROW(Client(with([](R&) {})));
+}
+
+// --- Sim<->daemon differential. ---
+
+// One seeded sequence of Hello and Delta requests with rungs, spread over
+// a few connections, runs through an in-process PortController and
+// through the Server over unimpaired loopback with the same capacity and
+// tolerance. Every verdict, rung and rate must agree bit for bit, and so
+// must the ports' final state.
+TEST_F(ServerFixture, DaemonMatchesInProcessPortControllerBitForBit) {
+  ServerOptions server_options;
+  server_options.capacity_bps = 10e6;
+  StartServer(server_options);
+  signaling::PortController model(server_options.capacity_bps,
+                                  /*track_connections=*/true, nullptr,
+                                  server_options.admission_tolerance_bps);
+
+  constexpr std::size_t kConns = 4;
+  std::vector<RawPeer> peers;
+  for (std::size_t c = 0; c < kConns; ++c) {
+    auto peer = RawPeer::Connect(server_->port());
+    ASSERT_TRUE(peer.has_value());
+    peers.push_back(std::move(*peer));
+  }
+  std::vector<bool> admitted(kConns, false);
+  std::vector<double> rate(kConns, 0);
+  std::vector<std::uint32_t> rung(kConns, 0);
+  Rng rng(2024);
+  std::int64_t delta_grants = 0;
+  std::int64_t delta_denials = 0;
+  for (std::uint32_t step = 1; step <= 300; ++step) {
+    SCOPED_TRACE(step);
+    const std::size_t c =
+        static_cast<std::size_t>(rng.UniformInt(0, kConns - 1));
+    const std::uint64_t vci = 100 + c;
+    const auto want_rung = static_cast<std::uint32_t>(rng.UniformInt(0, 2));
+    Frame request;
+    bool accepted = false;
+    double want_rate = 0;
+    if (!admitted[c]) {
+      request = HelloFrame(rng.Uniform(1e6, 5e6), vci, want_rung);
+      want_rate = request.rate_bps;
+      accepted = model.AdmitConnection(vci, want_rate, want_rung);
+      admitted[c] = accepted;
+    } else {
+      request.type = FrameType::kDelta;
+      request.delta_bps = std::max(rng.Uniform(-2e6, 3e6), -rate[c]);
+      request.rung = want_rung;
+      want_rate = rate[c] + request.delta_bps;
+      accepted = model
+                     .Handle(signaling::RmCell::Delta(vci, request.delta_bps,
+                                                      want_rung),
+                             step * 0.01)
+                     .accepted;
+      (accepted ? delta_grants : delta_denials) += 1;
+    }
+    if (accepted) {
+      rate[c] = want_rate;
+      rung[c] = want_rung;
+    }
+    request.slot = step;
+    ASSERT_TRUE(peers[c].Send(request));
+    const std::optional<Frame> reply = peers[c].Next();
+    ASSERT_TRUE(reply.has_value());
+    if (request.type == FrameType::kHello) {
+      ASSERT_EQ(reply->type, FrameType::kWelcome);
+      ASSERT_EQ(reply->accepted, accepted);
+      if (!accepted) continue;  // a refused Hello carries no contract
+    } else {
+      ASSERT_EQ(reply->type,
+                accepted ? FrameType::kGrant : FrameType::kDeny);
+    }
+    EXPECT_TRUE(SameBits(reply->rate_bps, rate[c]));
+    EXPECT_EQ(reply->rung, rung[c]);
+  }
+  EXPECT_GT(delta_grants, 0);
+  EXPECT_GT(delta_denials, 0);
+
+  server_->Stop();
+  thread_.join();
+  EXPECT_TRUE(SameBits(server_->utilization_bps(), model.utilization_bps()));
+  for (std::size_t c = 0; c < kConns; ++c) {
+    EXPECT_TRUE(SameBits(server_->TrackedRate(100 + c),
+                         model.TrackedRate(100 + c)));
+    EXPECT_EQ(server_->IsUpgradeWaiter(100 + c),
+              model.IsUpgradeWaiter(100 + c));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -431,6 +432,81 @@ TEST_F(RetryTest, CrashDuringPendingUpgradeResyncRebuildsTheAckedRung) {
   EXPECT_EQ(source.acked_rung(), 1u);
   // The still-pending probe remains pending: requested rung unchanged.
   EXPECT_EQ(source.rung(), 0u);
+}
+
+// --- The shared acknowledged-request loop (also drives net/client). ---
+
+// Runs RetryLoop over a scripted attempt sequence and returns its hook
+// calls in order: "a<k>" attempt, "t<k>" on_timeout, "b<k>" on_backoff.
+std::vector<std::string> LoopCalls(std::int64_t max_retries,
+                                   std::vector<AttemptEnd> script,
+                                   bool link_survives, Rng* rng,
+                                   AttemptEnd* end) {
+  RetryOptions retry;
+  retry.max_retries = max_retries;
+  Rng mirror = *rng;
+  std::vector<std::string> calls;
+  *end = RetryLoop(
+      retry, rng,
+      [&](std::int64_t k) {
+        calls.push_back("a" + std::to_string(k));
+        return static_cast<std::size_t>(k) < script.size()
+                   ? script[static_cast<std::size_t>(k)]
+                   : AttemptEnd::kTimedOut;
+      },
+      [&](std::int64_t k) {
+        calls.push_back("t" + std::to_string(k));
+        return link_survives;
+      },
+      [&](std::int64_t k, double backoff) {
+        calls.push_back("b" + std::to_string(k));
+        EXPECT_EQ(backoff, BackoffSeconds(retry, k, &mirror));
+      });
+  // The loop drew from `rng` exactly once per on_backoff call (the
+  // mirror replayed those draws), so nothing after the last attempt.
+  EXPECT_EQ(rng->Uniform(), mirror.Uniform());
+  return calls;
+}
+
+TEST(RetryLoop, RescindsEveryTimeoutAndBacksOffOnlyBetweenAttempts) {
+  for (const std::int64_t budget : {0, 1, 3}) {
+    SCOPED_TRACE(budget);
+    Rng rng(21);
+    AttemptEnd end = AttemptEnd::kAnswered;
+    const std::vector<std::string> calls =
+        LoopCalls(budget, {}, /*link_survives=*/true, &rng, &end);
+    EXPECT_EQ(end, AttemptEnd::kTimedOut);
+    std::vector<std::string> expected;
+    for (std::int64_t k = 0; k <= budget; ++k) {
+      expected.push_back("a" + std::to_string(k));
+      expected.push_back("t" + std::to_string(k));
+      if (k < budget) expected.push_back("b" + std::to_string(k));
+    }
+    EXPECT_EQ(calls, expected);
+  }
+}
+
+TEST(RetryLoop, AnswerOrAbortEndsTheLoopWithoutRescind) {
+  Rng rng(22);
+  AttemptEnd end = AttemptEnd::kTimedOut;
+  EXPECT_EQ(LoopCalls(3, {AttemptEnd::kTimedOut, AttemptEnd::kAnswered},
+                      true, &rng, &end),
+            (std::vector<std::string>{"a0", "t0", "b0", "a1"}));
+  EXPECT_EQ(end, AttemptEnd::kAnswered);
+  EXPECT_EQ(LoopCalls(3, {AttemptEnd::kAborted}, true, &rng, &end),
+            (std::vector<std::string>{"a0"}));
+  EXPECT_EQ(end, AttemptEnd::kAborted);
+}
+
+TEST(RetryLoop, DeadLinkOnTimeoutStopsBeforeAnyBackoff) {
+  for (const std::int64_t budget : {0, 1, 3}) {
+    SCOPED_TRACE(budget);
+    Rng rng(23);
+    AttemptEnd end = AttemptEnd::kAnswered;
+    EXPECT_EQ(LoopCalls(budget, {}, /*link_survives=*/false, &rng, &end),
+              (std::vector<std::string>{"a0", "t0"}));
+    EXPECT_EQ(end, AttemptEnd::kAborted);
+  }
 }
 
 }  // namespace
