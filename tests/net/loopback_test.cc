@@ -487,6 +487,164 @@ TEST(ClientRetry, EveryDeltaTimeoutIsRescindedTheLastOneToo) {
   }
 }
 
+// --- The client's ladder contract against a scripted server.
+
+// A scripted peer for one client session: it refuses Hello below rung
+// 2, denies every third ordinary delta and grants the rest, denies the
+// first upgrade probe (a delta toward a better rung) and grants every
+// later one, echoes kResync with a kGrant and answers kStateQuery from
+// its tracked rate and rung. Every answer is immediate, so the session
+// is a pure function of the client's seed.
+class LadderScriptServer {
+ public:
+  LadderScriptServer() : listener_(*TcpListener::Bind(0)) {}
+
+  std::uint16_t port() const { return listener_.port(); }
+
+  /// Serves one connection until Bye or EOF.
+  void Serve() {
+    std::optional<TcpStream> stream;
+    for (int spins = 0; spins < 200 && !stream.has_value(); ++spins) {
+      stream = listener_.Accept(10);
+    }
+    if (!stream.has_value()) return;
+    FrameDecoder decoder;
+    std::uint64_t seq = 1;
+    std::int64_t deltas = 0;
+    std::int64_t probes = 0;
+    for (;;) {
+      std::uint8_t buf[4096];
+      const RecvResult r = stream->RecvSome(buf, sizeof buf, 5000);
+      if (r.status != RecvStatus::kData) return;
+      decoder.Feed(buf, r.bytes);
+      Frame in;
+      while (decoder.Next(in) == DecodeStatus::kFrame) {
+        if (in.type == FrameType::kData) continue;
+        Frame out;
+        out.slot = in.slot;
+        out.seq = seq++;
+        out.rung = rung_;
+        switch (in.type) {
+          case FrameType::kHello:
+            out.type = FrameType::kWelcome;
+            out.accepted = in.rung >= 2;
+            if (out.accepted) {
+              rate_ = in.rate_bps;
+              rung_ = in.rung;
+            }
+            out.rate_bps = in.rate_bps;
+            out.rung = in.rung;
+            break;
+          case FrameType::kDelta: {
+            const bool probe = in.rung < rung_;
+            const bool grant = probe ? probes++ > 0 : ++deltas % 3 != 0;
+            out.type = grant ? FrameType::kGrant : FrameType::kDeny;
+            if (grant) {
+              rate_ += in.delta_bps;
+              rung_ = in.rung;
+            }
+            out.rate_bps = rate_;
+            out.rung = rung_;
+            break;
+          }
+          case FrameType::kResync:
+            rate_ = in.rate_bps;
+            out.rung = rung_ = in.rung;
+            out.type = FrameType::kGrant;
+            out.rate_bps = rate_;
+            break;
+          case FrameType::kStateQuery:
+            out.type = FrameType::kStateReport;
+            out.known = true;
+            out.rate_bps = rate_;
+            break;
+          case FrameType::kHeartbeat:
+            out.type = FrameType::kHeartbeatAck;
+            break;
+          default:  // kBye
+            out.type = FrameType::kByeAck;
+            break;
+        }
+        const std::vector<std::uint8_t> bytes = Encode(out);
+        if (!stream->SendAll(bytes.data(), bytes.size()) ||
+            out.type == FrameType::kByeAck) {
+          return;
+        }
+      }
+    }
+  }
+
+  // Call after Serve() has returned.
+  double rate() const { return rate_; }
+  std::uint32_t rung() const { return rung_; }
+
+ private:
+  TcpListener listener_;
+  double rate_ = 0;
+  std::uint32_t rung_ = 0;
+};
+
+// FNV-1a, 64-bit: a stable fingerprint for pinning bytes.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::string RateBits(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return std::to_string(bits);
+}
+
+// Pins the session log and the contract's final rate bits of a client
+// that connects downgraded to rung 2 of a {1, 0.6, 0.35} ladder, has
+// deltas granted and denied at that rung, has its first upgrade probe
+// denied and the next one granted, and ends the session at rung 0.
+TEST(ClientPin, LadderSessionAgainstScriptedServer) {
+  LadderScriptServer server;
+  std::thread thread([&server] { server.Serve(); });
+  ClientOptions options;
+  options.port = server.port();
+  options.slots = 120;
+  options.slot_seconds = 0.003;
+  options.ladder =
+      sim::RateLadder::FromScales({1.0, 0.6, 0.35}, {1.0, 0.7, 0.4});
+  options.upgrade_every_slots = 30;
+  options.heuristic.initial_rate_bits_per_slot = 32e3;
+  options.heuristic.granularity_bits_per_slot = 3e3;
+  options.heuristic.max_rate_bits_per_slot = 96e3;
+  options.heuristic.denial_cooldown_slots = 4;
+  options.response_deadline_ms = 2000;
+  options.seed = 23;
+  Client client(options);
+  const bool completed = client.Run();
+  thread.join();
+  ASSERT_TRUE(completed);
+
+  const ClientStats& stats = client.stats();
+  EXPECT_EQ(client.log().Count(SessionEventKind::kConnectDenied), 2u);
+  EXPECT_GT(stats.grants, 0);
+  EXPECT_GT(stats.denies, 0);
+  EXPECT_EQ(stats.upgrades, 2);
+  EXPECT_EQ(stats.timeouts, 0);
+  EXPECT_EQ(stats.desyncs, 0);
+  EXPECT_EQ(client.rung(), 0u);
+  EXPECT_TRUE(SameBits(server.rate(), client.granted_bps()));
+
+  const std::string jsonl = client.log().ToJsonl();
+  EXPECT_EQ(jsonl.size(), 2280u) << jsonl;
+  EXPECT_EQ(Fnv1a(jsonl), 13612883619768396410ull);
+  EXPECT_EQ(RateBits(client.granted_bps()), "4718818273909538816");
+  EXPECT_EQ(stats.grants, 10);
+  EXPECT_EQ(stats.denies, 5);
+  EXPECT_EQ(stats.slots, 120);
+  EXPECT_EQ(RateBits(stats.lost_bits), "0");
+}
+
 TEST(ClientRetry, ConstructorRejectsUnusableRetryOptions) {
   const auto with = [](auto edit) {
     ClientOptions options;
