@@ -8,11 +8,14 @@ namespace rcbr::core {
 
 RcbrSource::RcbrSource(std::uint64_t vci, double slot_seconds,
                        double buffer_bits, signaling::SignalingPath* path,
-                       obs::Recorder* recorder)
+                       obs::Recorder* recorder,
+                       std::unique_ptr<RateController> controller)
     : vci_(vci),
       slot_seconds_(slot_seconds),
       path_(path),
       queue_(buffer_bits, recorder, vci),
+      controller_(std::move(controller)),
+      contract_(controller_.get(), 1.0),
       obs_(recorder) {
   Require(slot_seconds > 0, "RcbrSource: slot duration must be positive");
   Require(path != nullptr, "RcbrSource: null signaling path");
@@ -36,7 +39,7 @@ RcbrSource RcbrSource::Offline(std::uint64_t vci, PiecewiseConstant schedule,
                                double slot_seconds, double buffer_bits,
                                signaling::SignalingPath* path,
                                obs::Recorder* recorder) {
-  RcbrSource source(vci, slot_seconds, buffer_bits, path, recorder);
+  RcbrSource source(vci, slot_seconds, buffer_bits, path, recorder, nullptr);
   source.schedule_.emplace(std::move(schedule));
   return source;
 }
@@ -61,9 +64,8 @@ RcbrSource RcbrSource::OnlineWith(std::uint64_t vci,
                                   signaling::SignalingPath* path,
                                   obs::Recorder* recorder) {
   Require(controller != nullptr, "RcbrSource::OnlineWith: null controller");
-  RcbrSource source(vci, slot_seconds, buffer_bits, path, recorder);
-  source.controller_ = std::move(controller);
-  return source;
+  return RcbrSource(vci, slot_seconds, buffer_bits, path, recorder,
+                    std::move(controller));
 }
 
 void RcbrSource::EnableRobustSignaling(
@@ -103,47 +105,30 @@ void RcbrSource::EnableRobustSignaling(
 
 void RcbrSource::SetLadder(const sim::RateLadder& ladder) {
   Require(!connected_, "RcbrSource::SetLadder: call before Connect()");
-  ladder_ = ladder;
+  contract_.SetLadder(ladder);
 }
 
 bool RcbrSource::Connect() {
   Require(!connected_, "RcbrSource::Connect: already connected");
-  double initial = 0;
-  if (schedule_.has_value()) {
-    initial = schedule_->steps().front().value;
-  } else {
-    initial = controller_->current_rate();
-  }
-  full_ask_ = initial;
-  // Walk the ladder best-rung-first: a saturated path downgrades the
-  // connect instead of blocking it. Without a ladder the loop is a single
-  // full-ask attempt, exactly the legacy behavior.
-  const std::size_t depth = ladder_.empty() ? 1 : ladder_.depth();
-  bool admitted = false;
-  double granted = initial;
-  for (std::size_t r = 0; r < depth && !admitted; ++r) {
-    granted = ladder_.empty() ? initial : ladder_.RateAt(r, initial);
-    if (path_->SetupConnection(vci_, ToBps(granted),
-                               static_cast<std::uint32_t>(r))) {
-      admitted = true;
-      rung_ = static_cast<std::uint32_t>(r);
-    }
-  }
-  if (!admitted) return false;
-  granted_rate_ = granted;
+  const double initial = schedule_.has_value()
+                             ? schedule_->steps().front().value
+                             : controller_->current_rate();
+  // A saturated path downgrades the connect instead of blocking it.
+  const sim::RungAnswer answer =
+      contract_.Connect(initial, [&](std::uint32_t rung, double& rate) {
+        return path_->SetupConnection(vci_, ToBps(rate), rung)
+                   ? sim::RungAnswer::kGranted
+                   : sim::RungAnswer::kDenied;
+      });
+  if (answer != sim::RungAnswer::kGranted) return false;
   connected_ = true;
   if (robust_) {
     transport_ = std::make_unique<signaling::RetryingRenegotiator>(
-        path_, vci_, ToBps(granted), retry_options_, channel_options_,
-        signaling_rng_);
-    transport_->set_rung(rung_);
+        path_, vci_, ToBps(contract_.granted()), retry_options_,
+        channel_options_, signaling_rng_);
+    transport_->set_rung(contract_.rung());
   }
-  if (rung_ > 0) {
-    // Admission downgraded the contract: the controller adopts the
-    // imposed rate through the same path the fallback machine uses.
-    ++stats_.downgraded_connects;
-    ImposeRate(granted_rate_);
-  }
+  if (contract_.rung() > 0) ++stats_.downgraded_connects;
   return true;
 }
 
@@ -156,48 +141,53 @@ void RcbrSource::ResyncSignaling() {
 
 void RcbrSource::Disconnect() {
   if (!connected_) return;
-  path_->TeardownConnection(vci_, ToBps(granted_rate_));
+  path_->TeardownConnection(vci_, ToBps(contract_.granted()));
   connected_ = false;
 }
 
 bool RcbrSource::TryUpgrade() {
   Require(connected_, "RcbrSource::TryUpgrade: not connected");
-  if (ladder_.empty() || rung_ == 0) return false;
+  const std::uint32_t from = contract_.rung();
   const double now = static_cast<double>(stats_.slots);
-  for (std::uint32_t target = 0; target < rung_; ++target) {
-    const double want = ladder_.RateAt(target, full_ask_);
-    bool accepted;
-    if (transport_ != nullptr) {
-      // Probe-only rung: a timed-out attempt's rescind resync must keep
-      // carrying the *current* contract rung, or the probe toward rung 0
-      // would silently deregister this call from every hop's upgrade
-      // queue despite the upgrade failing.
-      transport_->SetRequestedRung(target);
-      accepted = transport_->Renegotiate(ToBps(want), now).accepted;
-      if (!accepted) transport_->SetRequestedRung(rung_);
-    } else {
-      accepted =
-          path_->RequestDelta(vci_, ToBps(want - granted_rate_), now, target)
-              .accepted;
-    }
-    if (!accepted) continue;
-    const std::uint32_t from = rung_;
-    rung_ = target;
-    granted_rate_ = want;
-    ++stats_.upgrades;
-    // Same imposed-rate path as a downgraded connect or fallback entry:
-    // the promotion was granted outside the controller's request flow.
-    ImposeRate(granted_rate_);
-    if constexpr (obs::kEnabled) {
-      obs::Count(obs_, "source.upgrades");
-      obs::Emit(obs_, now, obs::EventKind::kCallUpgrade, vci_,
-                {"from_rung", static_cast<double>(from)},
-                {"to_rung", static_cast<double>(target)},
-                {"rate_bits_per_slot", want});
-    }
-    return true;
+  const sim::RungWalk walk =
+      contract_.Upgrade([&](std::uint32_t target, double& want) {
+        const signaling::RenegotiationOutcome outcome =
+            Request(want, target, now);
+        if (outcome.accepted) return sim::RungAnswer::kGranted;
+        return outcome.timed_out ? sim::RungAnswer::kStopped
+                                 : sim::RungAnswer::kDenied;
+      });
+  if (walk.answer != sim::RungAnswer::kGranted) return false;
+  ++stats_.upgrades;
+  if constexpr (obs::kEnabled) {
+    obs::Count(obs_, "source.upgrades");
+    obs::Emit(obs_, now, obs::EventKind::kCallUpgrade, vci_,
+              {"from_rung", static_cast<double>(from)},
+              {"to_rung", static_cast<double>(walk.rung)},
+              {"rate_bits_per_slot", contract_.granted()});
   }
-  return false;
+  return true;
+}
+
+signaling::RenegotiationOutcome RcbrSource::Request(double rate,
+                                                    std::uint32_t rung,
+                                                    double now) {
+  if (transport_ == nullptr) {
+    signaling::RenegotiationOutcome outcome;
+    outcome.accepted =
+        path_
+            ->RequestDelta(vci_, ToBps(rate - contract_.granted()), now, rung)
+            .accepted;
+    return outcome;
+  }
+  // The rung rides the request cells only: a timed-out attempt's rescind
+  // keeps carrying the contract's rung, or a failed probe toward rung 0
+  // would deregister the call from every hop's upgrade queue.
+  transport_->SetRequestedRung(rung);
+  const signaling::RenegotiationOutcome outcome =
+      transport_->Renegotiate(ToBps(rate), now);
+  if (!outcome.accepted) transport_->SetRequestedRung(contract_.rung());
+  return outcome;
 }
 
 std::optional<double> RcbrSource::OfflineDesiredRate() const {
@@ -206,51 +196,34 @@ std::optional<double> RcbrSource::OfflineDesiredRate() const {
   return schedule_->At(t);
 }
 
-void RcbrSource::ImposeRate(double rate_bits_per_slot) {
-  if (controller_ != nullptr) controller_->OnRateImposed(rate_bits_per_slot);
-}
-
 bool RcbrSource::TryRenegotiate(double desired, SlotResult& result) {
-  // The ladder scales every contract rate — schedule, heuristic and
-  // fallback asks alike — by the current rung; the unscaled ask is kept
-  // as the base a later upgrade scales from. Without a ladder (and at
-  // rung 0, bit-exactly) `desired` passes through untouched.
-  full_ask_ = desired;
-  if (!ladder_.empty()) desired = ladder_.RateAt(rung_, desired);
-  if (desired == granted_rate_) return true;
+  // Schedule, heuristic and fallback asks alike are scaled by the rung.
+  const std::optional<double> ask = contract_.Ask(desired);
+  if (!ask.has_value()) return true;
+  desired = *ask;
   result.renegotiated = true;
   ++stats_.renegotiation_attempts;
   if (ctr_attempts_ != nullptr) ctr_attempts_->Add();
-  const double old_rate = granted_rate_;
+  const double old_rate = contract_.granted();
   const double now = static_cast<double>(stats_.slots);
   if constexpr (obs::kEnabled) {
     obs::Emit(obs_, now, obs::EventKind::kRenegRequest, vci_,
               {"old_bits_per_slot", old_rate},
               {"new_bits_per_slot", desired});
   }
-  bool accepted;
-  bool timed_out = false;
-  if (transport_ != nullptr) {
-    const signaling::RenegotiationOutcome outcome =
-        transport_->Renegotiate(ToBps(desired), now);
-    accepted = outcome.accepted;
-    timed_out = outcome.timed_out;
-    result.renegotiation_latency_s += outcome.latency_s;
-    result.renegotiation_cells += outcome.attempts;
-    if (timed_out) ++stats_.renegotiation_timeouts;
-    if (span_reneg_latency_ != nullptr) {
-      span_reneg_latency_->Record(outcome.latency_s);
-    }
-    if (span_reneg_cells_ != nullptr) {
-      span_reneg_cells_->Record(static_cast<double>(outcome.attempts));
-    }
-  } else {
-    accepted =
-        path_->RequestDelta(vci_, ToBps(desired - granted_rate_), now, rung_)
-            .accepted;
+  const signaling::RenegotiationOutcome outcome =
+      Request(desired, contract_.rung(), now);
+  result.renegotiation_latency_s += outcome.latency_s;
+  result.renegotiation_cells += outcome.attempts;
+  if (outcome.timed_out) ++stats_.renegotiation_timeouts;
+  if (transport_ != nullptr && span_reneg_latency_ != nullptr) {
+    span_reneg_latency_->Record(outcome.latency_s);
   }
-  if (accepted) {
-    granted_rate_ = desired;
+  if (transport_ != nullptr && span_reneg_cells_ != nullptr) {
+    span_reneg_cells_->Record(static_cast<double>(outcome.attempts));
+  }
+  if (outcome.accepted) {
+    contract_.OnGranted(desired);
     obs::Emit(obs_, now, obs::EventKind::kRenegGrant, vci_,
               {"old_bits_per_slot", old_rate},
               {"new_bits_per_slot", desired});
@@ -260,14 +233,14 @@ bool RcbrSource::TryRenegotiate(double desired, SlotResult& result) {
     if (ctr_failures_ != nullptr) ctr_failures_->Add();
     // Timeouts already emitted kRenegTimeout from the transport; only an
     // explicit refusal is a deny.
-    if (!timed_out) {
+    if (!outcome.timed_out) {
       obs::Emit(obs_, now, obs::EventKind::kRenegDeny, vci_,
                 {"old_bits_per_slot", old_rate},
                 {"new_bits_per_slot", desired});
     }
-    if (controller_ != nullptr) controller_->OnRequestDenied(granted_rate_);
+    contract_.OnRequestDenied();
   }
-  return accepted;
+  return outcome.accepted;
 }
 
 void RcbrSource::StepDegradation(const std::optional<double>& desired,
@@ -294,7 +267,7 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
         if constexpr (obs::kEnabled) {
           obs::Count(obs_, "source.degrade_holds");
           obs::Emit(obs_, now, obs::EventKind::kDegradeHold, vci_,
-                    {"granted_bits_per_slot", granted_rate_},
+                    {"granted_bits_per_slot", contract_.granted()},
                     {"buffer_bits", occupancy});
         }
       }
@@ -302,7 +275,7 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
     }
     case SourceMode::kHold: {
       if (occupancy >= escalate_at &&
-          granted_rate_ < degradation_.fallback_rate_bits_per_slot) {
+          contract_.granted() < degradation_.fallback_rate_bits_per_slot) {
         // About to overflow: escalate to the peak-rate fallback, retrying
         // every slot until some attempt lands.
         if (TryRenegotiate(degradation_.fallback_rate_bits_per_slot,
@@ -314,11 +287,11 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
           mode_ = SourceMode::kFallback;
           mode_entered_slot_ = slot_;
           ++stats_.fallback_entries;
-          ImposeRate(granted_rate_);
+          contract_.OnRateImposed();
           if constexpr (obs::kEnabled) {
             obs::Count(obs_, "source.fallback_entries");
             obs::Emit(obs_, now, obs::EventKind::kDegradeFallback, vci_,
-                      {"rate_bits_per_slot", granted_rate_},
+                      {"rate_bits_per_slot", contract_.granted()},
                       {"buffer_bits", occupancy});
           }
         }
@@ -337,7 +310,7 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
           if constexpr (obs::kEnabled) {
             obs::Count(obs_, "source.degrade_recoveries");
             obs::Emit(obs_, now, obs::EventKind::kDegradeRecover, vci_,
-                      {"rate_bits_per_slot", granted_rate_},
+                      {"rate_bits_per_slot", contract_.granted()},
                       {"buffer_bits", occupancy});
           }
         } else {
@@ -348,7 +321,7 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
     }
     case SourceMode::kFallback: {
       if (occupancy <= recover_at && desired.has_value() &&
-          *desired < granted_rate_) {
+          *desired < contract_.granted()) {
         // Backlog drained; hand the rate back to the schedule/heuristic.
         if (TryRenegotiate(*desired, result)) {
           if (span_fallback_dwell_ != nullptr) {
@@ -361,7 +334,7 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
           if constexpr (obs::kEnabled) {
             obs::Count(obs_, "source.degrade_recoveries");
             obs::Emit(obs_, now, obs::EventKind::kDegradeRecover, vci_,
-                      {"rate_bits_per_slot", granted_rate_},
+                      {"rate_bits_per_slot", contract_.granted()},
                       {"buffer_bits", occupancy});
           }
         }
@@ -376,7 +349,7 @@ RcbrSource::SlotResult RcbrSource::Step(double arrival_bits) {
   SlotResult result;
 
   // Drain this slot at the currently granted rate.
-  result.lost_bits = queue_.Step(arrival_bits, granted_rate_);
+  result.lost_bits = queue_.Step(arrival_bits, contract_.granted());
   ++stats_.slots;
   ++slot_;
 
@@ -387,7 +360,7 @@ RcbrSource::SlotResult RcbrSource::Step(double arrival_bits) {
     desired = OfflineDesiredRate();
   } else {
     // The controller has already accounted this slot's drain via Step.
-    desired = controller_->Step(arrival_bits, granted_rate_);
+    desired = controller_->Step(arrival_bits, contract_.granted());
   }
   if (degradation_.enabled) {
     StepDegradation(desired, result);
@@ -401,7 +374,7 @@ RcbrSource::SlotResult RcbrSource::Step(double arrival_bits) {
                      static_cast<double>(mode_));
   }
 
-  result.granted_rate_bits_per_slot = granted_rate_;
+  result.granted_rate_bits_per_slot = contract_.granted();
   stats_.lost_bits = queue_.lost_bits();
   stats_.arrived_bits = queue_.arrived_bits();
   stats_.max_buffer_bits = queue_.max_occupancy_bits();

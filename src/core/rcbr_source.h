@@ -5,10 +5,12 @@
 // fixed-size buffer which is drained at a constant rate"), a renegotiation
 // decision maker (a precomputed offline schedule or the online AR(1)
 // controller), and the signaling path used to renegotiate the drain rate
-// hop by hop. A failed renegotiation leaves the source at its previous
-// rate — "even if the renegotiation fails, the source can keep whatever
-// bandwidth it already has" — and the source retries at the next slot
-// (offline) or at the next heuristic trigger (online).
+// hop by hop. The contract itself — a failed renegotiation keeps the
+// rate the source already has, the ladder walk and the rung-scaled ask —
+// is core::SourceContract, shared with the daemon's net::Client; this
+// class supplies its SignalingPath / RetryingRenegotiator hooks, in
+// bits/slot, and the degradation walk below. The source retries at the
+// next slot (offline) or at the next heuristic trigger (online).
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <optional>
 
 #include "core/online_heuristic.h"
+#include "core/source_contract.h"
 #include "signaling/path.h"
 #include "signaling/retry.h"
 #include "sim/fluid_queue.h"
@@ -122,15 +125,10 @@ class RcbrSource {
                              Rng* rng,
                              const DegradationOptions& degradation = {});
 
-  /// Arms the multi-resolution contract: Connect() walks the ladder
-  /// best-rung-first instead of failing outright, every renegotiated rate
-  /// is scaled by the current rung, and TryUpgrade() probes back toward
-  /// rung 0. A connect or upgrade that lands away from the controller's
-  /// own request flow goes through the same imposed-rate path as the
-  /// degradation machine's fallback entry (RateController::OnRateImposed),
-  /// so the heuristic's state always tracks the network's actual grant.
-  /// Call before Connect(). A depth-1 ladder is behavior-identical to not
-  /// calling this at all.
+  /// Arms the ladder (SourceContract): Connect() walks it best rung
+  /// first, every ask is scaled by the current rung, and TryUpgrade()
+  /// probes back toward rung 0. Call before Connect(). A depth-1 ladder
+  /// is behavior-identical to not calling this at all.
   void SetLadder(const sim::RateLadder& ladder);
 
   /// Reserves the initial rate on every hop. Must be called once before
@@ -140,10 +138,8 @@ class RcbrSource {
   /// Releases the current reservation.
   void Disconnect();
 
-  /// Probes rungs better than the current one (best first) through the
-  /// normal renegotiation path, adopting the first grant. Returns true
-  /// when a promotion was granted. No-op (false) without a ladder or at
-  /// rung 0.
+  /// SourceContract::Upgrade through the normal renegotiation path.
+  /// Returns true when a promotion was granted; false at rung 0.
   bool TryUpgrade();
 
   /// Sends the reliable absolute-rate resync along the path at the last
@@ -170,21 +166,22 @@ class RcbrSource {
   SlotResult Step(double arrival_bits);
 
   const SourceStats& stats() const { return stats_; }
-  double granted_rate() const { return granted_rate_; }
+  double granted_rate() const { return contract_.granted(); }
   double buffer_occupancy_bits() const { return queue_.occupancy_bits(); }
   std::uint64_t vci() const { return vci_; }
   SourceMode mode() const { return mode_; }
   /// Current rung of the multi-resolution contract (0 without a ladder).
-  std::uint32_t rung() const { return rung_; }
-  const sim::RateLadder& ladder() const { return ladder_; }
+  std::uint32_t rung() const { return contract_.rung(); }
   /// The retry transport (null until EnableRobustSignaling + Connect).
   const signaling::RetryingRenegotiator* transport() const {
     return transport_.get();
   }
 
  private:
+  /// `controller` is null for an offline source.
   RcbrSource(std::uint64_t vci, double slot_seconds, double buffer_bits,
-             signaling::SignalingPath* path, obs::Recorder* recorder);
+             signaling::SignalingPath* path, obs::Recorder* recorder,
+             std::unique_ptr<RateController> controller);
 
   /// Rates are tracked in bits/slot internally and signalled to the
   /// network in bits/second.
@@ -194,16 +191,16 @@ class RcbrSource {
 
   /// Desired rate for slot `t` (offline mode), or nullopt in online mode.
   std::optional<double> OfflineDesiredRate() const;
+  /// One request for `rate` (bits/slot) at `rung`: through the retry
+  /// transport when robust signaling is on, else a bare delta walk.
+  signaling::RenegotiationOutcome Request(double rate, std::uint32_t rung,
+                                          double now);
   /// Returns true when the network granted `desired` (trivially true when
   /// desired == granted already).
   bool TryRenegotiate(double desired, SlotResult& result);
   /// One slot of the kNormal/kHold/kFallback state machine.
   void StepDegradation(const std::optional<double>& desired,
                        SlotResult& result);
-  /// The one imposed-rate path: the reservation moved outside the
-  /// controller's own request flow (degradation fallback, downgraded
-  /// connect, granted upgrade) — the controller adopts it.
-  void ImposeRate(double rate_bits_per_slot);
 
   std::uint64_t vci_;
   double slot_seconds_;
@@ -217,6 +214,9 @@ class RcbrSource {
   // Online state.
   std::unique_ptr<RateController> controller_;
 
+  // The ladder, rung, full ask and acknowledged rate, in bits/slot.
+  SourceContract contract_;
+
   // Robust-signaling state (EnableRobustSignaling).
   bool robust_ = false;
   signaling::RetryOptions retry_options_;
@@ -228,15 +228,6 @@ class RcbrSource {
   std::int64_t consecutive_failures_ = 0;
   std::int64_t hold_until_slot_ = 0;
 
-  // Multi-resolution contract state (SetLadder). `full_ask_` is the last
-  // unscaled desired rate (bits/slot): the rate the schedule/heuristic
-  // asked for before the rung scale was applied, and the base an upgrade
-  // pass scales from.
-  sim::RateLadder ladder_;
-  std::uint32_t rung_ = 0;
-  double full_ask_ = 0;
-
-  double granted_rate_ = 0;
   bool connected_ = false;
   SourceStats stats_;
   obs::Recorder* obs_ = nullptr;

@@ -9,13 +9,15 @@
 namespace rcbr::net {
 
 ChaosResult RunChaos(const ChaosOptions& options) {
+  // Reject a bad session before any thread starts: a throw past a
+  // joinable std::thread terminates the process.
+  ValidateClientOptions(options.client);
   ChaosResult result;
 
   ServerOptions server_options = options.server;
   server_options.port = 0;
   Server server(server_options);
   Require(server.Start(), "RunChaos: server failed to bind");
-  std::thread server_thread([&server] { server.Serve(); });
 
   ProxyOptions proxy_options;
   proxy_options.listen_port = 0;
@@ -36,6 +38,7 @@ ChaosResult RunChaos(const ChaosOptions& options) {
   };
   Proxy proxy(proxy_options);
   Require(proxy.Start(), "RunChaos: proxy failed to bind");
+  std::thread server_thread([&server] { server.Serve(); });
   std::thread proxy_thread([&proxy] { proxy.Serve(); });
 
   ClientOptions client_options = options.client;
@@ -102,8 +105,6 @@ std::string ChaosReportJson(const ChaosOptions& options,
          json::Number(result.client.loss_fraction()) + ",\n";
   out += "    \"sent_bytes\": " + std::to_string(result.client.sent_bytes) +
          ",\n";
-  out += "    \"server_data_bytes\": " +
-         std::to_string(result.server.data_bytes) + ",\n";
   out += "    \"proxy_dropped_loss\": " +
          std::to_string(result.proxy.dropped_loss) + ",\n";
   out += "    \"proxy_dropped_down\": " +
@@ -114,6 +115,10 @@ std::string ChaosReportJson(const ChaosOptions& options,
          ",\n";
   out += "    \"final_rung\": " + std::to_string(result.final_rung) + "\n";
   out += "  },\n";
+  // The data bytes the server metered depend on which in-flight frames it
+  // read around a crash or link-down: wall-clock timing, not the seeds.
+  out += "  \"wall_clock\": {\n    \"server_data_bytes\": " +
+         std::to_string(result.server.data_bytes) + "\n  },\n";
   out += "  \"session\": " + result.session.ToJsonArray("  ");
   if (options.client.recorder != nullptr) {
     const obs::MetricsSnapshot snapshot =

@@ -18,7 +18,9 @@
 //    seeds, checkable by running twice and comparing bytes.
 //
 // ChaosReportJson renders the run in the repo's BENCH_* shape (results
-// + "session" array + obs_metrics) for tools/rcbr_report.py.
+// + "session" array + obs_metrics) for tools/rcbr_report.py. `results`
+// is a pure function of the seeds; the one wall-clock-dependent count,
+// the data bytes the server metered, sits apart under "wall_clock".
 #pragma once
 
 #include <cstdint>

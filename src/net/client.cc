@@ -16,13 +16,7 @@ bool SameBits(double a, double b) {
 
 }  // namespace
 
-Client::Client(const ClientOptions& options)
-    : options_(options),
-      traffic_rng_(DeriveStreamSeed(options.seed, 0)),
-      backoff_rng_(DeriveStreamSeed(options.seed, 1)),
-      controller_(
-          std::make_unique<core::OnlineRateController>(options.heuristic)),
-      queue_(options.buffer_bits, options.recorder, options.vci) {
+void ValidateClientOptions(const ClientOptions& options) {
   Require(options.slot_seconds > 0 && options.slot_seconds <= 1.0,
           "Client: slot_seconds must be in (0, 1]");
   Require(options.slots > 0, "Client: session needs at least one slot");
@@ -35,6 +29,18 @@ Client::Client(const ClientOptions& options)
   Require(options.heartbeat_every_slots > 0,
           "Client: heartbeat period must be positive");
   signaling::ValidateRetryOptions(options.retry);
+}
+
+Client::Client(const ClientOptions& options)
+    : options_(options),
+      traffic_rng_(DeriveStreamSeed(options.seed, 0)),
+      backoff_rng_(DeriveStreamSeed(options.seed, 1)),
+      controller_(
+          std::make_unique<core::OnlineRateController>(options.heuristic)),
+      contract_(controller_.get(), options.slot_seconds),
+      queue_(options.buffer_bits, options.recorder, options.vci) {
+  ValidateClientOptions(options);
+  contract_.SetLadder(options.ladder);
   next_heartbeat_slot_ = options_.heartbeat_every_slots;
   next_upgrade_slot_ = options_.upgrade_every_slots;
 }
@@ -91,7 +97,7 @@ bool Client::SendFrame(Frame frame) {
 bool Client::AcceptSequence(const Frame& frame) {
   if (saw_seq_in_ && frame.seq <= last_seq_in_) {
     log_.Append(slot_, SessionEventKind::kProtocolError, frame.seq,
-                granted_bps_, rung_, "stale_sequence");
+                granted_bps(), rung(), "stale_sequence");
     connected_ = false;
     return false;
   }
@@ -111,14 +117,14 @@ bool Client::HandleAsyncFrame(const Frame& frame) {
       if (!drain_requested_) {
         drain_requested_ = true;
         ++stats_.drain_notices;
-        log_.Append(slot_, SessionEventKind::kDrain, frame.seq, granted_bps_,
-                    rung_);
+        log_.Append(slot_, SessionEventKind::kDrain, frame.seq, granted_bps(),
+                    rung());
         obs::Count(options_.recorder, "net.client.drain_notices");
       }
       return true;
     case FrameType::kError:
       log_.Append(slot_, SessionEventKind::kProtocolError, frame.seq,
-                  granted_bps_, rung_,
+                  granted_bps(), rung(),
                   WireErrorName(static_cast<WireError>(frame.error_code)));
       obs::Count(options_.recorder, "net.client.protocol_errors");
       connected_ = false;
@@ -147,8 +153,8 @@ bool Client::PollIncoming() {
     const DecodeStatus status = decoder_.Next(frame);
     if (status == DecodeStatus::kNeedMore) return true;
     if (status == DecodeStatus::kError) {
-      log_.Append(slot_, SessionEventKind::kProtocolError, 0, granted_bps_,
-                  rung_, decoder_.error_message());
+      log_.Append(slot_, SessionEventKind::kProtocolError, 0, granted_bps(),
+                  rung(), decoder_.error_message());
       connected_ = false;
       return false;
     }
@@ -168,8 +174,8 @@ Client::TxStatus Client::AwaitResponse(FrameType expect,
       const DecodeStatus status = decoder_.Next(frame);
       if (status == DecodeStatus::kNeedMore) break;
       if (status == DecodeStatus::kError) {
-        log_.Append(slot_, SessionEventKind::kProtocolError, 0, granted_bps_,
-                    rung_, decoder_.error_message());
+        log_.Append(slot_, SessionEventKind::kProtocolError, 0, granted_bps(),
+                    rung(), decoder_.error_message());
         connected_ = false;
         return TxStatus::kAborted;
       }
@@ -214,7 +220,7 @@ Client::TxStatus Client::Transaction(Frame request, FrameType expect,
         ++stats_.timeouts;
         obs::Count(options_.recorder, "net.client.timeouts");
         log_.Append(slot_, SessionEventKind::kTimeout, request.seq,
-                    granted_bps_, rung_,
+                    granted_bps(), rung(),
                     std::string(FrameTypeName(request.type)) +
                         " attempt=" + std::to_string(attempt + 1));
         ChargeSlots(SlotsFor(options_.retry.timeout_s));
@@ -224,8 +230,8 @@ Client::TxStatus Client::Transaction(Frame request, FrameType expect,
         // server at the held rate.
         Frame rescind;
         rescind.type = FrameType::kResync;
-        rescind.rate_bps = granted_bps_;
-        rescind.rung = rung_;
+        rescind.rate_bps = granted_bps();
+        rescind.rung = rung();
         rescind.slot = static_cast<std::uint32_t>(slot_);
         if (!SendFrame(rescind)) return false;
         Frame echo;
@@ -254,15 +260,8 @@ bool Client::DialAndHello(bool resync) {
   connected_ = true;
   if (!resync) return true;
 
-  Frame hello;
-  hello.type = FrameType::kHello;
-  hello.vci = options_.vci;
-  hello.rate_bps = granted_bps_;
-  hello.rung = rung_;
+  Frame hello = Hello(granted_bps(), rung());
   hello.resync = true;
-  hello.slot_us =
-      static_cast<std::uint32_t>(options_.slot_seconds * 1e6 + 0.5);
-  hello.slot = static_cast<std::uint32_t>(slot_);
   if (!SendFrame(hello)) return false;
   Frame welcome;
   if (AwaitResponse(FrameType::kWelcome, hello.slot, &welcome) !=
@@ -276,10 +275,8 @@ bool Client::DialAndHello(bool resync) {
 }
 
 bool Client::ConnectSession() {
-  full_ask_bps_ = options_.heuristic.initial_rate_bits_per_slot /
-                  options_.slot_seconds;
-  const std::size_t depth =
-      options_.ladder.empty() ? 1 : options_.ladder.depth();
+  const double full_ask_bps =
+      options_.heuristic.initial_rate_bits_per_slot / options_.slot_seconds;
   for (std::int64_t attempt = 0; attempt <= options_.max_reconnects;
        ++attempt) {
     if (attempt > 0) {
@@ -292,58 +289,43 @@ bool Client::ConnectSession() {
                   "dial attempt=" + std::to_string(attempt + 1));
       continue;
     }
-    // Walk the ladder best rung first on this connection, like
-    // RcbrSource::Connect: admission either grants some rung or blocks.
-    bool dead = false;
-    for (std::size_t r = 0; r < depth; ++r) {
-      const double want = options_.ladder.empty()
-                              ? full_ask_bps_
-                              : options_.ladder.RateAt(r, full_ask_bps_);
-      Frame hello;
-      hello.type = FrameType::kHello;
-      hello.vci = options_.vci;
-      hello.rate_bps = want;
-      hello.rung = static_cast<std::uint32_t>(r);
-      hello.slot_us =
-          static_cast<std::uint32_t>(options_.slot_seconds * 1e6 + 0.5);
-      hello.slot = static_cast<std::uint32_t>(slot_);
-      if (!SendFrame(hello)) {
-        dead = true;
-        break;
-      }
-      Frame welcome;
-      const TxStatus status =
-          AwaitResponse(FrameType::kWelcome, hello.slot, &welcome);
-      if (status != TxStatus::kAnswered) {
-        dead = true;
-        break;
-      }
-      if (welcome.accepted) {
-        granted_bps_ = welcome.rate_bps;
-        rung_ = welcome.rung;
-        log_.Append(slot_, SessionEventKind::kConnect, welcome.seq,
-                    granted_bps_, rung_);
-        obs::Count(options_.recorder, "net.client.connects");
-        if (rung_ > 0) {
-          controller_->OnRateImposed(granted_bits_per_slot());
-        }
-        return true;
-      }
-      log_.Append(slot_, SessionEventKind::kConnectDenied, welcome.seq, want,
-                  static_cast<std::uint32_t>(r));
+    // Walk the ladder best rung first on this connection: admission
+    // either grants some rung or blocks.
+    std::uint64_t welcome_seq = 0;
+    const sim::RungAnswer answer = contract_.Connect(
+        full_ask_bps, [&](std::uint32_t rung, double& rate) {
+          const Frame hello = Hello(rate, rung);
+          Frame welcome;
+          if (!SendFrame(hello) ||
+              AwaitResponse(FrameType::kWelcome, hello.slot, &welcome) !=
+                  TxStatus::kAnswered) {
+            return sim::RungAnswer::kStopped;
+          }
+          if (!welcome.accepted) {
+            log_.Append(slot_, SessionEventKind::kConnectDenied, welcome.seq,
+                        rate, rung);
+            return sim::RungAnswer::kDenied;
+          }
+          rate = welcome.rate_bps;
+          welcome_seq = welcome.seq;
+          return sim::RungAnswer::kGranted;
+        });
+    if (answer == sim::RungAnswer::kGranted) {
+      log_.Append(slot_, SessionEventKind::kConnect, welcome_seq,
+                  granted_bps(), rung());
+      obs::Count(options_.recorder, "net.client.connects");
+      return true;
     }
-    if (!dead) {
+    stream_.Close();
+    connected_ = false;
+    if (answer == sim::RungAnswer::kDenied) {
       // The server answered every rung with a denial: admission is
       // blocked, and hammering it with re-dials will not change that.
-      stream_.Close();
-      connected_ = false;
       log_.Append(slot_, SessionEventKind::kGiveUp, 0, 0, 0,
                   "admission_blocked");
       stats_.gave_up = true;
       return false;
     }
-    stream_.Close();
-    connected_ = false;
   }
   log_.Append(slot_, SessionEventKind::kGiveUp, 0, 0, 0, "connect_budget");
   stats_.gave_up = true;
@@ -360,8 +342,8 @@ void Client::VerifyServerState() {
   }
   // The whole point of the absolute-rate resync: after any crash and
   // repair, both ends hold bit-identical contract state.
-  if (!report.known || !SameBits(report.rate_bps, granted_bps_) ||
-      report.rung != rung_) {
+  if (!report.known || !SameBits(report.rate_bps, granted_bps()) ||
+      report.rung != rung()) {
     ++stats_.desyncs;
     log_.Append(slot_, SessionEventKind::kDesync, report.seq, report.rate_bps,
                 report.rung,
@@ -371,7 +353,7 @@ void Client::VerifyServerState() {
 }
 
 bool Client::Reconnect() {
-  log_.Append(slot_, SessionEventKind::kLinkSuspect, 0, granted_bps_, rung_);
+  log_.Append(slot_, SessionEventKind::kLinkSuspect, 0, granted_bps(), rung());
   obs::Count(options_.recorder, "net.client.link_suspect");
   stream_.Close();
   connected_ = false;
@@ -381,8 +363,8 @@ bool Client::Reconnect() {
     ChargeSlots(SlotsFor(
         signaling::BackoffSeconds(options_.retry, attempt, &backoff_rng_)));
     if (!DialAndHello(/*resync=*/true)) {
-      log_.Append(slot_, SessionEventKind::kReconnectFailed, 0, granted_bps_,
-                  rung_, "attempt=" + std::to_string(attempt + 1));
+      log_.Append(slot_, SessionEventKind::kReconnectFailed, 0, granted_bps(),
+                  rung(), "attempt=" + std::to_string(attempt + 1));
       // A refused dial burns the response deadline too before the next
       // backoff — charge it on the sim axis.
       ChargeSlots(SlotsFor(options_.retry.timeout_s));
@@ -390,54 +372,65 @@ bool Client::Reconnect() {
     }
     ++stats_.reconnects;
     ++stats_.resyncs;
-    log_.Append(slot_, SessionEventKind::kReconnect, 0, granted_bps_, rung_,
+    log_.Append(slot_, SessionEventKind::kReconnect, 0, granted_bps(), rung(),
                 "attempt=" + std::to_string(attempt + 1));
-    log_.Append(slot_, SessionEventKind::kResync, 0, granted_bps_, rung_);
+    log_.Append(slot_, SessionEventKind::kResync, 0, granted_bps(), rung());
     obs::Count(options_.recorder, "net.client.reconnects");
     // The resync repaired the server from our acknowledged state; the
     // audit proves it (and the chaos gate requires it to stay silent).
     VerifyServerState();
     if (!connected_) continue;  // audit killed the link; try again
-    controller_->OnRateImposed(granted_bits_per_slot());
+    contract_.OnRateImposed();
     carry_bits_ = 0;
     return true;
   }
-  log_.Append(slot_, SessionEventKind::kGiveUp, 0, granted_bps_, rung_,
+  log_.Append(slot_, SessionEventKind::kGiveUp, 0, granted_bps(), rung(),
               "reconnect_budget");
   stats_.gave_up = true;
   return false;
 }
 
+Frame Client::Hello(double rate_bps, std::uint32_t rung) const {
+  Frame hello;
+  hello.type = FrameType::kHello;
+  hello.vci = options_.vci;
+  hello.rate_bps = rate_bps;
+  hello.rung = rung;
+  hello.slot_us =
+      static_cast<std::uint32_t>(options_.slot_seconds * 1e6 + 0.5);
+  hello.slot = static_cast<std::uint32_t>(slot_);
+  return hello;
+}
+
+Client::TxStatus Client::Delta(double want_bps, std::uint32_t rung,
+                               Frame* response) {
+  Frame request;
+  request.type = FrameType::kDelta;
+  request.delta_bps = want_bps - granted_bps();
+  request.rung = rung;
+  return Transaction(request, FrameType::kGrant, response);
+}
+
 void Client::TryUpgrade() {
-  for (std::uint32_t target = 0; target < rung_; ++target) {
-    const double want = options_.ladder.RateAt(target, full_ask_bps_);
-    Frame request;
-    request.type = FrameType::kDelta;
-    request.delta_bps = want - granted_bps_;
-    // The probe carries the target rung; Transaction's timeout rescind
-    // carries the *current* rung_ — the acked-rung discipline, so an
-    // abandoned probe cannot deregister the call from the upgrade queue.
-    request.rung = target;
-    Frame response;
-    const TxStatus status =
-        Transaction(request, FrameType::kGrant, &response);
-    if (status == TxStatus::kAnswered &&
-        response.type == FrameType::kGrant) {
-      granted_bps_ = response.rate_bps;
-      rung_ = target;
-      ++stats_.upgrades;
-      log_.Append(slot_, SessionEventKind::kUpgrade, response.seq,
-                  granted_bps_, rung_);
-      obs::Count(options_.recorder, "net.client.upgrades");
-      controller_->OnRateImposed(granted_bits_per_slot());
-      return;
-    }
-    if (status == TxStatus::kAnswered) continue;  // denied: next rung
-    if (status == TxStatus::kAborted) {
-      Reconnect();
-      return;
-    }
-    return;  // timeout: try again at the next probe period
+  Frame response;
+  TxStatus status = TxStatus::kAnswered;
+  const sim::RungWalk walk =
+      contract_.Upgrade([&](std::uint32_t target, double& want) {
+        status = Delta(want, target, &response);
+        if (status != TxStatus::kAnswered) return sim::RungAnswer::kStopped;
+        if (response.type != FrameType::kGrant) {
+          return sim::RungAnswer::kDenied;
+        }
+        want = response.rate_bps;
+        return sim::RungAnswer::kGranted;
+      });
+  if (walk.answer == sim::RungAnswer::kGranted) {
+    ++stats_.upgrades;
+    log_.Append(slot_, SessionEventKind::kUpgrade, response.seq,
+                granted_bps(), rung());
+    obs::Count(options_.recorder, "net.client.upgrades");
+  } else if (status == TxStatus::kAborted) {
+    Reconnect();  // a timeout leaves the probe for the next period
   }
 }
 
@@ -448,7 +441,7 @@ void Client::Shutdown() {
   Frame ack;
   if (Transaction(bye, FrameType::kByeAck, &ack) == TxStatus::kAnswered) {
     stats_.completed = true;
-    log_.Append(slot_, SessionEventKind::kBye, ack.seq, granted_bps_, rung_);
+    log_.Append(slot_, SessionEventKind::kBye, ack.seq, granted_bps(), rung());
     obs::Count(options_.recorder, "net.client.byes");
   }
   stream_.Close();
@@ -491,40 +484,29 @@ bool Client::StepSlot() {
   const std::optional<double> proposal =
       controller_->Step(arrivals, granted_bits_per_slot());
   if (proposal.has_value() && !drain_requested_) {
-    // The ladder scales the heuristic's ask by the current rung, the
-    // same contract RcbrSource applies.
-    full_ask_bps_ = *proposal / options_.slot_seconds;
-    const double want_bps =
-        options_.ladder.empty()
-            ? full_ask_bps_
-            : options_.ladder.RateAt(rung_, full_ask_bps_);
-    if (!SameBits(want_bps, granted_bps_)) {
-      Frame request;
-      request.type = FrameType::kDelta;
-      request.delta_bps = want_bps - granted_bps_;
-      request.rung = rung_;
+    const std::optional<double> want_bps =
+        contract_.Ask(*proposal / options_.slot_seconds);
+    if (want_bps.has_value()) {
       Frame response;
-      const TxStatus status =
-          Transaction(request, FrameType::kGrant, &response);
+      const TxStatus status = Delta(*want_bps, rung(), &response);
       if (status == TxStatus::kAnswered &&
           response.type == FrameType::kGrant) {
-        granted_bps_ = response.rate_bps;
+        contract_.OnGranted(response.rate_bps);
         ++stats_.grants;
         log_.Append(slot_, SessionEventKind::kGrant, response.seq,
-                    granted_bps_, rung_);
+                    granted_bps(), rung());
         obs::Count(options_.recorder, "net.client.grants");
       } else if (status == TxStatus::kAnswered) {  // kDeny: definitive answer
         ++stats_.denies;
         log_.Append(slot_, SessionEventKind::kDeny, response.seq,
                     response.rate_bps, response.rung);
         obs::Count(options_.recorder, "net.client.denies");
-        controller_->OnRequestDenied(granted_bits_per_slot());
+        contract_.OnRequestDenied();
       } else if (status == TxStatus::kTimedOut) {
-        // Budget spent, link standing: hold the last grant (the paper's
-        // "keep whatever bandwidth it already has").
+        // Budget spent, link standing: hold the last grant.
         ++stats_.holds;
-        log_.Append(slot_, SessionEventKind::kHold, 0, granted_bps_, rung_);
-        controller_->OnRequestDenied(granted_bits_per_slot());
+        log_.Append(slot_, SessionEventKind::kHold, 0, granted_bps(), rung());
+        contract_.OnRequestDenied();
       } else {
         if (!Reconnect()) return false;
       }
@@ -547,7 +529,7 @@ bool Client::StepSlot() {
   }
 
   if (options_.upgrade_every_slots > 0 && !options_.ladder.empty() &&
-      rung_ > 0 && !drain_requested_ && connected_ &&
+      rung() > 0 && !drain_requested_ && connected_ &&
       slot_ >= next_upgrade_slot_) {
     while (next_upgrade_slot_ <= slot_) {
       next_upgrade_slot_ += options_.upgrade_every_slots;

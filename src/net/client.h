@@ -4,10 +4,12 @@
 // multi-time-scale VBR arrival process feeds a fixed-size end-system
 // buffer (sim::SlottedQueue) drained at the currently granted rate; the
 // AR(1) heuristic (core::OnlineRateController) watches the live buffer
-// and triggers renegotiations; the multi-resolution ladder
-// (sim::RateLadder) shapes connect-time downgrades and periodic upgrade
-// probes. Drained bits leave as slot-stamped kData frames the server
-// meters against the grant.
+// and triggers renegotiations. The source contract — the ladder walk on
+// connect and on the periodic upgrade probes, the rung-scaled ask, and
+// keeping the held rate when a request fails — is core::SourceContract,
+// shared with core::RcbrSource; the client supplies its Hello and Delta
+// frame hooks, in bits/second. Drained bits leave as slot-stamped kData
+// frames the server meters against the grant.
 //
 // Time has two axes, deliberately separate:
 //  * the logical slot clock — the only axis in the session log and on
@@ -40,6 +42,7 @@
 #include <string>
 
 #include "core/online_heuristic.h"
+#include "core/source_contract.h"
 #include "net/session_log.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -129,6 +132,12 @@ struct ClientStats {
   }
 };
 
+/// Throws InvalidArgument unless `options` describes a runnable session
+/// (slot length, session length, initial rate, chunk size, heartbeat
+/// period, retry contract). The Client constructor runs it; a front end
+/// can run it first, before it starts anything.
+void ValidateClientOptions(const ClientOptions& options);
+
 class Client {
  public:
   explicit Client(const ClientOptions& options);
@@ -141,8 +150,8 @@ class Client {
 
   const ClientStats& stats() const { return stats_; }
   const SessionLog& log() const { return log_; }
-  double granted_bps() const { return granted_bps_; }
-  std::uint32_t rung() const { return rung_; }
+  double granted_bps() const { return contract_.granted(); }
+  std::uint32_t rung() const { return contract_.rung(); }
   std::int64_t slot() const { return slot_; }
 
  private:
@@ -151,7 +160,7 @@ class Client {
   using TxStatus = signaling::AttemptEnd;
 
   double granted_bits_per_slot() const {
-    return granted_bps_ * options_.slot_seconds;
+    return granted_bps() * options_.slot_seconds;
   }
   double NextArrivalBits();
   /// Burns `n` slots on the logical clock: arrivals accrue, nothing
@@ -176,6 +185,12 @@ class Client {
   /// await, on timeout rescind-with-resync, then back off or give up.
   TxStatus Transaction(Frame request, FrameType expect, Frame* response);
 
+  /// A Hello frame asking for `rate_bps` at `rung`, stamped now.
+  Frame Hello(double rate_bps, std::uint32_t rung) const;
+  /// A Delta transaction toward `want_bps` at `rung`. An upgrade probe
+  /// carries its target rung while Transaction's rescind carries the
+  /// contract's, so an abandoned probe keeps the upgrade-queue seat.
+  TxStatus Delta(double want_bps, std::uint32_t rung, Frame* response);
   bool DialAndHello(bool resync);
   bool ConnectSession();   // fresh connect: ladder walk
   bool Reconnect();        // bounded re-dial + resync repair + audit
@@ -195,12 +210,11 @@ class Client {
   bool saw_seq_in_ = false;
 
   std::unique_ptr<core::OnlineRateController> controller_;
+  // The ladder, rung, full ask and acknowledged rate, in bits/second.
+  core::SourceContract contract_;
   sim::SlottedQueue queue_;
 
   std::int64_t slot_ = 0;
-  double granted_bps_ = 0;
-  std::uint32_t rung_ = 0;
-  double full_ask_bps_ = 0;
   double carry_bits_ = 0;
 
   // Traffic scene chain.

@@ -94,6 +94,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
+    rcbr::net::ValidateClientOptions(options.client);
   } catch (const rcbr::Error& e) {
     std::fprintf(stderr, "rcbr_chaos: %s\n", e.what());
     return 2;

@@ -93,6 +93,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
+    options.ladder = MakeLadder(ladder_depth);
+    rcbr::net::ValidateClientOptions(options);
   } catch (const rcbr::Error& e) {
     std::fprintf(stderr, "rcbr_client: %s\n", e.what());
     return 2;
@@ -101,8 +103,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rcbr_client: --port is required\n");
     return 2;
   }
-  options.ladder = MakeLadder(ladder_depth);
-
   rcbr::net::Client client(options);
   const bool ok = client.Run();
   const rcbr::net::ClientStats& stats = client.stats();

@@ -445,33 +445,24 @@ class Simulation {
     // (AdmitAtRung(.., 0) dispatches to the policy's binary Admit), so
     // the scalar path executes the exact legacy operation sequence.
     const RateLadder& ladder = cls.ladder;
-    const std::size_t depth = ladder.empty() ? 1 : ladder.depth();
-    const std::vector<std::size_t>* chosen = nullptr;
-    std::size_t chosen_candidate = 0;
-    std::uint32_t granted_rung = 0;
-    double granted_rate = initial_rate;
-    bool admitted = false;
-    for (std::size_t r = 0; r < depth && !admitted; ++r) {
-      const double rung_rate =
-          ladder.empty() ? initial_rate : ladder.RateAt(r, initial_rate);
-      const RouteChoice selected = SelectRoute(cls, rung_rate);
-      if (selected.route == nullptr) continue;
-      bool ok = true;
-      if (options_.policy != nullptr) {
-        const std::size_t link = BottleneckLink(*selected.route);
-        const LinkView view{options_.link_capacities_bps[link],
-                            ports_[link].utilization_bps()};
-        ok = options_.policy->AdmitAtRung(now, view, rung_rate, r);
-      }
-      if (ok) {
-        admitted = true;
-        chosen = selected.route;
-        chosen_candidate = selected.candidate;
-        granted_rung = static_cast<std::uint32_t>(r);
-        granted_rate = rung_rate;
-      }
-    }
-    if (!admitted) {
+    RouteChoice chosen;
+    const RungWalk walk = WalkRungs(
+        ladder, initial_rate, ladder.walk_depth(),
+        [&](std::uint32_t r, double rung_rate) {
+          const RouteChoice selected = SelectRoute(cls, rung_rate);
+          if (selected.route == nullptr) return RungAnswer::kDenied;
+          if (options_.policy != nullptr) {
+            const std::size_t link = BottleneckLink(*selected.route);
+            const LinkView view{options_.link_capacities_bps[link],
+                                ports_[link].utilization_bps()};
+            if (!options_.policy->AdmitAtRung(now, view, rung_rate, r)) {
+              return RungAnswer::kDenied;
+            }
+          }
+          chosen = selected;
+          return RungAnswer::kGranted;
+        });
+    if (walk.answer != RungAnswer::kGranted) {
       ++totals.blocked_calls;
       if (ctr_blocked_ != nullptr) ctr_blocked_->Add();
       obs::Emit(options_.recorder, now, obs::EventKind::kAdmitReject,
@@ -481,14 +472,16 @@ class Simulation {
     }
 
     const std::uint64_t id = next_call_id_++;
+    const std::uint32_t granted_rung = walk.rung;
+    const double granted_rate = walk.rate;
     signaling::SignalingPath& path =
-        *paths_[path_index_[c][chosen_candidate]];
+        *paths_[path_index_[c][chosen.candidate]];
     Require(path.SetupConnection(id, granted_rate, granted_rung),
             "engine: signaling rejected a pre-checked setup");
     const CallRef ref = store_.Allocate(
         id, profile.rates_bps, shift, profile.slot_seconds, now,
-        granted_rate, static_cast<std::uint32_t>(c), chosen,
-        static_cast<std::uint32_t>(path_index_[c][chosen_candidate]));
+        granted_rate, static_cast<std::uint32_t>(c), chosen.route,
+        static_cast<std::uint32_t>(path_index_[c][chosen.candidate]));
     store_.set_base_rate_bps(ref.handle, initial_rate);
     store_.set_rung(ref.handle, granted_rung);
     index_.emplace(id, ref.handle);
@@ -506,10 +499,10 @@ class Simulation {
     if (ladders_on_) utility_rate_[c] += ClassUtility(c, granted_rung);
     obs::Emit(options_.recorder, now, obs::EventKind::kAdmitAccept, id,
               {"class", static_cast<double>(c)}, {"rate_bps", granted_rate},
-              {"hops", static_cast<double>(chosen->size())},
+              {"hops", static_cast<double>(chosen.route->size())},
               {"rung", static_cast<double>(granted_rung)});
     SampleLiveCalls(now);
-    SampleRoute(*chosen, now);
+    SampleRoute(*chosen.route, now);
     ScheduleTransition(ref, 1);
   }
 
@@ -576,8 +569,7 @@ class Simulation {
     // schedule is scaled by the rung (lower resolution, same
     // renegotiation pattern). Rung 0 multiplies bit-exactly, so scalar
     // and depth-1 runs see the unscaled step rate.
-    const double new_rate =
-        ladder.empty() ? new_base : ladder.RateAt(rung, new_base);
+    const double new_rate = ladder.RateAt(rung, new_base);
     if (!ladder.empty()) store_.set_base_rate_bps(h, new_base);
     const double old_rate = store_.rate_bps(h);
     const std::uint64_t id = store_.id(h);
@@ -687,25 +679,28 @@ class Simulation {
     if (!RouteLinksUp(*store_.route(h))) return;
     const std::uint64_t id = store_.id(h);
     const double old_rate = store_.rate_bps(h);
-    for (std::uint32_t target = 0; target < cur; ++target) {
-      const double target_rate =
-          ladder.RateAt(target, store_.base_rate_bps(h));
-      if (!RequestRate(h, target_rate, now, target)) continue;
-      store_.set_rung(h, target);
-      if (options_.policy != nullptr) {
-        options_.policy->OnRateChange(now, id, old_rate, store_.rate_bps(h));
-      }
-      utility_rate_[c] += ladder.utility(target) - ladder.utility(cur);
-      ++result_.per_class[c].upgrades;
-      if (ctr_upgrades_ != nullptr) ctr_upgrades_->Add();
-      obs::Emit(options_.recorder, now, obs::EventKind::kCallUpgrade, id,
-                {"class", static_cast<double>(c)},
-                {"from_rung", static_cast<double>(cur)},
-                {"to_rung", static_cast<double>(target)},
-                {"rate_bps", store_.rate_bps(h)});
-      SampleRoute(*store_.route(h), now);
-      return;
+    const RungWalk walk = WalkRungs(
+        ladder, store_.base_rate_bps(h), cur,
+        [&](std::uint32_t target, double target_rate) {
+          return RequestRate(h, target_rate, now, target)
+                     ? RungAnswer::kGranted
+                     : RungAnswer::kDenied;
+        });
+    if (walk.answer != RungAnswer::kGranted) return;
+    const std::uint32_t target = walk.rung;
+    store_.set_rung(h, target);
+    if (options_.policy != nullptr) {
+      options_.policy->OnRateChange(now, id, old_rate, store_.rate_bps(h));
     }
+    utility_rate_[c] += ladder.utility(target) - ladder.utility(cur);
+    ++result_.per_class[c].upgrades;
+    if (ctr_upgrades_ != nullptr) ctr_upgrades_->Add();
+    obs::Emit(options_.recorder, now, obs::EventKind::kCallUpgrade, id,
+              {"class", static_cast<double>(c)},
+              {"from_rung", static_cast<double>(cur)},
+              {"to_rung", static_cast<double>(target)},
+              {"rate_bps", store_.rate_bps(h)});
+    SampleRoute(*store_.route(h), now);
   }
 
   void SampleLiveCalls(double now) {

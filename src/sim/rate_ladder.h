@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace rcbr::sim {
@@ -58,12 +59,17 @@ class RateLadder {
 
   bool empty() const { return rungs_.empty(); }
   std::size_t depth() const { return rungs_.size(); }
+  /// Rungs a connect walk tries: depth(), or the one rung of the scalar
+  /// (empty) ladder.
+  std::size_t walk_depth() const { return empty() ? 1 : depth(); }
   const RateRung& rung(std::size_t r) const { return rungs_[r]; }
   const std::vector<RateRung>& rungs() const { return rungs_; }
 
   /// `full_ask_bps` scaled to rung `r`. Rung 0 returns the argument
-  /// bit-exactly (scale 1.0 multiplies exactly).
+  /// bit-exactly (scale 1.0 multiplies exactly), and so does the empty
+  /// ladder, whose only rung is 0.
   double RateAt(std::size_t r, double full_ask_bps) const {
+    if (rungs_.empty()) return full_ask_bps;
     const double scale = rungs_[r].scale;
     return scale == 1.0 ? full_ask_bps : full_ask_bps * scale;
   }
@@ -73,5 +79,33 @@ class RateLadder {
  private:
   std::vector<RateRung> rungs_;
 };
+
+/// How the far end answered a request for one rung: a denial moves a
+/// walk on to the next rung, a stop (timed out, link dead) ends it.
+enum class RungAnswer : std::uint8_t { kGranted, kDenied, kStopped };
+
+/// Where a walk ended: the last answer, its rung and rate (`end` and 0
+/// if every rung was denied).
+struct RungWalk {
+  RungAnswer answer = RungAnswer::kDenied;
+  std::uint32_t rung = 0;
+  double rate = 0;
+};
+
+/// The best-rung-first walk of the engine's admission and promotion and
+/// of core::SourceContract: `ask(rung, rate)` for rungs 0 .. end - 1 at
+/// `full_ask` scaled to each, until an answer is not a denial. `rate` is
+/// an lvalue: an ask may replace it with the rate the far end granted.
+template <typename Ask>
+RungWalk WalkRungs(const RateLadder& ladder, double full_ask, std::size_t end,
+                   Ask&& ask) {
+  for (std::size_t r = 0; r < end; ++r) {
+    const auto rung = static_cast<std::uint32_t>(r);
+    double rate = ladder.RateAt(r, full_ask);
+    const RungAnswer answer = ask(rung, rate);
+    if (answer != RungAnswer::kDenied) return {answer, rung, rate};
+  }
+  return {RungAnswer::kDenied, static_cast<std::uint32_t>(end), 0};
+}
 
 }  // namespace rcbr::sim

@@ -11,6 +11,7 @@
 //    log, byte for byte, across independent runs.
 
 #include <cstring>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "net/chaos.h"
@@ -92,9 +93,17 @@ TEST(ChaosTest, SurvivesTheFullScheduleAndStaysByteExact) {
   EXPECT_EQ(result.server_utilization_bps, 0.0);
 }
 
+// The "results" object of a chaos report.
+std::string ResultsBlock(const std::string& report) {
+  const std::size_t begin = report.find("\"results\": {");
+  EXPECT_NE(begin, std::string::npos);
+  return report.substr(begin, report.find('}', begin) - begin);
+}
+
 TEST(ChaosTest, SameSeedsSameSessionLogByteForByte) {
-  const ChaosResult first = RunChaos(SmallChaos(5));
-  const ChaosResult second = RunChaos(SmallChaos(5));
+  const ChaosOptions options = SmallChaos(5);
+  const ChaosResult first = RunChaos(options);
+  const ChaosResult second = RunChaos(options);
   ASSERT_TRUE(first.Passed());
   ASSERT_TRUE(second.Passed());
   EXPECT_EQ(first.session_canonical, second.session_canonical);
@@ -103,6 +112,9 @@ TEST(ChaosTest, SameSeedsSameSessionLogByteForByte) {
       std::memcmp(&first.final_rate_bps, &second.final_rate_bps, 8) == 0);
   EXPECT_EQ(first.final_rung, second.final_rung);
   EXPECT_EQ(first.client.charged_slots, second.client.charged_slots);
+  // The report's results block is a pure function of the seeds too.
+  EXPECT_EQ(ResultsBlock(ChaosReportJson(options, first)),
+            ResultsBlock(ChaosReportJson(options, second)));
 }
 
 TEST(ChaosTest, DifferentSeedDivergesButStillPasses) {

@@ -92,6 +92,14 @@ def render_results(bench, out):
         # results map instead of a parameter sweep.
         results = bench.get("results", {})
         out.extend(table(["metric", "value"], sorted(results.items())))
+        # Counts that depend on wall-clock timing, not on the seeds.
+        wall_clock = bench.get("wall_clock", {})
+        if wall_clock:
+            out.append("")
+            out.append("Wall-clock dependent (not a function of the seeds):")
+            out.append("")
+            out.extend(table(["metric", "value"],
+                             sorted(wall_clock.items())))
     out.append("")
 
 
