@@ -10,6 +10,7 @@
 //  * determinism — the same seeds produce the same canonical session
 //    log, byte for byte, across independent runs.
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 
@@ -115,6 +116,52 @@ TEST(ChaosTest, SameSeedsSameSessionLogByteForByte) {
   // The report's results block is a pure function of the seeds too.
   EXPECT_EQ(ResultsBlock(ChaosReportJson(options, first)),
             ResultsBlock(ChaosReportJson(options, second)));
+}
+
+// FNV-1a, 64-bit: a stable fingerprint for pinning bytes.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Pins SmallChaos(5) itself, not just its run-to-run repeatability: the
+// canonical session log's size and fingerprint, and the whole results
+// block of its report.
+TEST(ChaosTest, PinsSmallChaosSeedFive) {
+  const ChaosOptions options = SmallChaos(5);
+  const ChaosResult result = RunChaos(options);
+  ASSERT_TRUE(result.Passed());
+  EXPECT_EQ(result.session_canonical.size(), 3318u) << result.session_canonical;
+  EXPECT_EQ(Fnv1a(result.session_canonical), 8150522556760343457ull);
+  EXPECT_EQ(ResultsBlock(ChaosReportJson(options, result)), R"("results": {
+    "passed": true,
+    "completed": true,
+    "gave_up": false,
+    "desyncs": 0,
+    "crashes": 1,
+    "reconnects": 2,
+    "resyncs": 5,
+    "timeouts": 4,
+    "grants": 41,
+    "denies": 0,
+    "upgrades": 0,
+    "drain_notices": 1,
+    "slots": 143,
+    "charged_slots": 37,
+    "arrived_bits": 7461745.7902327441,
+    "lost_bits": 366934.81813918753,
+    "loss_fraction": 0.049175464891808143,
+    "sent_bytes": 886850,
+    "proxy_dropped_loss": 2,
+    "proxy_dropped_down": 11,
+    "proxy_dropped_late": 1,
+    "final_rate_bps": 3600000,
+    "final_rung": 0
+  )");
 }
 
 TEST(ChaosTest, DifferentSeedDivergesButStillPasses) {
