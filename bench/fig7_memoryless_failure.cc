@@ -1,6 +1,7 @@
 // Fig. 7: renegotiation failure probability of the memoryless
 // certainty-equivalent MBAC vs normalized offered load, for several link
-// capacities (multiples of the call mean rate). Target QoS: 1e-3.
+// capacities (multiples of the call mean rate). Target QoS: 1e-4
+// (bench::kMbacTargetFailure).
 // Paper shape: for small links the achieved failure probability is
 // orders of magnitude above target; it improves with link size and grows
 // with offered load.

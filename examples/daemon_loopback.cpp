@@ -23,9 +23,6 @@ int main() {
   chaos.client.slot_seconds = 0.01;  // 10 ms slots, 3 s session
   chaos.client.ladder =
       sim::RateLadder::FromScales({1.0, 0.5, 0.25}, {1.0, 0.5, 0.25});
-  chaos.client.heuristic.initial_rate_bits_per_slot = 32e3;
-  chaos.client.heuristic.granularity_bits_per_slot = 4e3;
-  chaos.client.heuristic.max_rate_bits_per_slot = 96e3;
   chaos.server.capacity_bps = 10e6;
   chaos.server.drain_at_slot = 270;  // graceful drain near the end
 

@@ -20,7 +20,6 @@ ChaosResult RunChaos(const ChaosOptions& options) {
   Require(server.Start(), "RunChaos: server failed to bind");
 
   ProxyOptions proxy_options;
-  proxy_options.listen_port = 0;
   proxy_options.server_port = server.port();
   proxy_options.plan = options.plan;
   proxy_options.slots_per_second = 1.0 / options.client.slot_seconds;

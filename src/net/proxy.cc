@@ -10,6 +10,9 @@ namespace rcbr::net {
 
 namespace {
 
+/// Forwarding-loop tick; bounds how fast Stop() is observed.
+constexpr int kPollIntervalMs = 5;
+
 /// Stateless drop draw: a uniform in [0, 1) that depends only on
 /// (seed, direction, frame seq). Two runs with the same seed make the
 /// same call for every frame no matter how the bytes were batched.
@@ -41,7 +44,7 @@ Proxy::Proxy(const ProxyOptions& options)
 Proxy::~Proxy() = default;
 
 bool Proxy::Start() {
-  auto listener = TcpListener::Bind(options_.listen_port);
+  auto listener = TcpListener::Bind(0);  // kernel-assigned: read port()
   if (!listener) return false;
   listener_ = std::move(*listener);
   return true;
@@ -138,8 +141,7 @@ void Proxy::Serve() {
       pfds.push_back({pair->client.fd(), POLLIN, 0});
       pfds.push_back({pair->server.fd(), POLLIN, 0});
     }
-    const int rc =
-        ::poll(pfds.data(), pfds.size(), options_.poll_interval_ms);
+    const int rc = ::poll(pfds.data(), pfds.size(), kPollIntervalMs);
     if (rc < 0 && errno != EINTR) break;
 
     if (rc > 0 && (pfds[0].revents & POLLIN) != 0) {

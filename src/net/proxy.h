@@ -41,7 +41,6 @@
 namespace rcbr::net {
 
 struct ProxyOptions {
-  std::uint16_t listen_port = 0;  // 0 = ephemeral
   std::string server_host = "127.0.0.1";
   std::uint16_t server_port = 0;
   /// The fault schedule, sim seconds; compiled to the slot domain via
@@ -56,7 +55,6 @@ struct ProxyOptions {
   /// server observably wiped before returning (InjectCrash + wait on
   /// crash_generation) — the proxy drops all connections right after.
   std::function<void()> on_controller_crash;
-  int poll_interval_ms = 5;
   obs::Recorder* recorder = nullptr;
 };
 
@@ -75,7 +73,7 @@ class Proxy {
   explicit Proxy(const ProxyOptions& options);
   ~Proxy();
 
-  /// Binds the listen port. False when unavailable.
+  /// Binds a kernel-assigned listen port on 127.0.0.1. False on failure.
   bool Start();
   std::uint16_t port() const { return listener_.port(); }
 

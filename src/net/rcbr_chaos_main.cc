@@ -48,9 +48,6 @@ int main(int argc, char** argv) {
   options.client.ladder = rcbr::sim::RateLadder::FromScales(
       {1.0, 0.5, 0.25}, {1.0, 0.5, 0.25});
   options.client.upgrade_every_slots = 64;
-  options.client.heuristic.initial_rate_bits_per_slot = 32e3;
-  options.client.heuristic.granularity_bits_per_slot = 4e3;
-  options.client.heuristic.max_rate_bits_per_slot = 96e3;
   options.client.heuristic.denial_cooldown_slots = 8;
   options.client.retry.timeout_s = 0.06;
   options.client.retry.max_retries = 3;

@@ -44,9 +44,6 @@ bool WriteText(const std::string& path, const std::string& text) {
 int main(int argc, char** argv) {
   using rcbr::ParseFlagInt;
   rcbr::net::ClientOptions options;
-  options.heuristic.initial_rate_bits_per_slot = 32e3;
-  options.heuristic.granularity_bits_per_slot = 4e3;
-  options.heuristic.max_rate_bits_per_slot = 96e3;
   options.heuristic.denial_cooldown_slots = 8;
   int ladder_depth = 3;
   std::string session_out;

@@ -10,6 +10,13 @@ namespace rcbr::net {
 
 namespace {
 
+/// Poll-loop tick; bounds how fast control flags are observed.
+constexpr int kPollIntervalMs = 10;
+/// Metering burst allowance, in client slots' worth of the granted rate.
+/// Sending faster than the grant for longer than this draws
+/// kRateViolation.
+constexpr double kMeterToleranceSlots = 4;
+
 std::int64_t MonotonicMs() {
   timespec ts{};
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -20,8 +27,7 @@ std::int64_t MonotonicMs() {
 }  // namespace
 
 struct Server::Connection {
-  TcpStream stream;
-  FrameDecoder decoder;
+  FramedStream stream;
   bool dead = false;
 
   // Session state (established by a successful Hello).
@@ -30,11 +36,6 @@ struct Server::Connection {
   double granted_bps = 0;
   std::uint32_t rung = 0;
   double slot_seconds = 1e-3;  // from Hello's slot_us
-
-  // Per-direction sequence validation and stamping.
-  bool saw_seq = false;
-  std::uint64_t last_seq_in = 0;
-  std::uint64_t next_seq_out = 1;
 
   // Slot-stamped token-bucket metering of received data. Credit accrues
   // from the client's own slot clock, so the verdict is a pure function
@@ -88,7 +89,6 @@ Frame Server::Reply(Connection& conn, FrameType type,
   Frame f;
   f.type = type;
   f.slot = request.slot;  // responses echo the request's logical slot
-  f.seq = conn.next_seq_out;
   f.rate_bps = conn.granted_bps;
   f.rung = conn.rung;
   return f;
@@ -114,16 +114,9 @@ void Server::MaybePiggybackDrain(Connection& conn,
 }
 
 bool Server::SendFrames(Connection& conn, const std::vector<Frame>& frames) {
-  std::vector<std::uint8_t> bytes;
-  for (Frame f : frames) {
-    f.seq = conn.next_seq_out++;
-    EncodeFrame(f, bytes);
-  }
-  if (!conn.stream.SendAll(bytes.data(), bytes.size())) {
-    conn.dead = true;
-    return false;
-  }
-  return true;
+  if (conn.stream.Send(frames)) return true;
+  conn.dead = true;
+  return false;
 }
 
 void Server::ProtocolError(Connection& conn, WireError code) {
@@ -199,12 +192,10 @@ bool Server::HandleFrame(Connection& conn, const Frame& frame) {
   }
 
   // Duplicate or stale sequence numbers are replays — protocol error.
-  if (conn.saw_seq && frame.seq <= conn.last_seq_in) {
+  if (!conn.stream.AcceptSeq(frame)) {
     ProtocolError(conn, WireError::kStaleSequence);
     return false;
   }
-  conn.saw_seq = true;
-  conn.last_seq_in = frame.seq;
 
   if (frame.type == FrameType::kHello) return HandleHello(conn, frame);
   if (!conn.admitted) {
@@ -265,7 +256,7 @@ bool Server::HandleFrame(Connection& conn, const Frame& frame) {
       conn.meter_slot = frame.slot;
       const double per_slot_bits = conn.granted_bps * conn.slot_seconds;
       const double burst_bits =
-          options_.meter_tolerance_slots * per_slot_bits + 8.0 * 1500;
+          kMeterToleranceSlots * per_slot_bits + 8.0 * 1500;
       conn.meter_credit_bits = std::min(
           burst_bits, conn.meter_credit_bits + elapsed_slots * per_slot_bits);
       conn.meter_credit_bits -= 8.0 * static_cast<double>(frame.data.size());
@@ -311,10 +302,10 @@ bool Server::HandleFrame(Connection& conn, const Frame& frame) {
 }
 
 void Server::HandleReadable(Connection& conn) {
-  std::uint8_t buf[4096];
-  const RecvResult r = conn.stream.RecvSome(buf, sizeof(buf), 0);
-  if (r.status == RecvStatus::kClosed || r.status == RecvStatus::kError) {
-    if (r.status == RecvStatus::kClosed && conn.decoder.pending_bytes() > 0) {
+  const RecvStatus r = conn.stream.Fill(0);
+  if (r == RecvStatus::kClosed || r == RecvStatus::kError) {
+    if (r == RecvStatus::kClosed &&
+        conn.stream.decoder().pending_bytes() > 0) {
       // EOF mid-frame: the peer died between bytes of a frame.
       ++stats_.protocol_errors;
       obs::Count(options_.recorder, "net.server.protocol_errors");
@@ -322,14 +313,13 @@ void Server::HandleReadable(Connection& conn) {
     conn.dead = true;
     return;
   }
-  if (r.status != RecvStatus::kData) return;
-  conn.decoder.Feed(buf, r.bytes);
+  if (r != RecvStatus::kData) return;
   Frame frame;
   for (;;) {
-    const DecodeStatus status = conn.decoder.Next(frame);
+    const DecodeStatus status = conn.stream.Next(frame);
     if (status == DecodeStatus::kNeedMore) break;
     if (status == DecodeStatus::kError) {
-      ProtocolError(conn, conn.decoder.error());
+      ProtocolError(conn, conn.stream.decoder().error());
       return;
     }
     if (!HandleFrame(conn, frame)) return;
@@ -349,14 +339,13 @@ void Server::Serve() {
     for (const auto& conn : connections_) {
       pfds.push_back({conn->stream.fd(), POLLIN, 0});
     }
-    const int rc =
-        ::poll(pfds.data(), pfds.size(), options_.poll_interval_ms);
+    const int rc = ::poll(pfds.data(), pfds.size(), kPollIntervalMs);
     if (rc < 0 && errno != EINTR) break;
 
     if (rc > 0 && (pfds[0].revents & POLLIN) != 0 && !draining()) {
       while (auto stream = listener_.Accept(0)) {
         auto conn = std::make_unique<Connection>();
-        conn->stream = std::move(*stream);
+        conn->stream = FramedStream(std::move(*stream));
         conn->last_activity_ms = MonotonicMs();
         connections_.push_back(std::move(conn));
         ++stats_.sessions_opened;

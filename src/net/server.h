@@ -47,15 +47,9 @@ struct ServerOptions {
   double capacity_bps = 10e6;
   /// Admission slack (see PortController).
   double admission_tolerance_bps = 1e-9;
-  /// Poll-loop tick; bounds how fast control flags are observed.
-  int poll_interval_ms = 10;
   /// A connection silent for this long is presumed dead and closed.
   /// Generous vs loopback RTT: this is a failure detector, not a pacer.
   int client_deadline_ms = 5000;
-  /// Metering burst allowance, in client slots' worth of the granted
-  /// rate. Sending faster than the grant for longer than this draws
-  /// kRateViolation.
-  double meter_tolerance_slots = 4;
   /// Self-drain once any frame's slot stamp reaches this value — a
   /// deterministic stand-in for SIGTERM in chaos runs, triggered on the
   /// client's logical clock instead of the wall's (-1 = only external

@@ -43,8 +43,6 @@ const char* SessionEventKindName(SessionEventKind kind) {
     case SessionEventKind::kDeny: return "deny";
     case SessionEventKind::kTimeout: return "timeout";
     case SessionEventKind::kHold: return "hold";
-    case SessionEventKind::kFallback: return "fallback";
-    case SessionEventKind::kRecover: return "recover";
     case SessionEventKind::kUpgrade: return "upgrade";
     case SessionEventKind::kLinkSuspect: return "link_suspect";
     case SessionEventKind::kReconnect: return "reconnect";

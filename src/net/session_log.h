@@ -26,12 +26,10 @@ enum class SessionEventKind : std::uint8_t {
   kConnectDenied,  // Hello denied at this rung (client walks the ladder)
   kGrant,          // renegotiation granted (rate/rung = new contract)
   kDeny,           // renegotiation explicitly denied
-  kTimeout,        // control transaction exhausted its retry budget
-  kHold,           // degradation: stopped asking, holding last grant
-  kFallback,       // degradation: escalated to the peak-rate fallback
-  kRecover,        // degradation: back to controller-driven rates
+  kTimeout,        // one control attempt missed its response deadline
+  kHold,           // renegotiation's retry budget spent: holding last grant
   kUpgrade,        // ladder rung promotion granted
-  kLinkSuspect,    // consecutive failures crossed the reconnect threshold
+  kLinkSuspect,    // the link is presumed dead: Reconnect() starts
   kReconnect,      // re-dial succeeded (before the resync handshake)
   kReconnectFailed,// one re-dial attempt failed (timeout/refused)
   kResync,         // absolute-rate resync accepted after reconnect

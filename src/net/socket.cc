@@ -132,11 +132,6 @@ RecvResult TcpStream::RecvSome(void* bytes, std::size_t n, int timeout_ms) {
   }
 }
 
-bool TcpStream::Readable(int timeout_ms) {
-  if (fd_ < 0) return false;
-  return PollOnce(fd_, POLLIN, timeout_ms);
-}
-
 TcpListener::~TcpListener() { Close(); }
 
 TcpListener::TcpListener(TcpListener&& other) noexcept

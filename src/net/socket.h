@@ -57,10 +57,6 @@ class TcpStream {
   /// byte (0 = only what is already buffered; negative = block forever).
   RecvResult RecvSome(void* bytes, std::size_t n, int timeout_ms);
 
-  /// True when at least one byte is readable without blocking (or the
-  /// peer hung up — the next RecvSome reports which).
-  bool Readable(int timeout_ms);
-
   void Close();
 
  private:

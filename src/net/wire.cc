@@ -316,4 +316,20 @@ DecodeStatus FrameDecoder::Next(Frame& out) {
   return DecodeStatus::kFrame;
 }
 
+bool FramedStream::Send(std::span<const Frame> frames) {
+  std::vector<std::uint8_t> bytes;
+  for (Frame frame : frames) {
+    frame.seq = next_seq_out_++;
+    EncodeFrame(frame, bytes);
+  }
+  return stream_.SendAll(bytes.data(), bytes.size());
+}
+
+RecvStatus FramedStream::Fill(int timeout_ms) {
+  std::uint8_t buf[4096];
+  const RecvResult r = stream_.RecvSome(buf, sizeof(buf), timeout_ms);
+  if (r.status == RecvStatus::kData) decoder_.Feed(buf, r.bytes);
+  return r.status;
+}
+
 }  // namespace rcbr::net

@@ -14,7 +14,8 @@
 // server frames echo the request's slot) — the deterministic time axis
 // the impairment proxy keys its fault schedule to. `seq` is a strictly
 // increasing per-direction session sequence number; the receiver treats
-// a duplicate or stale value as a protocol error.
+// a duplicate or stale value as a protocol error. FramedStream, which
+// both session ends use, is the one place that stamps and checks it.
 //
 // The decoder is strict: oversized length prefixes, unknown types,
 // short or over-long bodies, and NaN/Inf rate fields are protocol
@@ -23,8 +24,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "net/socket.h"
 
 namespace rcbr::net {
 
@@ -134,6 +140,46 @@ class FrameDecoder {
   std::size_t offset_ = 0;
   WireError error_ = WireError::kNone;
   std::string error_message_;
+};
+
+/// One end of a framed session: the socket, its decoder and the
+/// per-direction sequence contract. Outgoing frames are stamped 1, 2, ...
+/// in send order; an incoming frame whose seq does not exceed the last
+/// accepted one is a replay (WireError::kStaleSequence). A fresh stream
+/// starts both counters over.
+class FramedStream {
+ public:
+  FramedStream() = default;
+  explicit FramedStream(TcpStream stream) : stream_(std::move(stream)) {}
+
+  int fd() const { return stream_.fd(); }
+  void Close() { stream_.Close(); }
+  const FrameDecoder& decoder() const { return decoder_; }
+
+  /// Stamps the frames with the next outgoing seqs and writes them with
+  /// one send. False = the connection is dead.
+  bool Send(std::span<const Frame> frames);
+
+  /// Reads what the socket holds into the decoder, waiting at most
+  /// `timeout_ms` for the first byte (TcpStream::RecvSome).
+  RecvStatus Fill(int timeout_ms);
+
+  /// The next buffered frame; its seq is unchecked until AcceptSeq.
+  DecodeStatus Next(Frame& out) { return decoder_.Next(out); }
+
+  /// True when `frame`'s seq exceeds every seq accepted before, which
+  /// it then becomes; false for a duplicate or stale replay.
+  bool AcceptSeq(const Frame& frame) {
+    if (last_seq_in_ && frame.seq <= *last_seq_in_) return false;
+    last_seq_in_ = frame.seq;
+    return true;
+  }
+
+ private:
+  TcpStream stream_;
+  FrameDecoder decoder_;
+  std::uint64_t next_seq_out_ = 1;
+  std::optional<std::uint64_t> last_seq_in_;
 };
 
 }  // namespace rcbr::net

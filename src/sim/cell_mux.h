@@ -36,8 +36,8 @@ struct CellMuxResult {
 /// Simulates `n_streams` periodic streams (one cell per `period` slots,
 /// i.i.d. uniform phases redrawn each replication) through a unit-rate
 /// server for `replications` periods. Requires n_streams <= period
-/// (utilization <= 1). With a recorder, records replication/busy-slot
-/// counters and a "cellmux.max_queue_cells" gauge.
+/// (utilization <= 1). With a recorder, counts "cellmux.replications"
+/// and "cellmux.measured_slots".
 CellMuxResult SimulateCellMux(std::int64_t n_streams, std::int64_t period,
                               std::int64_t replications, Rng& rng,
                               obs::Recorder* recorder = nullptr);

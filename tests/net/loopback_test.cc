@@ -645,6 +645,126 @@ TEST(ClientPin, LadderSessionAgainstScriptedServer) {
   EXPECT_EQ(RateBits(stats.lost_bits), "0");
 }
 
+// --- The client's half of the sequence contract.
+
+// A scripted peer that answers every control frame at once, granting
+// every delta, but on its first connection stamps its second reply with
+// the first reply's seq: a replay the client must refuse. It serves the
+// client's reconnect cleanly, until Bye.
+class ReplayingServer {
+ public:
+  ReplayingServer() : listener_(*TcpListener::Bind(0)) {}
+
+  std::uint16_t port() const { return listener_.port(); }
+
+  /// Serves connections one at a time until Bye, or none arrives.
+  void Serve() {
+    for (;;) {
+      std::optional<TcpStream> stream;
+      for (int spins = 0; spins < 200 && !stream.has_value(); ++spins) {
+        stream = listener_.Accept(10);
+      }
+      if (!stream.has_value()) return;
+      ++connections_;
+      if (ServeOne(*stream, /*replay=*/connections_ == 1)) return;
+    }
+  }
+
+  // Call after Serve() has returned.
+  int connections() const { return connections_; }
+
+ private:
+  /// True when the session ended with Bye, false on EOF.
+  bool ServeOne(TcpStream& stream, bool replay) {
+    FrameDecoder decoder;
+    std::uint64_t seq = 1;
+    for (;;) {
+      std::uint8_t buf[4096];
+      const RecvResult r = stream.RecvSome(buf, sizeof buf, 5000);
+      if (r.status != RecvStatus::kData) return false;
+      decoder.Feed(buf, r.bytes);
+      Frame in;
+      while (decoder.Next(in) == DecodeStatus::kFrame) {
+        if (in.type == FrameType::kData) continue;
+        Frame out;
+        out.slot = in.slot;
+        out.seq = replay && seq == 2 ? 1 : seq;
+        ++seq;
+        switch (in.type) {
+          case FrameType::kHello:
+            out.type = FrameType::kWelcome;
+            out.accepted = true;
+            rate_ = in.rate_bps;
+            rung_ = in.rung;
+            break;
+          case FrameType::kDelta:
+            out.type = FrameType::kGrant;
+            rate_ += in.delta_bps;
+            rung_ = in.rung;
+            break;
+          case FrameType::kResync:
+            out.type = FrameType::kGrant;
+            rate_ = in.rate_bps;
+            rung_ = in.rung;
+            break;
+          case FrameType::kStateQuery:
+            out.type = FrameType::kStateReport;
+            out.known = true;
+            break;
+          case FrameType::kHeartbeat:
+            out.type = FrameType::kHeartbeatAck;
+            break;
+          default:  // kBye
+            out.type = FrameType::kByeAck;
+            break;
+        }
+        out.rate_bps = rate_;
+        out.rung = rung_;
+        const std::vector<std::uint8_t> bytes = Encode(out);
+        if (!stream.SendAll(bytes.data(), bytes.size())) return false;
+        if (out.type == FrameType::kByeAck) return true;
+      }
+    }
+  }
+
+  TcpListener listener_;
+  int connections_ = 0;
+  double rate_ = 0;
+  std::uint32_t rung_ = 0;
+};
+
+TEST(ClientSequence, ReplayedSeqIsAProtocolErrorAndTheClientReconnects) {
+  ReplayingServer server;
+  std::thread thread([&server] { server.Serve(); });
+  ClientOptions options;  // the default controller is a runnable one
+  options.port = server.port();
+  options.slots = 60;
+  options.slot_seconds = 0.005;
+  options.response_deadline_ms = 2000;
+  options.seed = 11;
+  Client client(options);
+  const bool completed = client.Run();
+  thread.join();
+  ASSERT_TRUE(completed);
+
+  // The replay is refused as a protocol error naming its seq, the link
+  // is declared suspect at once, and one re-dial repairs the session.
+  const std::vector<SessionEvent>& events = client.log().events();
+  const auto error = std::find_if(
+      events.begin(), events.end(), [](const SessionEvent& e) {
+        return e.kind == SessionEventKind::kProtocolError;
+      });
+  ASSERT_NE(error, events.end());
+  EXPECT_EQ(error->detail, "stale_sequence");
+  EXPECT_EQ(error->seq, 1u);
+  ASSERT_NE(error + 1, events.end());
+  EXPECT_EQ((error + 1)->kind, SessionEventKind::kLinkSuspect);
+  EXPECT_EQ(client.log().Count(SessionEventKind::kProtocolError), 1);
+  EXPECT_EQ(client.stats().reconnects, 1);
+  EXPECT_EQ(client.stats().desyncs, 0);
+  EXPECT_EQ(server.connections(), 2);
+}
+
 TEST(ClientRetry, ConstructorRejectsUnusableRetryOptions) {
   const auto with = [](auto edit) {
     ClientOptions options;
