@@ -28,36 +28,22 @@ int main(int argc, char** argv) {
       {"curve", "delta_kbps", "interval_s", "efficiency", "renegs"});
 
   for (double delta_kbps : {25.0, 50.0, 100.0, 200.0, 400.0}) {
-    const double delta = delta_kbps * kKilobit / movie.fps();
-    {
-      core::HeuristicOptions h;
-      h.low_threshold_bits = 10 * kKilobit;
-      h.high_threshold_bits = 150 * kKilobit;
-      h.time_constant_slots = 5;
-      h.granularity_bits_per_slot = delta;
-      h.initial_rate_bits_per_slot = mean_per_slot;
+    core::HeuristicOptions h;
+    h.low_threshold_bits = 10 * kKilobit;
+    h.high_threshold_bits = 150 * kKilobit;
+    h.time_constant_slots = 5;
+    h.granularity_bits_per_slot = delta_kbps * kKilobit / movie.fps();
+    h.initial_rate_bits_per_slot = mean_per_slot;
+    core::OnlineRateController ar1(h);
+    core::GopAwareController gop(h, 12);
+    core::RateController* curves[] = {&ar1, &gop};
+    for (int curve = 0; curve < 2; ++curve) {
       const PiecewiseConstant schedule =
-          core::ComputeHeuristicSchedule(bits, h);
+          core::ComputeHeuristicSchedule(bits, *curves[curve]);
       const core::ScheduleMetrics m = core::EvaluateSchedule(
           bits, schedule, 1e15, movie.slot_seconds(), {});
-      bench::PrintRow({0, delta_kbps, m.mean_interval_seconds,
-                       mean_per_slot / schedule.Mean(),
-                       static_cast<double>(m.renegotiations)});
-    }
-    {
-      core::GopHeuristicOptions h;
-      h.gop_pattern = "IBBPBBPBBPBB";
-      h.low_threshold_bits = 10 * kKilobit;
-      h.high_threshold_bits = 150 * kKilobit;
-      h.time_constant_gops = 2;
-      h.flush_slots = 5;
-      h.granularity_bits_per_slot = delta;
-      h.initial_rate_bits_per_slot = mean_per_slot;
-      const PiecewiseConstant schedule =
-          core::ComputeGopHeuristicSchedule(bits, h);
-      const core::ScheduleMetrics m = core::EvaluateSchedule(
-          bits, schedule, 1e15, movie.slot_seconds(), {});
-      bench::PrintRow({1, delta_kbps, m.mean_interval_seconds,
+      bench::PrintRow({static_cast<double>(curve), delta_kbps,
+                       m.mean_interval_seconds,
                        mean_per_slot / schedule.Mean(),
                        static_cast<double>(m.renegotiations)});
     }

@@ -19,60 +19,56 @@ PolicyOptions Checked(PolicyOptions options, const std::string& policy) {
   return options;
 }
 
-/// Chernoff admission test shared by the estimating policies: admit iff
-/// the estimated failure probability with one more call stays at or below
-/// the target. `estimate` must carry positive mass; the test reads it in
-/// place, normalized or not, and allocates nothing. Decisions are reported
-/// through `obs` (if any) together with the Chernoff margin.
-bool ChernoffAdmit(const Histogram& estimate, std::int64_t current_calls,
-                   double capacity_bps, double target, obs::Recorder* obs,
-                   double now) {
-  const double failure = ldev::ChernoffOverflowProbability(
-      ldev::TiltFamily(estimate.values(), estimate.weights()),
-      current_calls + 1, capacity_bps);
-  const bool admit = failure <= target;
-  if constexpr (obs::kEnabled) {
-    obs::Count(obs, admit ? "mbac.admit_accept" : "mbac.admit_reject");
-    obs::Emit(obs, now,
-              admit ? obs::EventKind::kAdmitAccept
-                    : obs::EventKind::kAdmitReject,
-              static_cast<std::uint64_t>(current_calls + 1),
-              {"failure_est", failure}, {"target", target},
-              {"calls", static_cast<double>(current_calls + 1)});
-  }
-  return admit;
-}
-
-/// Rung-k (k > 0) variant of the Chernoff test: the arriving call is not
-/// exchangeable with the full-ask population the estimator describes, so
-/// it enters as a known constant load `rung_rate_bps` and the test asks
-/// whether the `current_calls` existing calls overflow the *residual*
-/// capacity. Monotone in the rung rate: a deeper rung can only pass more
-/// easily, which is what turns blocking into downgrading. Decisions land
-/// on the same "mbac.*" counters plus "mbac.downgraded_admits", and the
-/// trace event carries the rung.
-bool ChernoffAdmitDowngraded(const Histogram& estimate,
-                             std::int64_t current_calls, double capacity_bps,
-                             double rung_rate_bps, std::size_t rung,
-                             double target, obs::Recorder* obs, double now) {
-  const double residual = capacity_bps - rung_rate_bps;
+/// The estimating policies' one admission decision. With no call in the
+/// system, or an estimate without mass, there is nothing to estimate from:
+/// admit, and the simulator's capacity check applies. Otherwise the
+/// Chernoff test on `estimate()`, which is read in place, normalized or
+/// not, and allocates nothing:
+///  * rung 0: the arriving call is one more draw from the estimated law;
+///    admit iff the failure probability with n + 1 calls stays at or
+///    below the target.
+///  * rung k > 0: the arriving call is not exchangeable with the full-ask
+///    population the estimator describes, so it enters as a known constant
+///    load `rung_rate_bps` and the test asks whether the n existing calls
+///    overflow the *residual* capacity. Monotone in the rung rate: a
+///    deeper rung can only pass more easily, which is what turns blocking
+///    into downgrading. Admits also count "mbac.downgraded_admits".
+/// Decisions are reported through the options' recorder (if any) on the
+/// "mbac.*" counters and a kAdmitAccept/kAdmitReject event carrying the
+/// Chernoff estimate, the target and the call count (rung 0) or the rung.
+template <typename Estimate>
+bool EstimatedAdmit(std::size_t live_calls, Estimate&& estimate,
+                    const sim::LinkView& view, double rung_rate_bps,
+                    std::size_t rung, const PolicyOptions& options,
+                    double now) {
+  if (live_calls == 0) return true;
+  const Histogram& law = estimate();
+  if (law.total_weight() <= 0) return true;
+  const auto calls = static_cast<std::int64_t>(live_calls);
+  const double target = options.target_failure_probability;
+  const double residual = view.capacity_bps - rung_rate_bps;
   bool admit = false;
   double failure = 1.0;
-  if (residual > 0) {
+  if (rung == 0 || residual > 0) {
     failure = ldev::ChernoffOverflowProbability(
-        ldev::TiltFamily(estimate.values(), estimate.weights()),
-        current_calls, residual);
+        ldev::TiltFamily(law.values(), law.weights()),
+        rung == 0 ? calls + 1 : calls,
+        rung == 0 ? view.capacity_bps : residual);
     admit = failure <= target;
   }
   if constexpr (obs::kEnabled) {
+    using Field = obs::TraceEvent::Field;
+    obs::Recorder* obs = options.recorder;
     obs::Count(obs, admit ? "mbac.admit_accept" : "mbac.admit_reject");
-    if (admit) obs::Count(obs, "mbac.downgraded_admits");
+    if (admit && rung > 0) obs::Count(obs, "mbac.downgraded_admits");
+    const Field last = rung == 0
+                           ? Field{"calls", static_cast<double>(calls + 1)}
+                           : Field{"rung", static_cast<double>(rung)};
     obs::Emit(obs, now,
               admit ? obs::EventKind::kAdmitAccept
                     : obs::EventKind::kAdmitReject,
-              static_cast<std::uint64_t>(current_calls + 1),
-              {"failure_est", failure}, {"target", target},
-              {"rung", static_cast<double>(rung)});
+              static_cast<std::uint64_t>(calls + 1),
+              {"failure_est", failure}, {"target", target}, last);
   }
   return admit;
 }
@@ -122,24 +118,15 @@ const Histogram& MemorylessPolicy::Snapshot() {
 }
 
 bool MemorylessPolicy::Admit(double now, const sim::LinkView& view,
-                             double /*initial_rate_bps*/) {
-  if (level_of_.empty()) return true;  // nothing to estimate from; the
-                                       // simulator's capacity check applies
-  return ChernoffAdmit(Snapshot(),
-                       static_cast<std::int64_t>(level_of_.size()),
-                       view.capacity_bps,
-                       options_.target_failure_probability,
-                       options_.recorder, now);
+                             double initial_rate_bps) {
+  return AdmitAtRung(now, view, initial_rate_bps, 0);
 }
 
 bool MemorylessPolicy::AdmitAtRung(double now, const sim::LinkView& view,
                                    double rung_rate_bps, std::size_t rung) {
-  if (rung == 0) return Admit(now, view, rung_rate_bps);
-  if (level_of_.empty()) return true;
-  return ChernoffAdmitDowngraded(
-      Snapshot(), static_cast<std::int64_t>(level_of_.size()),
-      view.capacity_bps, rung_rate_bps, rung,
-      options_.target_failure_probability, options_.recorder, now);
+  return EstimatedAdmit(
+      level_of_.size(), [&]() -> const Histogram& { return Snapshot(); },
+      view, rung_rate_bps, rung, options_, now);
 }
 
 void MemorylessPolicy::OnAdmitted(double /*now*/, std::uint64_t call_id,
@@ -201,26 +188,15 @@ const Histogram& AgedMemoryPolicy::Pooled(double now) {
 }
 
 bool AgedMemoryPolicy::Admit(double now, const sim::LinkView& view,
-                             double /*initial_rate_bps*/) {
-  if (calls_.empty()) return true;
-  const Histogram& pooled = Pooled(now);
-  if (pooled.total_weight() <= 0) return true;
-  return ChernoffAdmit(pooled, static_cast<std::int64_t>(calls_.size()),
-                       view.capacity_bps,
-                       options_.target_failure_probability,
-                       options_.recorder, now);
+                             double initial_rate_bps) {
+  return AdmitAtRung(now, view, initial_rate_bps, 0);
 }
 
 bool AgedMemoryPolicy::AdmitAtRung(double now, const sim::LinkView& view,
                                    double rung_rate_bps, std::size_t rung) {
-  if (rung == 0) return Admit(now, view, rung_rate_bps);
-  if (calls_.empty()) return true;
-  const Histogram& pooled = Pooled(now);
-  if (pooled.total_weight() <= 0) return true;
-  return ChernoffAdmitDowngraded(
-      pooled, static_cast<std::int64_t>(calls_.size()), view.capacity_bps,
-      rung_rate_bps, rung, options_.target_failure_probability,
-      options_.recorder, now);
+  return EstimatedAdmit(
+      calls_.size(), [&]() -> const Histogram& { return Pooled(now); },
+      view, rung_rate_bps, rung, options_, now);
 }
 
 void AgedMemoryPolicy::OnAdmitted(double now, std::uint64_t call_id,
@@ -293,26 +269,15 @@ const Histogram& MemoryPolicy::PooledHistory(double now) {
 }
 
 bool MemoryPolicy::Admit(double now, const sim::LinkView& view,
-                         double /*initial_rate_bps*/) {
-  if (calls_.empty()) return true;
-  const Histogram& pooled = PooledHistory(now);
-  if (pooled.total_weight() <= 0) return true;
-  return ChernoffAdmit(pooled, static_cast<std::int64_t>(calls_.size()),
-                       view.capacity_bps,
-                       options_.target_failure_probability,
-                       options_.recorder, now);
+                         double initial_rate_bps) {
+  return AdmitAtRung(now, view, initial_rate_bps, 0);
 }
 
 bool MemoryPolicy::AdmitAtRung(double now, const sim::LinkView& view,
                                double rung_rate_bps, std::size_t rung) {
-  if (rung == 0) return Admit(now, view, rung_rate_bps);
-  if (calls_.empty()) return true;
-  const Histogram& pooled = PooledHistory(now);
-  if (pooled.total_weight() <= 0) return true;
-  return ChernoffAdmitDowngraded(
-      pooled, static_cast<std::int64_t>(calls_.size()), view.capacity_bps,
-      rung_rate_bps, rung, options_.target_failure_probability,
-      options_.recorder, now);
+  return EstimatedAdmit(
+      calls_.size(), [&]() -> const Histogram& { return PooledHistory(now); },
+      view, rung_rate_bps, rung, options_, now);
 }
 
 void MemoryPolicy::OnAdmitted(double now, std::uint64_t call_id,

@@ -1,33 +1,22 @@
 #include "core/gop_heuristic.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.h"
 
 namespace rcbr::core {
+namespace {
 
-GopAwareController::GopAwareController(const GopHeuristicOptions& options)
-    : options_(options), current_rate_(options.initial_rate_bits_per_slot) {
-  Require(!options.gop_pattern.empty(),
-          "GopAwareController: empty GOP pattern");
-  Require(options.low_threshold_bits >= 0 &&
-              options.high_threshold_bits >= options.low_threshold_bits,
-          "GopAwareController: need 0 <= B_l <= B_h");
-  Require(options.time_constant_gops >= 1,
-          "GopAwareController: time constant must be >= 1 GOP");
-  Require(options.flush_slots >= 1,
-          "GopAwareController: flush horizon must be >= 1 slot");
-  Require(options.granularity_bits_per_slot > 0,
-          "GopAwareController: granularity must be positive");
-  Require(options.initial_rate_bits_per_slot >= 0,
-          "GopAwareController: negative initial rate");
-  Require(options.max_rate_bits_per_slot > 0,
-          "GopAwareController: max rate must be positive");
+// Memory of the per-position estimators, in GOPs.
+constexpr double kTimeConstantGops = 2;
+
+}  // namespace
+
+GopAwareController::GopAwareController(const HeuristicOptions& options,
+                                       std::size_t gop_slots)
+    : RateController(options) {
+  Require(gop_slots >= 1, "GopAwareController: empty GOP");
   // Seed every position's estimate with the initial rate so the first GOP
   // predicts it exactly.
-  per_position_.assign(options.gop_pattern.size(),
-                       options.initial_rate_bits_per_slot);
+  per_position_.assign(gop_slots, options.initial_rate_bits_per_slot);
 }
 
 double GopAwareController::estimate_bits_per_slot() const {
@@ -36,64 +25,17 @@ double GopAwareController::estimate_bits_per_slot() const {
   return sum / static_cast<double>(per_position_.size());
 }
 
-std::optional<double> GopAwareController::Step(double arrival_bits,
-                                               double granted_rate) {
-  Require(arrival_bits >= 0, "GopAwareController::Step: negative arrival");
-  Require(granted_rate >= 0, "GopAwareController::Step: negative rate");
-
-  buffer_ = std::max(buffer_ + arrival_bits - granted_rate, 0.0);
-
+double GopAwareController::Estimate(double arrival_bits) {
   // Update this position's estimator; each position is visited once per
-  // GOP, so a gain of 1/time_constant_gops gives the intended memory.
-  const double gain = 1.0 / options_.time_constant_gops;
+  // GOP, so a gain of 1/kTimeConstantGops gives the intended memory.
+  const double gain = 1.0 / kTimeConstantGops;
   double& slot_estimate = per_position_[phase_];
   slot_estimate = (1.0 - gain) * slot_estimate + gain * arrival_bits;
   phase_ = (phase_ + 1) % per_position_.size();
 
-  // Pattern-average plus the buffer-flush feedback of eq. (6).
-  const double predicted =
-      estimate_bits_per_slot() + buffer_ / options_.flush_slots;
-
-  const double delta = options_.granularity_bits_per_slot;
-  const double cap =
-      std::floor(options_.max_rate_bits_per_slot / delta) * delta;
-  const double quantized =
-      std::min(std::ceil(predicted / delta) * delta, cap);
-
-  const bool go_up =
-      buffer_ > options_.high_threshold_bits && quantized > current_rate_;
-  const bool go_down =
-      buffer_ < options_.low_threshold_bits && quantized < current_rate_;
-  if (go_up || go_down) {
-    current_rate_ = quantized;
-    ++renegotiations_;
-    return quantized;
-  }
-  return std::nullopt;
-}
-
-PiecewiseConstant ComputeGopHeuristicSchedule(
-    const std::vector<double>& workload_bits,
-    const GopHeuristicOptions& options) {
-  Require(!workload_bits.empty(),
-          "ComputeGopHeuristicSchedule: empty workload");
-  GopAwareController controller(options);
-  std::vector<Step> steps;
-  steps.push_back({0, options.initial_rate_bits_per_slot});
-  double rate = options.initial_rate_bits_per_slot;
-  for (std::size_t t = 0; t < workload_bits.size(); ++t) {
-    const std::optional<double> request =
-        controller.Step(workload_bits[t], rate);
-    if (request.has_value() && *request != rate) {
-      rate = *request;
-      const auto next = static_cast<std::int64_t>(t) + 1;
-      if (next < static_cast<std::int64_t>(workload_bits.size())) {
-        steps.push_back({next, rate});
-      }
-    }
-  }
-  return PiecewiseConstant(std::move(steps),
-                           static_cast<std::int64_t>(workload_bits.size()));
+  // GOP-average plus the buffer-flush feedback of eq. (6).
+  return estimate_bits_per_slot() +
+         buffer_bits() / options().time_constant_slots;
 }
 
 }  // namespace rcbr::core

@@ -1,79 +1,44 @@
-// GOP-aware causal renegotiation heuristic (the paper's suggested
-// improvement, Sec. IV-B: "the prediction quality could be improved by
-// taking into account the inherent frame structure of MPEG encoded
-// video").
+// GOP-aware rate estimator (the paper's suggested improvement, Sec. IV-B:
+// "the prediction quality could be improved by taking into account the
+// inherent frame structure of MPEG encoded video").
 //
 // The plain AR(1) estimator of online_heuristic.h sees the I/P/B size
 // pattern as noise: every I frame yanks the estimate up, every B frame
 // drags it down, so the estimate oscillates within a GOP and the
 // controller either renegotiates on frame-type noise or needs a long time
 // constant that lags scene changes. This controller instead keeps one
-// AR(1) estimator *per position in the GOP pattern* and predicts the
-// sustainable rate as the pattern-average of those estimators — the
-// frame-structure periodicity cancels exactly, leaving only the scene
-// signal (plus the same buffer-flush feedback and eq.-(8) trigger rule,
-// so the two heuristics are comparable knob-for-knob).
+// AR(1) estimator *per position in the GOP* (memory: two GOPs) and
+// predicts the sustainable rate as the GOP-average of those estimators —
+// the frame-structure periodicity cancels exactly, leaving only the scene
+// signal. It adds the same q/T buffer-flush term, over
+// HeuristicOptions::time_constant_slots, and shares the rest of the rule
+// (quantization, eq. 8 trigger, denial cooldown) with the AR(1)
+// controller through RateController, so the two heuristics are comparable
+// knob-for-knob.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "core/rate_controller.h"
-#include "util/piecewise.h"
 
 namespace rcbr::core {
 
-struct GopHeuristicOptions {
-  /// The encoder's GOP pattern; frames arrive cyclically in this order.
-  std::string gop_pattern = "IBBPBBPBBPBB";
-  /// Buffer thresholds, bits (same roles as the AR(1) heuristic's).
-  double low_threshold_bits = 10e3;
-  double high_threshold_bits = 150e3;
-  /// Memory of the per-position estimators, in GOPs.
-  double time_constant_gops = 2;
-  /// Buffer-flush horizon in slots (the q/T term of eq. 6).
-  double flush_slots = 5;
-  /// Bandwidth granularity Delta, bits per slot.
-  double granularity_bits_per_slot = 0;
-  double initial_rate_bits_per_slot = 0;
-  double max_rate_bits_per_slot = 1e300;
-};
-
 class GopAwareController final : public RateController {
  public:
-  explicit GopAwareController(const GopHeuristicOptions& options);
+  /// `gop_slots` is the encoder's GOP length in slots (frames arrive one
+  /// per slot, cyclically through the GOP); only the length matters, not
+  /// the frame types.
+  GopAwareController(const HeuristicOptions& options, std::size_t gop_slots);
 
-  /// Advances one slot (one frame of the cyclic pattern). Returns the new
-  /// desired rate when the controller decides to renegotiate.
-  std::optional<double> Step(double arrival_bits,
-                             double granted_rate) override;
-
-  /// Informs the controller its last request was denied.
-  void OnRequestDenied(double granted_rate) override {
-    current_rate_ = granted_rate;
-  }
-
-  double buffer_bits() const { return buffer_; }
-  /// The pattern-averaged scene-rate estimate, bits per slot.
+  /// The GOP-averaged scene-rate estimate, bits per slot.
   double estimate_bits_per_slot() const;
-  double current_rate() const override { return current_rate_; }
-  std::int64_t renegotiations() const { return renegotiations_; }
 
  private:
-  GopHeuristicOptions options_;
+  double Estimate(double arrival_bits) override;
+
   std::vector<double> per_position_;  // one AR estimate per GOP position
   std::size_t phase_ = 0;
-  double buffer_ = 0;
-  double current_rate_;
-  std::int64_t renegotiations_ = 0;
 };
-
-/// Open-loop run over a whole workload (every request granted); the
-/// GOP-aware counterpart of ComputeHeuristicSchedule.
-PiecewiseConstant ComputeGopHeuristicSchedule(
-    const std::vector<double>& workload_bits,
-    const GopHeuristicOptions& options);
 
 }  // namespace rcbr::core

@@ -1,104 +1,33 @@
-// Causal renegotiation heuristic for interactive sources (Sec. IV-B).
-//
-// The heuristic keeps an AR(1) estimate of the source rate with an extra
-// buffer-flush term (eq. 6):
+// The paper's causal renegotiation heuristic for interactive sources
+// (Sec. IV-B): an AR(1) estimate of the source rate with an extra
+// buffer-flush term (eq. 6),
 //     r_hat(t) = (1 - 1/T) * r_hat(t-1) + (1/T) * a(t) + q(t)/T,
-// quantizes it to a grid of granularity Delta (eq. 7), and renegotiates
-// only when a buffer threshold and the quantized estimate agree (eq. 8):
-// request up when q > B_h and the quantized estimate exceeds the current
-// rate; request down when q < B_l and it is below. The paper's Fig. 2
-// parameters: B_l = 10 kb, B_h = 150 kb, T = 5 frames, Delta swept from
-// 25 kb/s to 400 kb/s.
+// fed to the shared quantize-and-trigger rule of rate_controller.h
+// (eq. 7-8). This file holds only the estimator.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/rate_controller.h"
-#include "obs/recorder.h"
 #include "util/piecewise.h"
 
 namespace rcbr::core {
 
-struct HeuristicOptions {
-  /// Low and high buffer thresholds, bits.
-  double low_threshold_bits = 10e3;
-  double high_threshold_bits = 150e3;
-  /// AR(1) time constant in slots (also flushes the buffer over T slots).
-  double time_constant_slots = 5;
-  /// Bandwidth granularity Delta, bits per slot.
-  double granularity_bits_per_slot = 0;
-  /// Initial service rate, bits per slot.
-  double initial_rate_bits_per_slot = 0;
-  /// Upper cap on requested rates (bits per slot), e.g. the uplink
-  /// capacity the source knows it can never exceed. The flush term of
-  /// eq. (6) otherwise demands ~ arrival + q/T compounding to arrival + q
-  /// under a persistent backlog, which a small link can never grant.
-  /// Unlimited by default.
-  double max_rate_bits_per_slot = 1e300;
-  /// Slots to stay quiet after a denied request (0 = retrigger as soon as
-  /// eq. 8 fires again, the legacy behavior). A denial under congestion
-  /// usually repeats for many slots; the cooldown stops the source from
-  /// hammering the network with requests it just saw refused.
-  std::int64_t denial_cooldown_slots = 0;
-  /// Optional observability sink: every trigger emits a kRenegRequest
-  /// event (time = slot index, id = `obs_id`) with the quantized rate,
-  /// buffer level, and AR(1) estimate, plus a renegotiation counter.
-  obs::Recorder* recorder = nullptr;
-  /// Identifier stamped into this controller's events (e.g. a VCI).
-  std::uint64_t obs_id = 0;
-};
-
-/// Stateful controller usable online: feed one slot's arrivals at a time;
-/// it tracks the (unbounded) source buffer given the granted rates and
-/// proposes renegotiations.
 class OnlineRateController final : public RateController {
  public:
-  explicit OnlineRateController(const HeuristicOptions& options);
+  explicit OnlineRateController(const HeuristicOptions& options)
+      : RateController(options),
+        estimate_(options.initial_rate_bits_per_slot) {}
 
-  /// Advances one slot with `arrival_bits` entering the buffer while the
-  /// network drains at `granted_rate` (bits/slot; normally the last
-  /// requested rate, less if a renegotiation failed). Returns the new
-  /// desired rate when the heuristic decides to renegotiate.
-  std::optional<double> Step(double arrival_bits,
-                             double granted_rate) override;
-
-  /// Informs the controller that its last request was denied and the
-  /// reservation remains at `granted_rate`; future triggers compare
-  /// against the real reservation instead of the phantom request, and the
-  /// optional denial cooldown starts.
-  void OnRequestDenied(double granted_rate) override {
-    current_rate_ = granted_rate;
-    quiet_until_slot_ = slot_ + options_.denial_cooldown_slots;
-  }
-
-  /// An externally imposed rate (degradation fallback) — adopted without
-  /// starting a cooldown: the network just granted it, nothing was
-  /// refused.
-  void OnRateImposed(double granted_rate) override {
-    current_rate_ = granted_rate;
-  }
-
-  double buffer_bits() const { return buffer_; }
   double estimate_bits_per_slot() const { return estimate_; }
-  double current_rate() const override { return current_rate_; }
-  std::int64_t renegotiations() const { return renegotiations_; }
 
  private:
-  HeuristicOptions options_;
-  double buffer_ = 0;
+  double Estimate(double arrival_bits) override;
+
   double estimate_;
-  double current_rate_;
-  std::int64_t renegotiations_ = 0;
-  std::int64_t slot_ = 0;
-  std::int64_t quiet_until_slot_ = 0;
-  obs::Counter* ctr_renegotiations_ = nullptr;
 };
 
-/// Runs the heuristic open-loop over a whole workload (every request is
-/// granted) and returns the resulting stepwise-CBR schedule, as used for
-/// the heuristic curve of Fig. 2.
+/// ComputeHeuristicSchedule with a fresh AR(1) controller.
 PiecewiseConstant ComputeHeuristicSchedule(
     const std::vector<double>& workload_bits,
     const HeuristicOptions& options);

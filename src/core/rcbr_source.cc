@@ -192,7 +192,7 @@ signaling::RenegotiationOutcome RcbrSource::Request(double rate,
 
 std::optional<double> RcbrSource::OfflineDesiredRate() const {
   if (!schedule_.has_value()) return std::nullopt;
-  const std::int64_t t = std::min(slot_, schedule_->length() - 1);
+  const std::int64_t t = std::min(stats_.slots, schedule_->length() - 1);
   return schedule_->At(t);
 }
 
@@ -261,8 +261,8 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
       if (++consecutive_failures_ >= degradation_.failures_to_degrade) {
         // Give up asking: hold the granted rate and drain via the buffer.
         mode_ = SourceMode::kHold;
-        mode_entered_slot_ = slot_;
-        hold_until_slot_ = slot_ + degradation_.hold_slots;
+        mode_entered_slot_ = stats_.slots;
+        hold_until_slot_ = stats_.slots + degradation_.hold_slots;
         ++stats_.degrade_holds;
         if constexpr (obs::kEnabled) {
           obs::Count(obs_, "source.degrade_holds");
@@ -282,10 +282,10 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
                            result)) {
           if (span_hold_dwell_ != nullptr) {
             span_hold_dwell_->Record(
-                static_cast<double>(slot_ - mode_entered_slot_));
+                static_cast<double>(stats_.slots - mode_entered_slot_));
           }
           mode_ = SourceMode::kFallback;
-          mode_entered_slot_ = slot_;
+          mode_entered_slot_ = stats_.slots;
           ++stats_.fallback_entries;
           contract_.OnRateImposed();
           if constexpr (obs::kEnabled) {
@@ -297,12 +297,12 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
         }
         return;
       }
-      if (slot_ >= hold_until_slot_ && desired.has_value()) {
+      if (stats_.slots >= hold_until_slot_ && desired.has_value()) {
         // Re-probe at the schedule/heuristic rate.
         if (TryRenegotiate(*desired, result)) {
           if (span_hold_dwell_ != nullptr) {
             span_hold_dwell_->Record(
-                static_cast<double>(slot_ - mode_entered_slot_));
+                static_cast<double>(stats_.slots - mode_entered_slot_));
           }
           mode_ = SourceMode::kNormal;
           consecutive_failures_ = 0;
@@ -314,7 +314,7 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
                       {"buffer_bits", occupancy});
           }
         } else {
-          hold_until_slot_ = slot_ + degradation_.hold_slots;
+          hold_until_slot_ = stats_.slots + degradation_.hold_slots;
         }
       }
       return;
@@ -326,7 +326,7 @@ void RcbrSource::StepDegradation(const std::optional<double>& desired,
         if (TryRenegotiate(*desired, result)) {
           if (span_fallback_dwell_ != nullptr) {
             span_fallback_dwell_->Record(
-                static_cast<double>(slot_ - mode_entered_slot_));
+                static_cast<double>(stats_.slots - mode_entered_slot_));
           }
           mode_ = SourceMode::kNormal;
           consecutive_failures_ = 0;
@@ -351,7 +351,6 @@ RcbrSource::SlotResult RcbrSource::Step(double arrival_bits) {
   // Drain this slot at the currently granted rate.
   result.lost_bits = queue_.Step(arrival_bits, contract_.granted());
   ++stats_.slots;
-  ++slot_;
 
   // Decide the rate for the next slot. The controller keeps estimating
   // every slot even while degraded, so recovery targets stay fresh.
@@ -370,7 +369,7 @@ RcbrSource::SlotResult RcbrSource::Step(double arrival_bits) {
   if (ts_mode_ != nullptr) {
     // Per-slot state occupancy: window means give the fraction of time
     // spent degraded (kNormal=0, kHold=1, kFallback=2).
-    ts_mode_->Sample(static_cast<double>(slot_),
+    ts_mode_->Sample(static_cast<double>(stats_.slots),
                      static_cast<double>(mode_));
   }
 

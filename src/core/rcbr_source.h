@@ -105,7 +105,7 @@ class RcbrSource {
                            obs::Recorder* recorder = nullptr);
 
   /// Online source driven by any RateController (e.g. the GOP-aware
-  /// heuristic, or a user-supplied policy).
+  /// heuristic).
   static RcbrSource OnlineWith(std::uint64_t vci,
                                std::unique_ptr<RateController> controller,
                                double slot_seconds, double buffer_bits,
@@ -209,7 +209,6 @@ class RcbrSource {
 
   // Offline state.
   std::optional<PiecewiseConstant> schedule_;
-  std::int64_t slot_ = 0;
 
   // Online state.
   std::unique_ptr<RateController> controller_;

@@ -94,7 +94,7 @@ void Client::ChargeSlots(std::int64_t n) {
   }
 }
 
-bool Client::SendFrame(const Frame& frame) {
+bool Client::SendFrame(Frame& frame) {
   if (stream_.Send({&frame, 1})) return true;
   connected_ = false;
   return false;
@@ -279,7 +279,7 @@ bool Client::ConnectSession() {
     std::uint64_t welcome_seq = 0;
     const sim::RungAnswer answer = contract_.Connect(
         full_ask_bps, [&](std::uint32_t rung, double& rate) {
-          const Frame hello = Hello(rate, rung);
+          Frame hello = Hello(rate, rung);
           Frame welcome;
           if (!SendFrame(hello) ||
               AwaitResponse(FrameType::kWelcome, hello.slot, &welcome) !=

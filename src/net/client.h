@@ -150,7 +150,9 @@ class Client {
   void ChargeSlots(std::int64_t n);
   std::int64_t SlotsFor(double seconds) const;
 
-  bool SendFrame(const Frame& frame);
+  /// Sends one frame, stamping `frame.seq` with the seq it went out
+  /// under. False = connection lost.
+  bool SendFrame(Frame& frame);
   /// Drains everything already buffered on the socket (data acks, async
   /// errors). False = connection lost.
   bool PollIncoming();

@@ -13,6 +13,9 @@ namespace {
 /// Forwarding-loop tick; bounds how fast Stop() is observed.
 constexpr int kPollIntervalMs = 5;
 
+/// The proxy is a loopback impairment: its server is on the same host.
+constexpr const char* kServerHost = "127.0.0.1";
+
 /// Stateless drop draw: a uniform in [0, 1) that depends only on
 /// (seed, direction, frame seq). Two runs with the same seed make the
 /// same call for every frame no matter how the bytes were batched.
@@ -146,7 +149,7 @@ void Proxy::Serve() {
 
     if (rc > 0 && (pfds[0].revents & POLLIN) != 0) {
       while (auto client = listener_.Accept(0)) {
-        auto server = TcpStream::Connect(options_.server_host,
+        auto server = TcpStream::Connect(kServerHost,
                                          options_.server_port, 1000);
         if (!server) {
           // Server unreachable: refuse by closing, the client's dial

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/socket.h"
@@ -41,7 +40,6 @@
 namespace rcbr::net {
 
 struct ProxyOptions {
-  std::string server_host = "127.0.0.1";
   std::uint16_t server_port = 0;
   /// The fault schedule, sim seconds; compiled to the slot domain via
   /// slots_per_second (= 1 / the client's slot_seconds).

@@ -113,7 +113,7 @@ void Server::MaybePiggybackDrain(Connection& conn,
   frames.insert(frames.begin(), drain);
 }
 
-bool Server::SendFrames(Connection& conn, const std::vector<Frame>& frames) {
+bool Server::SendFrames(Connection& conn, std::vector<Frame> frames) {
   if (conn.stream.Send(frames)) return true;
   conn.dead = true;
   return false;
@@ -178,7 +178,7 @@ bool Server::HandleHello(Connection& conn, const Frame& frame) {
   // A refused Hello carries no contract: conn's rate and rung are zero.
   std::vector<Frame> out;
   Respond(conn, out, FrameType::kWelcome, frame).accepted = accepted;
-  return SendFrames(conn, out);
+  return SendFrames(conn, std::move(out));
   // A denied Hello leaves the connection open: the client walks its
   // rate ladder down and retries on the same stream.
 }
@@ -298,7 +298,7 @@ bool Server::HandleFrame(Connection& conn, const Frame& frame) {
       ProtocolError(conn, WireError::kUnknownType);
       return false;
   }
-  return SendFrames(conn, out);
+  return SendFrames(conn, std::move(out));
 }
 
 void Server::HandleReadable(Connection& conn) {

@@ -125,7 +125,7 @@ class Server {
   /// Dispatches one decoded frame; false = close this connection.
   bool HandleFrame(Connection& conn, const Frame& frame);
   bool HandleHello(Connection& conn, const Frame& frame);
-  bool SendFrames(Connection& conn, const std::vector<Frame>& frames);
+  bool SendFrames(Connection& conn, std::vector<Frame> frames);
   /// Emits kError{code} (best effort) and marks the connection dead.
   void ProtocolError(Connection& conn, WireError code);
   /// The Drain notice due before the next control response, if any.

@@ -316,9 +316,9 @@ DecodeStatus FrameDecoder::Next(Frame& out) {
   return DecodeStatus::kFrame;
 }
 
-bool FramedStream::Send(std::span<const Frame> frames) {
+bool FramedStream::Send(std::span<Frame> frames) {
   std::vector<std::uint8_t> bytes;
-  for (Frame frame : frames) {
+  for (Frame& frame : frames) {
     frame.seq = next_seq_out_++;
     EncodeFrame(frame, bytes);
   }

@@ -156,9 +156,9 @@ class FramedStream {
   void Close() { stream_.Close(); }
   const FrameDecoder& decoder() const { return decoder_; }
 
-  /// Stamps the frames with the next outgoing seqs and writes them with
-  /// one send. False = the connection is dead.
-  bool Send(std::span<const Frame> frames);
+  /// Stamps the frames, in place, with the next outgoing seqs and writes
+  /// them with one send. False = the connection is dead.
+  bool Send(std::span<Frame> frames);
 
   /// Reads what the socket holds into the decoder, waiting at most
   /// `timeout_ms` for the first byte (TcpStream::RecvSome).

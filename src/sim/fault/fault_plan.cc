@@ -45,7 +45,6 @@ void ValidateOptions(const FaultPlanOptions& options) {
   Require(options.burst_loss_probability >= 0 &&
               options.burst_loss_probability <= 1,
           "FaultPlan: burst loss probability must be in [0,1]");
-  Require(options.burst_extra_delay_s >= 0, "FaultPlan: negative delay");
   Require(options.link_downtime_s >= 0, "FaultPlan: negative downtime");
 }
 
@@ -62,7 +61,6 @@ FaultPlan FaultPlan::Generate(const FaultPlanOptions& options, Rng& rng) {
       e.kind = FaultKind::kRmLossBurst;
       e.duration_s = options.burst_duration_s;
       e.loss_probability = options.burst_loss_probability;
-      e.extra_delay_s = options.burst_extra_delay_s;
       events.push_back(e);
       t += rng.Exponential(1.0 / options.burst_rate_per_s);
     }

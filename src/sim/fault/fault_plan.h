@@ -62,7 +62,6 @@ struct FaultPlanOptions {
   double burst_rate_per_s = 0;
   double burst_duration_s = 1.0;
   double burst_loss_probability = 1.0;
-  double burst_extra_delay_s = 0;
 
   /// Per-link failure process; each failure is paired with a kLinkUp
   /// `link_downtime_s` later, and the next failure is drawn after the

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "util/error.h"
-#include "util/search.h"
 
 namespace rcbr::sim {
 
@@ -103,22 +102,6 @@ DrainResult DrainSchedule(const std::vector<double>& arrival_bits,
   }
   return {queue.arrived_bits(), queue.lost_bits(),
           queue.max_occupancy_bits()};
-}
-
-double MinLosslessRate(const std::vector<double>& arrival_bits,
-                       double buffer_bits, double relative_tolerance) {
-  Require(!arrival_bits.empty(), "MinLosslessRate: empty workload");
-  double peak = 0;
-  for (double a : arrival_bits) peak = std::max(peak, a);
-  if (peak == 0) return 0;
-  SearchOptions options;
-  options.relative_tolerance = relative_tolerance;
-  return MinFeasible(0.0, peak,
-                     [&](double rate) {
-                       return DrainConstant(arrival_bits, rate, buffer_bits)
-                                  .lost_bits == 0.0;
-                     },
-                     options);
 }
 
 }  // namespace rcbr::sim

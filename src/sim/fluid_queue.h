@@ -82,12 +82,6 @@ DrainResult DrainSchedule(const std::vector<double>& arrival_bits,
                           double buffer_bits,
                           obs::Recorder* recorder = nullptr);
 
-/// The smallest constant service rate (bits/slot) that drains the workload
-/// with zero loss given `buffer_bits`, up to `tolerance` (relative).
-/// This is the empirical equivalent bandwidth of the workload at loss 0.
-double MinLosslessRate(const std::vector<double>& arrival_bits,
-                       double buffer_bits, double relative_tolerance = 1e-6);
-
 inline constexpr double kInfiniteBuffer =
     std::numeric_limits<double>::infinity();
 

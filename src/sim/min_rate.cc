@@ -4,6 +4,12 @@
 #include "util/search.h"
 
 namespace rcbr::sim {
+namespace {
+
+/// Bisection steps before FindMinRate settles for its bracket.
+constexpr int kMaxSearchSteps = 60;
+
+}  // namespace
 
 OnlineStats EstimateLoss(
     const std::function<double(double, std::uint64_t)>& sample, double c,
@@ -28,7 +34,7 @@ double FindMinRate(const std::function<double(double, std::uint64_t)>& sample,
   };
   SearchOptions search;
   search.relative_tolerance = options.rate_tolerance;
-  search.max_iterations = options.max_search_steps;
+  search.max_iterations = kMaxSearchSteps;
   return MinFeasible(lo, hi, feasible, search);
 }
 

@@ -23,7 +23,6 @@ struct MinRateOptions {
   std::size_t max_replications = 64;
   /// Binary-search tolerance on the rate, relative.
   double rate_tolerance = 0.01;
-  int max_search_steps = 60;
 };
 
 /// Estimates a loss probability at rate `c` by replicating

@@ -6,6 +6,12 @@
 #include "util/error.h"
 
 namespace rcbr::trace {
+namespace {
+
+/// Minimum scene length (frames); shorter detections merge forward.
+constexpr std::int64_t kMinSceneFrames = 12;
+
+}  // namespace
 
 std::vector<double> Autocorrelation(const FrameTrace& trace,
                                     const std::vector<std::int64_t>& lags) {
@@ -59,7 +65,6 @@ std::vector<Scene> DetectScenes(const FrameTrace& trace,
                                 const SceneDetectorOptions& options) {
   Require(options.smoothing_frames >= 1, "DetectScenes: bad smoothing");
   Require(options.change_ratio > 1.0, "DetectScenes: ratio must exceed 1");
-  Require(options.min_scene_frames >= 1, "DetectScenes: bad min length");
   const auto n = trace.frame_count();
 
   // Centered moving average (clamped at the edges).
@@ -83,7 +88,7 @@ std::vector<Scene> DetectScenes(const FrameTrace& trace,
   std::int64_t scene_len = 0;
   for (std::int64_t t = 0; t < n; ++t) {
     const double s = smooth[static_cast<std::size_t>(t)];
-    if (scene_len >= options.min_scene_frames) {
+    if (scene_len >= kMinSceneFrames) {
       const double scene_mean = scene_sum / static_cast<double>(scene_len);
       const bool jump = s > scene_mean * options.change_ratio ||
                         s * options.change_ratio < scene_mean;

@@ -43,8 +43,6 @@ struct SceneDetectorOptions {
   /// A new scene starts when the smoothed rate deviates from the current
   /// scene's running mean by more than this factor.
   double change_ratio = 1.5;
-  /// Minimum scene length (frames); shorter detections merge forward.
-  std::int64_t min_scene_frames = 12;
 };
 
 /// Splits the trace into scenes by detecting sustained rate changes.

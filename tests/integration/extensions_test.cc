@@ -23,17 +23,15 @@ TEST(Extensions, GopAwareSourceOverSignalingPath) {
   signaling::PortController port(10 * kMbps);
   signaling::SignalingPath path({&port}, 1 * kMillisecond);
 
-  core::GopHeuristicOptions options;
-  options.gop_pattern = "IBBPBBPBBPBB";
+  core::HeuristicOptions options;
   options.low_threshold_bits = 10 * kKilobit;
   options.high_threshold_bits = 150 * kKilobit;
-  options.time_constant_gops = 2;
-  options.flush_slots = 5;
+  options.time_constant_slots = 5;
   options.granularity_bits_per_slot = 64.0 * kKilobit / clip.fps();
   options.initial_rate_bits_per_slot = clip.mean_rate() / clip.fps();
 
   core::RcbrSource source = core::RcbrSource::OnlineWith(
-      1, std::make_unique<core::GopAwareController>(options),
+      1, std::make_unique<core::GopAwareController>(options, 12),
       clip.slot_seconds(), 500 * kKilobit, &path);
   ASSERT_TRUE(source.Connect());
   for (std::int64_t t = 0; t < clip.frame_count(); ++t) {

@@ -469,13 +469,24 @@ TEST(ClientRetry, EveryDeltaTimeoutIsRescindedTheLastOneToo) {
     // included — is followed by a resync back to it.
     const std::vector<Frame>& frames = server.control();
     std::int64_t deltas = 0;
+    std::vector<std::uint64_t> delta_seqs;
     for (std::size_t i = 0; i < frames.size(); ++i) {
       if (frames[i].type != FrameType::kDelta) continue;
       ++deltas;
+      delta_seqs.push_back(frames[i].seq);
       ASSERT_LT(i + 1, frames.size());
       EXPECT_EQ(frames[i + 1].type, FrameType::kResync);
       EXPECT_TRUE(SameBits(frames[i + 1].rate_bps, client.granted_bps()));
     }
+    // Each timeout event names the attempt that timed out by the seq the
+    // server decoded for it.
+    std::vector<std::uint64_t> timeout_seqs;
+    for (const SessionEvent& event : client.log().events()) {
+      if (event.kind == SessionEventKind::kTimeout) {
+        timeout_seqs.push_back(event.seq);
+      }
+    }
+    EXPECT_EQ(timeout_seqs, delta_seqs);
     const ClientStats& stats = client.stats();
     EXPECT_GT(stats.holds, 0);
     EXPECT_EQ(deltas, stats.holds * (1 + max_retries));

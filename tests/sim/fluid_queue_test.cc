@@ -108,44 +108,5 @@ TEST(DrainSchedule, LengthMismatchThrows) {
   EXPECT_THROW(DrainSchedule(workload, flat, 1.0), InvalidArgument);
 }
 
-TEST(MinLosslessRate, ExactForSimpleWorkload) {
-  // Workload 10,0,10,0 with buffer 5: rate r needs max(10-r, ...) <= 5 and
-  // drain before the next burst: r >= 5.
-  const std::vector<double> workload = {10, 0, 10, 0};
-  const double rate = MinLosslessRate(workload, 5.0, 1e-9);
-  EXPECT_NEAR(rate, 5.0, 1e-6);
-}
-
-TEST(MinLosslessRate, InfiniteBufferNeedsMeanOnly) {
-  // With a huge buffer the needed rate approaches... actually with a
-  // finite-horizon workload the constraint is weaker than the mean: only
-  // the per-slot overflow matters. With B = sum of all bits, rate 0 works.
-  const std::vector<double> workload = {10, 10, 10};
-  EXPECT_NEAR(MinLosslessRate(workload, 30.0), 0.0, 1e-6);
-}
-
-TEST(MinLosslessRate, ZeroBufferNeedsPeak) {
-  const std::vector<double> workload = {3, 7, 2};
-  EXPECT_NEAR(MinLosslessRate(workload, 0.0, 1e-9), 7.0, 1e-5);
-}
-
-TEST(MinLosslessRate, MonotoneInBuffer) {
-  const std::vector<double> workload = {10, 0, 10, 0, 10, 0};
-  double prev = 1e300;
-  for (double buffer : {0.0, 2.0, 5.0, 10.0, 30.0}) {
-    const double rate = MinLosslessRate(workload, buffer, 1e-9);
-    EXPECT_LE(rate, prev + 1e-9);
-    prev = rate;
-  }
-}
-
-TEST(MinLosslessRate, ResultIsActuallyLossless) {
-  const std::vector<double> workload = {4, 9, 1, 12, 0, 3};
-  for (double buffer : {0.0, 3.0, 8.0}) {
-    const double rate = MinLosslessRate(workload, buffer, 1e-9);
-    EXPECT_DOUBLE_EQ(DrainConstant(workload, rate, buffer).lost_bits, 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace rcbr::sim
