@@ -7,6 +7,7 @@
 #include "core/dp_scheduler.h"
 #include "core/online_heuristic.h"
 #include "ldev/mgf.h"
+#include "micro_main.h"
 #include "signaling/port_controller.h"
 #include "sim/engine/event_queue.h"
 #include "sim/fluid_queue.h"
@@ -211,3 +212,7 @@ void BM_StarWarsSynthesis(benchmark::State& state) {
 BENCHMARK(BM_StarWarsSynthesis)->Arg(14400);
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  return rcbr::bench::RunMicroBench("micro_hotpaths", argc, argv);
+}

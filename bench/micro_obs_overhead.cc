@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "micro_main.h"
 #include "obs/log_histogram.h"
 #include "obs/recorder.h"
 #include "sim/fluid_queue.h"
@@ -157,3 +158,7 @@ void BM_EventLogRecord(benchmark::State& state) {
 BENCHMARK(BM_EventLogRecord);
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  return rcbr::bench::RunMicroBench("micro_obs_overhead", argc, argv);
+}

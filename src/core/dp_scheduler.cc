@@ -215,17 +215,33 @@ void MergeRuns(const Run& a, const Run& b, ParetoList& out) {
   }
 }
 
-/// Pareto-folds the per-rate runs of rates [v0, v1) into `acc`.
-void FoldRuns(const Frontier& f, std::size_t v0, std::size_t v1,
+/// True when MergeRuns(a, b) would return `a` unchanged: every node of `b`
+/// weighs at least the `a` node with the largest buffer at or below its
+/// own. That `a` node is pushed first (`a`'s buffers strictly ascend and
+/// ties prefer `a`) and stays the running minimum, so Push drops `b`'s.
+bool Dominates(const Run& a, const Run& b) {
+  std::size_t k = 0;  // `a` nodes with buffer <= b.buf[j]
+  for (std::size_t j = 0; j < b.n; ++j) {
+    while (k < a.n && a.buf[k] <= b.buf[j]) ++k;
+    if (k == 0 || a.wgt[k - 1] > b.wgt[j]) return false;
+  }
+  return true;
+}
+
+/// Pareto-folds runs run_at(first), ..., run_at(last - 1) into `acc`, in
+/// that order, skipping the merge of any run `acc` already dominates.
+template <class RunAt>
+void FoldRuns(std::size_t first, std::size_t last, const RunAt& run_at,
               ParetoList& acc, ParetoList& scratch) {
   acc.clear();
-  for (std::size_t v = v0; v < v1; ++v) {
-    const Run r = f.run(v);
+  for (std::size_t v = first; v < last; ++v) {
+    const Run r = run_at(v);
     if (r.n == 0) continue;
     if (acc.empty()) {
       for (std::size_t i = 0; i < r.n; ++i) acc.Push(r.buf[i], r.wgt[i], r.back[i]);
       continue;
     }
+    if (Dominates(acc.run(), r)) continue;
     MergeRuns(acc.run(), r, scratch);
     std::swap(acc, scratch);
   }
@@ -502,27 +518,20 @@ std::pair<std::size_t, std::size_t> Trellis::Chunk(std::size_t w) const {
 }
 
 void Trellis::BuildGlobal(const Frontier& cur) {
+  const auto rate_run = [&cur](std::size_t v) { return cur.run(v); };
   if (team_->workers() == 1) {
-    FoldRuns(cur, 0, cfg_.num_rates, global_, partial_scratch_[0]);
+    FoldRuns(0, cfg_.num_rates, rate_run, global_, partial_scratch_[0]);
     return;
   }
   team_->Run([&](std::size_t w) {
     const auto [v0, v1] = Chunk(w);
-    FoldRuns(cur, v0, v1, partial_[w], partial_scratch_[w]);
+    FoldRuns(v0, v1, rate_run, partial_[w], partial_scratch_[w]);
   });
   // Fold the chunk partials in rate order (chunk w covers lower rates than
   // chunk w+1), so the lowest rate still wins exact ties.
-  global_.clear();
-  for (std::size_t w = 0; w < team_->workers(); ++w) {
-    const ParetoList& p = partial_[w];
-    if (p.empty()) continue;
-    if (global_.empty()) {
-      global_ = p;
-      continue;
-    }
-    MergeRuns(global_.run(), p.run(), partial_scratch_[0]);
-    std::swap(global_, partial_scratch_[0]);
-  }
+  FoldRuns(0, team_->workers(),
+           [this](std::size_t w) { return partial_[w].run(); }, global_,
+           partial_scratch_[0]);
 }
 
 /// Transition coefficients over epoch `e`'s slots at rate level `v` —
@@ -563,10 +572,14 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   out.n = 0;
   if (!er.feasible) return;
 
+  // End-of-epoch buffer, quantized up; monotone in the entering buffer.
   const double quantum = cfg_.quantum;
-  const auto quantize_up = [quantum](double b) {
-    if (quantum <= 0 || b <= 0) return b;
-    return std::ceil(b / quantum) * quantum;
+  const double shift = er.shift;
+  const double floor_q = er.floor_q;
+  const auto transform = [quantum, shift, floor_q](double b) {
+    const double q = std::max(b + shift, floor_q);
+    if (quantum <= 0 || q <= 0) return q;
+    return std::ceil(q / quantum) * quantum;
   };
 
   if (e == 0) {
@@ -574,30 +587,34 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
     // for the first rate (chosen at call setup).
     const double b0 = 0.0;
     if (b0 > er.b_max + 1e-9) return;
-    out.Push(quantize_up(std::max(b0 + er.shift, er.floor_q)),
-             0.0 + er.cost_add, kNoParent);
+    out.Push(transform(b0), 0.0 + er.cost_add, kNoParent);
     return;
   }
 
   // Fused transform + Pareto merge of the same-rate frontier (no switch
   // cost) and the alpha-shifted global frontier, streamed in transformed-
-  // buffer order with the same-rate stream preferred on exact ties —
-  // exactly the two-list MergePareto of the original implementation,
-  // without materializing the transformed lists.
+  // buffer order, without materializing the transformed lists. A global
+  // node strictly heavier than the own node with the largest raw buffer at
+  // or below its own never survives, so it is skipped untransformed. On
+  // one transformed buffer, all own nodes go first iff the first one
+  // weighs at most the first global one, which may be a skipped node: a
+  // kept node compares at the weight of the skipped ones just before it
+  // on its buffer (docs/algorithms.md §1, "Dominance skips").
   const Run own = cur.run(v);
   const Run other = global_.run();
   const double b_cut = er.b_max + 1e-9;
-  const double shift = er.shift;
-  const double floor_q = er.floor_q;
   const double cost_add = er.cost_add;
   const double alpha = cfg_.alpha;
   std::size_t i = 0;
   std::size_t j = 0;
+  std::size_t k = 0;         // own nodes with raw buffer <= other.buf[j]
+  std::size_t kept_end = 0;  // one past the last global node fetched
   double bi = 0, wi = 0, bj = 0, wj = 0;
+  double wj_first = 0;  // the weight node j compares at on a tied buffer
   bool have_i = false, have_j = false;
   const auto fetch_own = [&] {
     if (i < own.n && own.buf[i] <= b_cut) {
-      bi = quantize_up(std::max(own.buf[i] + shift, floor_q));
+      bi = transform(own.buf[i]);
       wi = own.wgt[i] + cost_add;
       have_i = true;
     } else {
@@ -605,19 +622,26 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
     }
   };
   const auto fetch_other = [&] {
-    if (j < other.n && other.buf[j] <= b_cut) {
-      bj = quantize_up(std::max(other.buf[j] + shift, floor_q));
+    for (have_j = false; j < other.n && other.buf[j] <= b_cut; ++j) {
       wj = other.wgt[j] + cost_add + alpha;
+      while (k < own.n && own.buf[k] <= other.buf[j]) ++k;
+      if (k != 0 && own.wgt[k - 1] + cost_add < wj) continue;
+      bj = transform(other.buf[j]);
+      wj_first = wj;
+      for (std::size_t p = j;
+           p > kept_end && transform(other.buf[p - 1]) == bj; --p) {
+        wj_first = other.wgt[p - 1] + cost_add + alpha;
+      }
+      kept_end = j + 1;
       have_j = true;
-    } else {
-      have_j = false;
+      return;
     }
   };
   fetch_own();
   fetch_other();
   while (have_i || have_j) {
     const bool take_own =
-        !have_j || (have_i && (bi < bj || (bi == bj && wi <= wj)));
+        !have_j || (have_i && (bi < bj || (bi == bj && wi <= wj_first)));
     if (take_own) {
       out.Push(bi, wi, own.back[i]);
       ++i;

@@ -18,7 +18,9 @@
 // is built by a k-way Pareto fold over the sorted per-rate runs (lowest
 // rate wins exact (buffer, weight) ties), and the per-rate transform is
 // parallelized over the runtime thread pool with a rate-major merge order,
-// so results are byte-identical for every thread count.
+// so results are byte-identical for every thread count. The fold skips
+// runs, and the transform global nodes, that the running frontier already
+// dominates; no frontier or backpointer changes (docs/algorithms.md §1).
 //
 // Memory is bounded for arbitrarily long traces by streaming the
 // backtracking chain in blocks: the frontier is checkpointed every

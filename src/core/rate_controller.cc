@@ -26,6 +26,14 @@ RateController::RateController(const HeuristicOptions& options)
       obs::FindCounter(options_.recorder, "heuristic.renegotiations");
 }
 
+void RateController::AdoptRecorder(obs::Recorder* recorder,
+                                   std::uint64_t obs_id) {
+  if (options_.recorder != nullptr) return;
+  options_.recorder = recorder;
+  options_.obs_id = obs_id;
+  ctr_renegotiations_ = obs::FindCounter(recorder, "heuristic.renegotiations");
+}
+
 std::optional<double> RateController::Step(double arrival_bits,
                                            double granted_rate) {
   Require(arrival_bits >= 0, "RateController::Step: negative arrival");

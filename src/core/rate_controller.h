@@ -83,6 +83,10 @@ class RateController {
   /// just granted it, nothing was refused.
   void OnRateImposed(double granted_rate) { current_rate_ = granted_rate; }
 
+  /// Sends this controller's events and renegotiation count to `recorder`
+  /// under `obs_id`, unless its HeuristicOptions already named a recorder.
+  void AdoptRecorder(obs::Recorder* recorder, std::uint64_t obs_id);
+
   double buffer_bits() const { return buffer_; }
   /// The currently requested/granted rate.
   double current_rate() const { return current_rate_; }

@@ -49,12 +49,7 @@ RcbrSource RcbrSource::Online(std::uint64_t vci,
                               double slot_seconds, double buffer_bits,
                               signaling::SignalingPath* path,
                               obs::Recorder* recorder) {
-  HeuristicOptions wired = heuristic;
-  if (wired.recorder == nullptr) {
-    wired.recorder = recorder;
-    wired.obs_id = vci;
-  }
-  return OnlineWith(vci, std::make_unique<OnlineRateController>(wired),
+  return OnlineWith(vci, std::make_unique<OnlineRateController>(heuristic),
                     slot_seconds, buffer_bits, path, recorder);
 }
 
@@ -64,6 +59,7 @@ RcbrSource RcbrSource::OnlineWith(std::uint64_t vci,
                                   signaling::SignalingPath* path,
                                   obs::Recorder* recorder) {
   Require(controller != nullptr, "RcbrSource::OnlineWith: null controller");
+  controller->AdoptRecorder(recorder, vci);
   return RcbrSource(vci, slot_seconds, buffer_bits, path, recorder,
                     std::move(controller));
 }

@@ -105,7 +105,8 @@ class RcbrSource {
                            obs::Recorder* recorder = nullptr);
 
   /// Online source driven by any RateController (e.g. the GOP-aware
-  /// heuristic).
+  /// heuristic). Both send the controller's events to `recorder` under id
+  /// `vci` unless its HeuristicOptions name a recorder.
   static RcbrSource OnlineWith(std::uint64_t vci,
                                std::unique_ptr<RateController> controller,
                                double slot_seconds, double buffer_bits,

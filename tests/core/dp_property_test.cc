@@ -7,16 +7,20 @@
 //    merge of the same-rate candidates and the alpha-shifted cross-rate
 //    global frontier (the Lemma-1 pruning rule), bit-for-bit;
 //  - the peak_live_nodes / total_nodes diagnostics match a recount;
-//  - results are byte-identical across worker-thread counts.
+//  - results are byte-identical across worker-thread counts;
+//  - exact (buffer, weight) ties resolve as they do without the
+//    scheduler's dominance skips, to the same schedule.
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dp_scheduler.h"
+#include "dp_reference.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -249,6 +253,214 @@ TEST(DpProperty, ByteIdenticalAcrossThreadCounts) {
           << "trial " << trial;
     }
   }
+}
+
+// The scheduler skips merging a run or transforming a node that the
+// running frontier already dominates. A skip must not change which node
+// survives an exact (buffer, weight) tie, or backtracking returns another,
+// equally cheap schedule. ReplayWithoutSkips (buffer bound only) folds
+// every run, transforms each input list whole without collapsing equal
+// end buffers, and merges by the production's two-cursor rule. It keeps
+// each node's predecessor and counts the ties it resolves.
+struct TracedNode {
+  double buffer = 0;
+  double weight = 0;
+  std::size_t from_rate = 0;   // predecessor's rate, one epoch earlier
+  std::size_t from_index = 0;  // and its index in that rate's frontier
+};
+
+// The production push rule: drop a node at or above the running weight
+// minimum, replace the last node on an equal buffer.
+void PushTraced(std::vector<TracedNode>& out, const TracedNode& node) {
+  if (!out.empty()) {
+    if (node.weight >= out.back().weight) return;
+    if (node.buffer == out.back().buffer) {
+      out.back() = node;
+      return;
+    }
+  }
+  out.push_back(node);
+}
+
+// Two-cursor merge preferring `a` on exact ties; counts those ties.
+std::vector<TracedNode> MergeTraced(const std::vector<TracedNode>& a,
+                                    const std::vector<TracedNode>& b,
+                                    int& ties) {
+  std::vector<TracedNode> out;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    bool take_a = j >= b.size();
+    if (!take_a && i < a.size()) {
+      const bool same_buffer = a[i].buffer == b[j].buffer;
+      ties += same_buffer && a[i].weight == b[j].weight;
+      take_a = a[i].buffer < b[j].buffer ||
+               (same_buffer && a[i].weight <= b[j].weight);
+    }
+    PushTraced(out, take_a ? a[i++] : b[j++]);
+  }
+  return out;
+}
+
+struct UnskippedSolve {
+  std::optional<PiecewiseConstant> schedule;  // nullopt: infeasible
+  double cost = 0;
+  int cross_rate_ties = 0;   // in the global fold
+  int own_global_ties = 0;   // between a rate and the alpha-shifted global
+};
+
+UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
+                                  const DpOptions& options) {
+  using Frontiers = std::vector<std::vector<TracedNode>>;
+  const auto total = static_cast<std::int64_t>(workload.size());
+  const std::int64_t period = options.decision_period;
+  const std::size_t num_rates = options.rate_levels.size();
+  const double bound = options.buffer_bits;
+  UnskippedSolve solve;
+  std::vector<Frontiers> epochs;
+  for (std::int64_t t0 = 0; t0 < total; t0 += period) {
+    const std::int64_t slots = std::min(period, total - t0);
+    std::vector<TracedNode> global;
+    if (!epochs.empty()) {
+      for (std::size_t v = 0; v < num_rates; ++v) {
+        std::vector<TracedNode> run = epochs.back()[v];
+        for (std::size_t i = 0; i < run.size(); ++i) {
+          run[i] = {run[i].buffer, run[i].weight, v, i};
+        }
+        global = MergeTraced(global, run, solve.cross_rate_ties);
+      }
+    }
+    Frontiers now(num_rates);
+    for (std::size_t v = 0; v < num_rates; ++v) {
+      const double rate = options.rate_levels[v];
+      bool feasible = true;
+      double prefix = 0;
+      double floor_q = 0;
+      double b_max = std::numeric_limits<double>::infinity();
+      for (std::int64_t s = 0; s < slots && feasible; ++s) {
+        const double a = workload[static_cast<std::size_t>(t0 + s)];
+        prefix += a;
+        floor_q = std::max(floor_q + a - rate, 0.0);
+        feasible = floor_q <= bound;
+        b_max = std::min(
+            b_max, bound - prefix + rate * static_cast<double>(s + 1));
+      }
+      if (!feasible) continue;
+      const double shift = prefix - rate * static_cast<double>(slots);
+      const double cost_add =
+          options.cost.per_bandwidth * rate * static_cast<double>(slots);
+      const auto transform = [&](const std::vector<TracedNode>& src,
+                                 double extra, bool from_global) {
+        std::vector<TracedNode> dst;
+        for (std::size_t i = 0; i < src.size(); ++i) {
+          if (src[i].buffer > b_max + 1e-9) break;
+          dst.push_back({reference::ReferenceQuantizeUp(
+                             std::max(src[i].buffer + shift, floor_q), options),
+                         src[i].weight + cost_add + extra,
+                         from_global ? src[i].from_rate : v,
+                         from_global ? src[i].from_index : i});
+        }
+        return dst;
+      };
+      if (epochs.empty()) {
+        now[v] = transform({{0.0, 0.0, 0, 0}}, 0.0, false);
+      } else {
+        // `w + cost_add + 0.0` is bit-equal to the production's
+        // `w + cost_add`.
+        now[v] = MergeTraced(transform(epochs.back()[v], 0.0, false),
+                             transform(global, options.cost.per_renegotiation,
+                                       true),
+                             solve.own_global_ties);
+      }
+    }
+    epochs.push_back(std::move(now));
+  }
+
+  // Terminal argmin, rate-major with strict improvement, then backtrack.
+  const TracedNode* best = nullptr;
+  std::size_t rate = 0;
+  for (std::size_t v = 0; v < num_rates; ++v) {
+    for (const TracedNode& node : epochs.back()[v]) {
+      if (node.buffer > options.final_buffer_bits + 1e-9) continue;
+      if (best == nullptr || node.weight < best->weight) {
+        best = &node;
+        rate = v;
+      }
+    }
+  }
+  if (best == nullptr) return solve;
+  solve.cost = best->weight;
+  std::vector<Step> steps(epochs.size());
+  for (std::size_t e = epochs.size(); e-- > 0;) {
+    steps[e] = {static_cast<std::int64_t>(e) * period,
+                options.rate_levels[rate]};
+    if (e > 0) {
+      const std::size_t from_rate = best->from_rate;
+      best = &epochs[e - 1][from_rate][best->from_index];
+      rate = from_rate;
+    }
+  }
+  solve.schedule.emplace(std::move(steps), total);
+  return solve;
+}
+
+TEST(DpProperty, ExactTiesResolveAsWithoutDominanceSkips) {
+  // Integer arrivals, buffers and rates, with alpha a multiple of beta
+  // times the rate step: equal (buffer, weight) pairs reach the global
+  // fold from different rates and each rate's merge from both streams.
+  // Rare instances put several nodes of both streams on one transformed
+  // buffer, tied at its minimum weight: there the first node of each
+  // stream decides which tied node survives, skipped global nodes too.
+  Rng rng(2611);
+  int cross_rate_ties = 0;
+  int own_global_ties = 0;
+  int feasible = 0;
+  for (const double quantum : {0.0, 1.0, 3.0}) {  // 3 never divides B
+    for (int trial = 0; trial < 400; ++trial) {
+      DpOptions options;
+      const int k = 4 + static_cast<int>(rng.Uniform(0.0, 4.0));
+      const double step = 1.0 + std::floor(rng.Uniform(0.0, 3.0));
+      for (int v = 0; v < k; ++v) options.rate_levels.push_back(step * v);
+      options.buffer_bits = 3.0 * std::floor(rng.Uniform(2.0, 10.0)) + 1.0;
+      options.buffer_quantum_bits = quantum;
+      options.cost = {step * std::floor(rng.Uniform(0.0, 4.0)), 1.0};
+      options.decision_period =
+          1 + static_cast<std::int64_t>(rng.Uniform(0.0, 3.0));
+      if (trial % 3 == 0) options.final_buffer_bits = 0;
+      const int slots = 8 + static_cast<int>(rng.Uniform(0.0, 40.0));
+      std::vector<double> workload(static_cast<std::size_t>(slots));
+      for (double& a : workload) a = std::floor(rng.Uniform(0.0, step * k));
+
+      const UnskippedSolve want = ReplayWithoutSkips(workload, options);
+      cross_rate_ties += want.cross_rate_ties;
+      own_global_ties += want.own_global_ties;
+      const std::optional<double> reference_cost =
+          reference::ReferenceOptimalCost(workload, options);
+      ASSERT_EQ(want.schedule.has_value(), reference_cost.has_value());
+      if (!want.schedule.has_value()) continue;
+      ++feasible;
+      ASSERT_EQ(want.cost, *reference_cost);
+
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "quantum " << quantum << " trial "
+                                        << trial << " threads " << threads);
+        options.threads = threads;
+        EpochReconstructor reconstructor(workload, options);
+        options.inspect = [&](const DpFrontierView& view) {
+          reconstructor.Check(view);
+        };
+        const DpResult got = ComputeOptimalSchedule(workload, options);
+        EXPECT_EQ(got.optimal_cost, *reference_cost);
+        EXPECT_TRUE(got.schedule == *want.schedule);
+        EXPECT_EQ(reference::ReferenceScheduleCost(workload, options,
+                                                   got.schedule),
+                  reference_cost);
+      }
+    }
+  }
+  EXPECT_GT(feasible, 600);
+  EXPECT_GT(cross_rate_ties, 1000);
+  EXPECT_GT(own_global_ties, 1000);
 }
 
 TEST(DpProperty, ValidationRejectsMalformedOptions) {

@@ -23,15 +23,10 @@
 
 namespace rcbr::core::reference {
 
-/// Returns the optimal cost, or nullopt when no schedule is feasible.
-inline std::optional<double> ReferenceOptimalCost(
-    const std::vector<double>& workload, const DpOptions& options) {
+/// The per-slot buffer bound: constant B, or the delay-window bound.
+inline std::vector<double> ReferenceBound(const std::vector<double>& workload,
+                                          const DpOptions& options) {
   const auto total = static_cast<std::int64_t>(workload.size());
-  const std::int64_t period = options.decision_period;
-  const std::size_t num_rates = options.rate_levels.size();
-  const double alpha = options.cost.per_renegotiation;
-  const double beta = options.cost.per_bandwidth;
-
   std::vector<double> bound(workload.size());
   if (options.delay_bound_slots >= 0) {
     const double hard =
@@ -49,12 +44,26 @@ inline std::optional<double> ReferenceOptimalCost(
   } else {
     std::fill(bound.begin(), bound.end(), options.buffer_bits);
   }
+  return bound;
+}
 
+/// Occupancy rounded up onto the buffer_quantum_bits grid.
+inline double ReferenceQuantizeUp(double b, const DpOptions& options) {
   const double quantum = options.buffer_quantum_bits;
-  const auto quantize_up = [quantum](double b) {
-    if (quantum <= 0 || b <= 0) return b;
-    return std::ceil(b / quantum) * quantum;
-  };
+  if (quantum <= 0 || b <= 0) return b;
+  return std::ceil(b / quantum) * quantum;
+}
+
+/// Returns the optimal cost, or nullopt when no schedule is feasible.
+inline std::optional<double> ReferenceOptimalCost(
+    const std::vector<double>& workload, const DpOptions& options) {
+  const auto total = static_cast<std::int64_t>(workload.size());
+  const std::int64_t period = options.decision_period;
+  const std::size_t num_rates = options.rate_levels.size();
+  const double alpha = options.cost.per_renegotiation;
+  const double beta = options.cost.per_bandwidth;
+
+  const std::vector<double> bound = ReferenceBound(workload, options);
 
   // (last rate, buffer) -> cheapest cost; num_rates = "no rate yet".
   std::map<std::pair<std::size_t, double>, double> states;
@@ -82,7 +91,8 @@ inline std::optional<double> ReferenceOptimalCost(
         const double cost = weight + switch_cost +
                             beta * options.rate_levels[v] *
                                 static_cast<double>(slots);
-        const std::pair<std::size_t, double> state{v, quantize_up(q)};
+        const std::pair<std::size_t, double> state{
+            v, ReferenceQuantizeUp(q, options)};
         const auto it = next.find(state);
         if (it == next.end() || cost < it->second) next[state] = cost;
       }
@@ -98,6 +108,35 @@ inline std::optional<double> ReferenceOptimalCost(
     if (!best.has_value() || weight < *best) best = weight;
   }
   return best;
+}
+
+/// Prices `schedule` (one rate per decision epoch) under the same
+/// semantics, or nullopt when it overflows the bound or ends above
+/// final_buffer_bits.
+inline std::optional<double> ReferenceScheduleCost(
+    const std::vector<double>& workload, const DpOptions& options,
+    const PiecewiseConstant& schedule) {
+  const auto total = static_cast<std::int64_t>(workload.size());
+  const std::vector<double> bound = ReferenceBound(workload, options);
+  double cost = 0;
+  double q = 0;
+  for (std::int64_t t0 = 0; t0 < total; t0 += options.decision_period) {
+    const std::int64_t slots = std::min(options.decision_period, total - t0);
+    const double rate = schedule.At(t0);
+    for (std::int64_t t = t0; t < t0 + slots; ++t) {
+      if (schedule.At(t) != rate) return std::nullopt;  // not epoch-wise
+      q = std::max(q + workload[static_cast<std::size_t>(t)] - rate, 0.0);
+      if (q > bound[static_cast<std::size_t>(t)] + 1e-9) return std::nullopt;
+    }
+    const double switch_cost = schedule.ChangesAt(t0)
+                                   ? options.cost.per_renegotiation
+                                   : 0.0;
+    cost = cost + switch_cost +
+           options.cost.per_bandwidth * rate * static_cast<double>(slots);
+    q = ReferenceQuantizeUp(q, options);
+  }
+  if (q > options.final_buffer_bits + 1e-9) return std::nullopt;
+  return cost;
 }
 
 }  // namespace rcbr::core::reference

@@ -219,11 +219,14 @@ TEST_F(HeuristicPin, Ar1SourceOverTightPath) {
 }
 
 TEST_F(HeuristicPin, GopSourceOverTightPath) {
+  // The source wires its recorder into the controller, as for AR(1): the
+  // trace holds the controller's kRenegRequest (rate, buffer, estimate)
+  // before each of the source's own request events.
   RcbrSource source =
       RcbrSource::OnlineWith(1, MakeGop(Options(), 12), clip_.slot_seconds(),
                              500 * kKilobit, &path_, &recorder_);
-  ExpectPinned(Run(source), 233135, 17268393997571257816ull, 923935,
-               12958947259453313511ull);
+  ExpectPinned(Run(source), 233135, 17268393997571257816ull, 1450914,
+               14924784646557161273ull);
 }
 
 }  // namespace

@@ -436,6 +436,14 @@ TEST_F(RetryTest, CrashDuringPendingUpgradeResyncRebuildsTheAckedRung) {
 
 // --- The shared acknowledged-request loop (also drives net/client). ---
 
+// One hook call as LoopCalls records it, e.g. "a2" (built piecewise:
+// GCC 12 warns -Wrestrict, falsely, on "a" + std::to_string(k)).
+std::string HookCall(char hook, std::int64_t k) {
+  std::string call(1, hook);
+  call += std::to_string(k);
+  return call;
+}
+
 // Runs RetryLoop over a scripted attempt sequence and returns its hook
 // calls in order: "a<k>" attempt, "t<k>" on_timeout, "b<k>" on_backoff.
 std::vector<std::string> LoopCalls(std::int64_t max_retries,
@@ -449,17 +457,17 @@ std::vector<std::string> LoopCalls(std::int64_t max_retries,
   *end = RetryLoop(
       retry, rng,
       [&](std::int64_t k) {
-        calls.push_back("a" + std::to_string(k));
+        calls.push_back(HookCall('a', k));
         return static_cast<std::size_t>(k) < script.size()
                    ? script[static_cast<std::size_t>(k)]
                    : AttemptEnd::kTimedOut;
       },
       [&](std::int64_t k) {
-        calls.push_back("t" + std::to_string(k));
+        calls.push_back(HookCall('t', k));
         return link_survives;
       },
       [&](std::int64_t k, double backoff) {
-        calls.push_back("b" + std::to_string(k));
+        calls.push_back(HookCall('b', k));
         EXPECT_EQ(backoff, BackoffSeconds(retry, k, &mirror));
       });
   // The loop drew from `rng` exactly once per on_backoff call (the
@@ -478,9 +486,9 @@ TEST(RetryLoop, RescindsEveryTimeoutAndBacksOffOnlyBetweenAttempts) {
     EXPECT_EQ(end, AttemptEnd::kTimedOut);
     std::vector<std::string> expected;
     for (std::int64_t k = 0; k <= budget; ++k) {
-      expected.push_back("a" + std::to_string(k));
-      expected.push_back("t" + std::to_string(k));
-      if (k < budget) expected.push_back("b" + std::to_string(k));
+      expected.push_back(HookCall('a', k));
+      expected.push_back(HookCall('t', k));
+      if (k < budget) expected.push_back(HookCall('b', k));
     }
     EXPECT_EQ(calls, expected);
   }
