@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
       "--threads=N parallelizes inside each DP solve; the K sweep itself "
       "runs sequentially so per-K runtimes stay honest"};
   spec.parameters = {"K"};
-  spec.metrics = {"seconds", "peak_nodes", "total_nodes", "cost"};
+  spec.metrics = {"seconds", "peak_nodes", "total_nodes", "cost",
+                  "record_bytes"};
   for (int k : args.quick ? std::vector<int>{5, 10, 20}
                           : std::vector<int>{5, 10, 20, 40, 100}) {
     spec.points.push_back({static_cast<double>(k)});
@@ -60,7 +61,8 @@ int main(int argc, char** argv) {
         return std::vector<double>{elapsed,
                                    static_cast<double>(r.peak_live_nodes),
                                    static_cast<double>(r.total_nodes),
-                                   r.optimal_cost};
+                                   r.optimal_cost,
+                                   static_cast<double>(r.peak_record_bytes)};
       },
       sweep_args);
   return 0;

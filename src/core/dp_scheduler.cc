@@ -8,6 +8,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <ranges>
 #include <string>
 #include <thread>
 #include <utility>
@@ -148,14 +149,6 @@ struct Frontier {
     for (std::size_t v = 0; v < begin.size(); ++v) n += end[v] - begin[v];
     return n;
   }
-
-  /// Flat extent actually used (gaps included): one past the last run.
-  std::size_t extent() const {
-    std::size_t e = 0;
-    for (std::size_t v = 0; v < begin.size(); ++v)
-      e = std::max<std::size_t>(e, end[v]);
-    return e;
-  }
 };
 
 /// A tight Pareto list (the cross-rate global frontier and merge scratch).
@@ -282,59 +275,120 @@ struct SliceOut {
   }
 };
 
-/// Backtracking records live in pages of 2^14 4-byte parents (64 KiB). A
-/// page is allocated once and never moves, so an append never copies the
-/// records before it: a block holds its records plus one partly filled
-/// page.
-constexpr std::size_t kPageShift = 14;
-constexpr std::size_t kPageRecords = std::size_t{1} << kPageShift;
+/// Backtracking records live in byte-addressed pages of 64 KiB. A page is
+/// allocated once and never moves, so an append never copies the records
+/// before it: a block holds its records plus one partly filled page.
+constexpr std::size_t kPageShift = 16;
+constexpr std::size_t kPageBytes = std::size_t{1} << kPageShift;
 
-/// Backtracking records for one streaming block of epochs. A record's
-/// parent is the record index one epoch earlier within the same block; a
-/// record in the block's first epoch stores the flat index of its seed
-/// node in the checkpoint frontier entering the block (kNoParent in block
-/// 0). Each epoch appends its survivors rate-major, so a record's rate is
-/// the run it falls in: `run_end` keeps the K run-end offsets of every
-/// epoch, epoch-major.
+/// Narrowest record width, in bytes, whose all-ones value (the no-parent
+/// sentinel) exceeds every value up to `largest`.
+unsigned RecordWidth(std::size_t largest) {
+  if (largest < 0xffu) return 1;
+  if (largest < 0xffffu) return 2;
+  return 4;
+}
+
+/// Where one epoch's values sit in its block's pages: the K run-end
+/// offsets, then one parent per survivor, each `width` bytes from byte
+/// `base`. The base is a multiple of the width, so no value straddles a
+/// page.
+struct EpochRecords {
+  std::size_t base = 0;
+  unsigned width = 4;
+};
+
+/// Backtracking records for one streaming block of epochs. Each epoch
+/// appends its survivors rate-major, so a record's rate is the run it
+/// falls in: the epoch's K run ends count its records through each rate.
+/// A record's parent is its offset among the previous epoch's records; in
+/// the block's first epoch it is the flat index of its seed node in the
+/// checkpoint frontier entering the block (kNoParent in block 0). Every
+/// value of an epoch is stored at that epoch's RecordWidth.
 struct ArenaBlock {
   std::int64_t first_epoch = 0;
-  std::int64_t epochs = 0;
   std::size_t nodes = 0;  // records appended (survives spilling)
+  std::size_t bytes = 0;  // page bytes used, alignment included
   bool resident = true;
-  std::vector<std::unique_ptr<std::uint32_t[]>> pages;
-  std::vector<std::uint32_t> run_end;
+  std::vector<std::unique_ptr<unsigned char[]>> pages;
+  std::vector<EpochRecords> epochs;
 
-  std::uint32_t parent(std::uint32_t r) const {
-    return pages[r >> kPageShift][r & (kPageRecords - 1)];
+  /// Value `i` of epoch `ep`: run end i for i < K, else the parent of
+  /// record i - K. The all-ones sentinel reads as kNoParent.
+  std::uint32_t Get(const EpochRecords& ep, std::size_t i) const {
+    const std::size_t at = ep.base + i * ep.width;
+    const unsigned char* p =
+        pages[at >> kPageShift].get() + (at & (kPageBytes - 1));
+    switch (ep.width) {
+      case 1:
+        return *p == 0xffu ? kNoParent : *p;
+      case 2: {
+        std::uint16_t v;
+        std::memcpy(&v, p, sizeof(v));
+        return v == 0xffffu ? kNoParent : v;
+      }
+      default: {
+        std::uint32_t v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+      }
+    }
   }
 
-  /// Copies `n` parents to records [at, at + n), adding pages as needed.
-  void Write(std::size_t at, const std::uint32_t* src, std::size_t n) {
-    while (n != 0) {
-      const std::size_t page = at >> kPageShift;
-      if (page == pages.size()) {
-        pages.push_back(
-            std::make_unique_for_overwrite<std::uint32_t[]>(kPageRecords));
-      }
-      const std::size_t off = at & (kPageRecords - 1);
-      const std::size_t chunk = std::min(n, kPageRecords - off);
-      std::memcpy(pages[page].get() + off, src, chunk * sizeof(*src));
-      at += chunk;
-      src += chunk;
-      n -= chunk;
+  /// Opens an epoch of `width`-byte values at the next aligned byte.
+  void BeginEpoch(unsigned width) {
+    bytes = (bytes + width - 1) / width * width;
+    epochs.push_back({bytes, width});
+  }
+
+  /// Appends `n` values to the open epoch, narrowed to its width
+  /// (kNoParent becomes the all-ones sentinel).
+  void Append(const std::uint32_t* src, std::size_t n) {
+    switch (epochs.back().width) {
+      case 1:
+        AppendAs<std::uint8_t>(src, n);
+        break;
+      case 2:
+        AppendAs<std::uint16_t>(src, n);
+        break;
+      default:
+        AppendAs<std::uint32_t>(src, n);
     }
   }
 
   void Free() {
     resident = false;
     pages = decltype(pages)();
-    run_end = decltype(run_end)();
+    epochs = decltype(epochs)();
+  }
+
+ private:
+  template <class T>
+  void AppendAs(const std::uint32_t* src, std::size_t n) {
+    while (n != 0) {
+      const std::size_t page = bytes >> kPageShift;
+      if (page == pages.size()) {
+        pages.push_back(
+            std::make_unique_for_overwrite<unsigned char[]>(kPageBytes));
+      }
+      const std::size_t off = bytes & (kPageBytes - 1);
+      const std::size_t chunk = std::min(n, (kPageBytes - off) / sizeof(T));
+      unsigned char* dst = pages[page].get() + off;
+      for (std::size_t i = 0; i < chunk; ++i) {
+        const auto v = static_cast<T>(src[i]);
+        std::memcpy(dst + i * sizeof(T), &v, sizeof(T));
+      }
+      bytes += chunk * sizeof(T);
+      src += chunk;
+      n -= chunk;
+    }
   }
 };
 
-/// Frontier snapshot entering a block: the seed for on-demand recompute,
-/// plus the `back` map from checkpoint-flat indices to records of the
-/// previous block (the cross-block backtracking link).
+/// Frontier snapshot entering a block, its runs packed without gaps: the
+/// seed for on-demand recompute, plus the `back` map from checkpoint-flat
+/// indices to offsets among the previous block's last-epoch records (the
+/// cross-block backtracking link).
 struct Checkpoint {
   Frontier frontier;
 };
@@ -362,9 +416,8 @@ class Trellis {
   void TransformRate(const Frontier& cur, std::size_t v, std::int64_t e,
                      SliceOut& out);
   void StartBlock(std::int64_t first_epoch);
-  /// Sizes the run-end offsets of `blk` once, so appends never move them.
-  void ReserveRunEnds(ArenaBlock& blk) const;
-  void SnapshotInto(const Frontier& cur, Checkpoint& ckpt) const;
+  /// Sizes the epoch table of `blk` once, so appends never move it.
+  void ReserveEpochs(ArenaBlock& blk) const;
   void SpillOverBudget();
   void RecomputeBlock(std::size_t b);
   std::pair<std::size_t, std::size_t> Chunk(std::size_t w) const;
@@ -383,14 +436,17 @@ class Trellis {
   std::vector<ParetoList> partial_scratch_;
   std::vector<EpochCoeffs> coeffs_;
   std::vector<std::uint32_t> cap_off_;  // per-rate output offsets, size K+1
+  std::vector<std::uint32_t> run_end_;  // one epoch's K run ends
 
   std::vector<ArenaBlock> blocks_;
   std::vector<Checkpoint> checkpoints_;  // entering block b (b >= 1)
   std::int64_t block_epochs_ = 0;
   std::size_t resident_nodes_ = 0;
+  std::size_t resident_bytes_ = 0;
   std::size_t total_nodes_ = 0;
   std::size_t peak_live_ = 0;
   std::size_t peak_resident_ = 0;
+  std::size_t peak_record_bytes_ = 0;
   std::int64_t spilled_blocks_ = 0;
   std::int64_t recomputed_epochs_ = 0;
 
@@ -505,6 +561,7 @@ Trellis::Trellis(const std::vector<double>& workload,
   partial_scratch_.resize(team_->workers());
   coeffs_.resize(cfg_.num_rates);
   cap_off_.resize(cfg_.num_rates + 1);
+  run_end_.resize(cfg_.num_rates);
 
   ctr_epochs_ = obs::FindCounter(opt_.recorder, "dp.epochs");
   ctr_candidates_ = obs::FindCounter(opt_.recorder, "dp.candidate_nodes");
@@ -654,40 +711,42 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   }
 }
 
-void Trellis::SnapshotInto(const Frontier& cur, Checkpoint& ckpt) const {
-  const std::size_t used = cur.extent();
-  Frontier& f = ckpt.frontier;
-  f.buf.assign(cur.buf.begin(), cur.buf.begin() + used);
-  f.wgt.assign(cur.wgt.begin(), cur.wgt.begin() + used);
-  f.back.assign(cur.back.begin(), cur.back.begin() + used);
-  f.begin = cur.begin;
-  f.end = cur.end;
-}
-
 void Trellis::StartBlock(std::int64_t first_epoch) {
   if (first_epoch > 0) {
-    // Snapshot the frontier entering this block — with `back` still
-    // pointing at the previous block's records (the cross-block link) —
-    // then reset the live nodes' backpointers to their own flat index, so
-    // this block's first-epoch records name checkpoint positions.
+    // Snapshot the frontier entering this block, its runs packed, with
+    // `back` still pointing at the previous epoch's records (the
+    // cross-block link); then point the live nodes' backpointers at their
+    // packed position, so this block's first-epoch records name
+    // checkpoint positions.
     checkpoints_.emplace_back();
-    SnapshotInto(cur_, checkpoints_.back());
+    Frontier& f = checkpoints_.back().frontier;
+    const std::size_t live = cur_.live();
+    f.buf.resize(live);
+    f.wgt.resize(live);
+    f.back.resize(live);
+    f.ResizeRates(cfg_.num_rates);
+    std::uint32_t at = 0;
     for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
-      for (std::uint32_t idx = cur_.begin[v]; idx < cur_.end[v]; ++idx) {
-        cur_.back[idx] = idx;
-      }
+      const std::uint32_t from = cur_.begin[v];
+      const std::size_t n = cur_.size(v);
+      std::copy_n(cur_.buf.begin() + from, n, f.buf.begin() + at);
+      std::copy_n(cur_.wgt.begin() + from, n, f.wgt.begin() + at);
+      std::copy_n(cur_.back.begin() + from, n, f.back.begin() + at);
+      f.begin[v] = at;
+      for (std::size_t i = 0; i < n; ++i) cur_.back[from + i] = at++;
+      f.end[v] = at;
     }
   }
   blocks_.emplace_back();
   ArenaBlock& blk = blocks_.back();
   blk.first_epoch = first_epoch;
-  ReserveRunEnds(blk);
+  ReserveEpochs(blk);
 }
 
-void Trellis::ReserveRunEnds(ArenaBlock& blk) const {
+void Trellis::ReserveEpochs(ArenaBlock& blk) const {
   const std::int64_t epochs =
       std::min(block_epochs_, cfg_.num_epochs - blk.first_epoch);
-  blk.run_end.reserve(static_cast<std::size_t>(epochs) * cfg_.num_rates);
+  blk.epochs.reserve(static_cast<std::size_t>(epochs));
 }
 
 void Trellis::SpillOverBudget() {
@@ -698,6 +757,7 @@ void Trellis::SpillOverBudget() {
        ++b) {
     if (!blocks_[b].resident) continue;
     resident_nodes_ -= blocks_[b].nodes;
+    resident_bytes_ -= blocks_[b].bytes;
     blocks_[b].Free();
     ++spilled_blocks_;
   }
@@ -748,30 +808,33 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
         " (largest rate level below the bound's requirement)");
   }
 
-  // Record the survivors for backtracking, rate-major: copy each rate's
-  // contiguous backpointer run into the pages, then renumber it to record
-  // indices. The epoch's run ends give every record its rate back.
-  Require(block.nodes + live < kNoParent,
-          "ComputeOptimalSchedule: one block exceeds 2^32 - 2 backtracking "
-          "records; lower checkpoint_slots");
-  auto at = static_cast<std::uint32_t>(block.nodes);
+  // Record the survivors for backtracking, rate-major: the run ends, then
+  // each rate's contiguous backpointer run, which is then renumbered to
+  // offsets among this epoch's records. Parents index the entering
+  // frontier's records (or packed checkpoint), fewer than cur.live().
+  std::uint32_t at = 0;
+  for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
+    at += static_cast<std::uint32_t>(nxt_.size(v));
+    run_end_[v] = at;
+  }
+  const std::size_t bytes_before = block.bytes;
+  block.BeginEpoch(RecordWidth(std::max(live, cur.live())));
+  block.Append(run_end_.data(), cfg_.num_rates);
+  at = 0;
   for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
     const std::size_t run = nxt_.size(v);
-    block.Write(at, nxt_.back.data() + nxt_.begin[v], run);
-    for (std::size_t i = 0; i < run; ++i) {
-      nxt_.back[nxt_.begin[v] + i] = at + static_cast<std::uint32_t>(i);
-    }
-    at += static_cast<std::uint32_t>(run);
-    block.run_end.push_back(at);
+    block.Append(nxt_.back.data() + nxt_.begin[v], run);
+    for (std::size_t i = 0; i < run; ++i) nxt_.back[nxt_.begin[v] + i] = at++;
   }
-  block.nodes = at;
-  block.epochs += 1;
+  block.nodes += live;
 
   if (record) {
     total_nodes_ += live;
     resident_nodes_ += live;
+    resident_bytes_ += block.bytes - bytes_before;
     peak_live_ = std::max(peak_live_, live);
     peak_resident_ = std::max(peak_resident_, resident_nodes_);
+    peak_record_bytes_ = std::max(peak_record_bytes_, resident_bytes_);
     if constexpr (obs::kEnabled) {
       if (ctr_epochs_ != nullptr) ctr_epochs_->Add();
       if (ctr_candidates_ != nullptr) {
@@ -805,9 +868,9 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
 void Trellis::RecomputeBlock(std::size_t b) {
   ArenaBlock& blk = blocks_[b];
   blk.resident = true;
-  blk.epochs = 0;
   blk.nodes = 0;
-  ReserveRunEnds(blk);
+  blk.bytes = 0;
+  ReserveEpochs(blk);
 
   // Reseed the forward state entering the block and replay it. The replay
   // runs the identical code path (including the parallel transform), so
@@ -834,7 +897,7 @@ void Trellis::RecomputeBlock(std::size_t b) {
 }
 
 DpResult Trellis::Solve() {
-  DpResult result{PiecewiseConstant::Constant(0, 1), 0, 0, 0, 0, 0};
+  DpResult result{PiecewiseConstant::Constant(0, 1), 0, 0, 0, 0, 0, 0};
 
   for (std::int64_t e = 0; e < cfg_.num_epochs; ++e) {
     if (e % block_epochs_ == 0) {
@@ -867,24 +930,26 @@ DpResult Trellis::Solve() {
   }
 
   // Backtrack the epoch rate decisions, streaming block by block; spilled
-  // blocks are replayed from their checkpoint on demand.
+  // blocks are replayed from their checkpoint on demand. The cursor is an
+  // offset among one epoch's records; its rate is the first run that ends
+  // past it.
   std::vector<std::uint16_t> decisions(
       static_cast<std::size_t>(cfg_.num_epochs));
+  const std::size_t k = cfg_.num_rates;
+  const auto rates = std::views::iota(std::size_t{0}, k);
   std::uint32_t cursor = best_back;
   for (std::size_t b = blocks_.size(); b-- > 0;) {
     ArenaBlock& blk = blocks_[b];
-    const bool replayed = !blk.resident;
-    if (replayed) RecomputeBlock(b);
-    const std::size_t k = cfg_.num_rates;
-    for (std::int64_t e = blk.epochs; e-- > 0;) {
-      const std::uint32_t* ends =
-          blk.run_end.data() + static_cast<std::size_t>(e) * k;
-      decisions[static_cast<std::size_t>(blk.first_epoch + e)] =
-          static_cast<std::uint16_t>(std::upper_bound(ends, ends + k, cursor) -
-                                     ends);
-      cursor = blk.parent(cursor);
+    if (!blk.resident) RecomputeBlock(b);
+    for (std::size_t e = blk.epochs.size(); e-- > 0;) {
+      const EpochRecords& ep = blk.epochs[e];
+      const auto ends_past = std::ranges::partition_point(
+          rates, [&](std::size_t v) { return blk.Get(ep, v) <= cursor; });
+      decisions[static_cast<std::size_t>(blk.first_epoch) + e] =
+          static_cast<std::uint16_t>(*ends_past);
+      cursor = blk.Get(ep, k + cursor);
     }
-    if (replayed) blk.Free();  // keep the working set bounded
+    blk.Free();  // keep the working set bounded
     if (b > 0) cursor = checkpoints_[b - 1].frontier.back[cursor];
   }
 
@@ -899,6 +964,7 @@ DpResult Trellis::Solve() {
   result.peak_live_nodes = peak_live_;
   result.total_nodes = total_nodes_;
   result.peak_resident_nodes = peak_resident_;
+  result.peak_record_bytes = peak_record_bytes_;
   result.recomputed_epochs = recomputed_epochs_;
   if constexpr (obs::kEnabled) {
     obs::Count(opt_.recorder, "dp.spilled_blocks", spilled_blocks_);

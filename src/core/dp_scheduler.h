@@ -27,6 +27,7 @@
 // `checkpoint_slots`, and when the retained backpointer records exceed
 // `max_resident_nodes` the oldest blocks are discarded and recomputed from
 // their checkpoint on demand during backtracking (docs/algorithms.md §1).
+// A record is stored relative to its epoch, at 1, 2 or 4 bytes.
 //
 // The delay-bound variant is reduced to a time-varying buffer bound: data
 // entering at slot t leaves by slot t + d iff q_u <= A(u) - A(u - d) for
@@ -109,7 +110,7 @@ struct DpOptions {
   double final_buffer_bits = std::numeric_limits<double>::infinity();
 
   /// Worker threads for the per-rate transform and the cross-rate merge
-  /// (0 = hardware concurrency, 1 = fully sequential). Results are
+  /// (0 = runtime::HardwareThreads(), 1 = fully sequential). Results are
   /// byte-identical for every value. With threads > 1 a private
   /// runtime::ThreadPool is created for the call.
   std::size_t threads = 1;
@@ -120,9 +121,11 @@ struct DpOptions {
   /// which are recomputed from their checkpoint during backtracking.
   /// Memory is therefore bounded for arbitrarily long traces — unlike the
   /// pre-streaming implementation, nothing throws on large trellises.
-  /// A record is one 4-byte parent, stored in 64 KiB pages of 16384
-  /// records that never move; a resident block adds one partly filled
-  /// page and 4 bytes per rate level per epoch (its run-end offsets).
+  /// A record is one parent of 1, 2 or 4 bytes (the narrowest that holds
+  /// its epoch's values), so the default budget holds at most 240 MB of
+  /// parents. Records sit in 64 KiB pages that never move; a resident
+  /// block adds one partly filled page and, per epoch, one run-end offset
+  /// per rate level at the epoch's width.
   std::size_t max_resident_nodes = 60'000'000;
 
   /// Checkpoint cadence in slots. 0 picks a cadence automatically (a few
@@ -157,6 +160,10 @@ struct DpResult {
   /// stayed resident).
   std::size_t peak_resident_nodes = 0;
   std::int64_t recomputed_epochs = 0;
+  /// Peak bytes of resident backtracking records (parents and run ends,
+  /// alignment included): deterministic, and the same at every thread
+  /// count.
+  std::size_t peak_record_bytes = 0;
 };
 
 /// Computes the cost-optimal schedule. Throws rcbr::Infeasible when no

@@ -6,7 +6,7 @@
 //   --seed=S       base seed (default 20260706); sweep point i runs on the
 //                  derived stream (S, i), so results do not depend on the
 //                  thread count
-//   --threads=N    worker threads (default: hardware concurrency)
+//   --threads=N    worker threads (default: the CPUs this process may use)
 //   --quick        shrink the workload for smoke runs
 //   --json-dir=D   directory for the BENCH_<name>.json output (default ".")
 //   --no-json      skip writing the JSON document
@@ -40,7 +40,7 @@ struct ExperimentArgs {
   std::int64_t frames = 0;  // 0 = use the harness default
   std::uint64_t seed = 20260706;
   bool quick = false;
-  std::size_t threads = 0;  // 0 = hardware concurrency
+  std::size_t threads = 0;  // 0 = HardwareThreads()
   bool write_json = true;
   std::string json_dir = ".";
   /// Nonempty enables event tracing; TRACE_<name>.jsonl lands here.

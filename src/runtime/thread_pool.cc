@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -8,6 +10,16 @@
 namespace rcbr::runtime {
 
 std::size_t HardwareThreads() {
+#ifdef __linux__
+  // A caller pinned to fewer CPUs than the host has gains nothing from
+  // more workers than it may run at once.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int count = CPU_COUNT(&allowed);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+#endif
   return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
 }
 

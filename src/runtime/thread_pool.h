@@ -19,7 +19,9 @@
 
 namespace rcbr::runtime {
 
-/// Default worker count: hardware concurrency, clamped to at least 1.
+/// Default worker count: the CPUs the calling thread may run on (its
+/// affinity mask), or hardware concurrency where the mask is unavailable;
+/// at least 1.
 std::size_t HardwareThreads();
 
 class ThreadPool {

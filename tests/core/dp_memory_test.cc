@@ -1,4 +1,4 @@
-// The DP's heap peak is its backtracking records at 4 bytes each plus a
+// The DP's heap peak is its resident backtracking record bytes plus a
 // bounded allowance: the records are never reallocated, so no moment
 // holds two copies of them. This binary replaces the global allocation
 // functions to track the live heap bytes, and their peak, while one
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dp_scheduler.h"
+#include "dp_reference.h"
 #include "trace/star_wars.h"
 #include "util/units.h"
 
@@ -97,7 +98,7 @@ std::size_t GlobalFrontierSize(const DpFrontierView& view) {
   return size;
 }
 
-TEST(DpMemory, PeakHeapIsFourBytesPerResidentRecordPlusAllowance) {
+TEST(DpMemory, PeakHeapIsResidentRecordBytesPlusAllowance) {
   const trace::FrameTrace movie = trace::MakeStarWarsTrace(1, 1800);
   const std::vector<double>& bits = movie.frame_bits();
   DpOptions options = Tab1Options(movie.fps());
@@ -109,7 +110,9 @@ TEST(DpMemory, PeakHeapIsFourBytesPerResidentRecordPlusAllowance) {
   // own run plus that frontier, live + K * g output slots.
   std::size_t widest_output = 0;
   std::size_t widest_global = 0;
+  std::vector<std::size_t> live;  // survivors per epoch
   options.inspect = [&](const DpFrontierView& view) {
+    live.push_back(view.live_nodes);
     const std::size_t g = GlobalFrontierSize(view);
     widest_output = std::max(widest_output, view.live_nodes + k * g);
     widest_global = std::max(widest_global, g);
@@ -123,22 +126,25 @@ TEST(DpMemory, PeakHeapIsFourBytesPerResidentRecordPlusAllowance) {
   const std::int64_t peak = g_peak_bytes.load() - base;
   ASSERT_EQ(r.total_nodes, sized.total_nodes);
   ASSERT_EQ(r.peak_resident_nodes, r.total_nodes);  // one resident block
+  ASSERT_EQ(r.peak_record_bytes,
+            reference::ReferenceBlockRecordBytes(live, k, epochs)[0]);
 
-  // The allowance, in bytes:
+  // The records are the parents and run ends, at 1, 2 or 4 bytes each
+  // (DpResult::peak_record_bytes). The allowance, in bytes:
   //  - two frontiers (current and next) of 20 bytes per output slot (a
   //    buffer, a weight, a backpointer), at most doubled by vector growth;
   //  - the cross-rate frontier and its merge scratch, likewise;
-  //  - one partly filled page of records (64 KiB), and the page table at
+  //  - one partly filled 64 KiB page of records, and the page table at
   //    8 bytes per page, doubled by vector growth;
-  //  - the per-epoch run ends, 4 bytes per rate level;
+  //  - the per-epoch record table (byte base and width), 16 bytes;
   //  - the per-rate bookkeeping (coefficients, offsets), 64 bytes a rate;
   //  - the per-slot buffer bound, the decisions and the schedule steps;
   //  - no checkpoints: the default cadence keeps this solve in one block.
-  const auto records = static_cast<std::int64_t>(4 * r.peak_resident_nodes);
-  const std::size_t pages = r.peak_resident_nodes / 16384 + 1;
+  const auto records = static_cast<std::int64_t>(r.peak_record_bytes);
+  const std::size_t pages = r.peak_record_bytes / (64 * 1024) + 1;
   const auto allowance = static_cast<std::int64_t>(
       2 * 20 * 2 * widest_output + 2 * 20 * 2 * widest_global + 64 * 1024 +
-      2 * 8 * pages + 4 * k * epochs + 64 * k + (8 + 2 + 2 * 16) * epochs);
+      2 * 8 * pages + 16 * epochs + 64 * k + (8 + 2 + 2 * 16) * epochs);
   RecordProperty("peak_bytes", std::to_string(peak));
   RecordProperty("record_bytes", std::to_string(records));
   RecordProperty("allowance_bytes", std::to_string(allowance));

@@ -139,4 +139,33 @@ inline std::optional<double> ReferenceScheduleCost(
   return cost;
 }
 
+/// Width, in bytes, of an epoch's backtracking records whose largest
+/// value is `largest`: the narrowest of 1, 2 or 4 whose all-ones value
+/// (the no-parent sentinel) exceeds it.
+inline std::size_t ReferenceRecordWidth(std::size_t largest) {
+  if (largest < 0xffu) return 1;
+  if (largest < 0xffffu) return 2;
+  return 4;
+}
+
+/// Record bytes of each streaming block of `block_epochs` epochs, where
+/// epoch e keeps `live[e]` survivors (docs/algorithms.md §1). An epoch
+/// stores its K run ends (largest: its survivor count) and one parent per
+/// survivor (below the previous epoch's count, or the checkpoint's in a
+/// block's first epoch) at the epoch's width, from a byte of its block
+/// aligned to that width.
+inline std::vector<std::size_t> ReferenceBlockRecordBytes(
+    const std::vector<std::size_t>& live, std::size_t num_rates,
+    std::size_t block_epochs) {
+  std::vector<std::size_t> blocks;
+  for (std::size_t e = 0; e < live.size(); ++e) {
+    if (e % block_epochs == 0) blocks.push_back(0);
+    const std::size_t previous = e == 0 ? 0 : live[e - 1];
+    const std::size_t width = ReferenceRecordWidth(std::max(live[e], previous));
+    std::size_t& bytes = blocks.back();
+    bytes = (bytes + width - 1) / width * width + (num_rates + live[e]) * width;
+  }
+  return blocks;
+}
+
 }  // namespace rcbr::core::reference

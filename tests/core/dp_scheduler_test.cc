@@ -4,6 +4,8 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <numeric>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/units.h"
+#include "dp_reference.h"
 
 namespace rcbr::core {
 namespace {
@@ -404,12 +407,13 @@ TEST(DpScheduler, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(DpScheduler, PagedArenaMatchesRoomySerialSolve) {
-  // Records live in pages of 16384 (DpOptions::max_resident_nodes). Blocks
-  // of several pages each are spilled never, always, or under a budget of
-  // whole pages, at 1, 2 and 4 threads: every solve must reproduce the
-  // roomy serial one bit for bit.
-  constexpr std::size_t kPageRecords = 16384;
-  const trace::FrameTrace movie = trace::MakeStarWarsTrace(5, 120);
+  // Records live in 64 KiB pages (DpOptions::max_resident_nodes), most
+  // of this trellis's at 2 bytes. Blocks of several pages each are spilled
+  // never, always, or under a budget of whole pages, at 1, 2 and 4
+  // threads: every solve must reproduce the roomy serial one bit for bit.
+  constexpr std::size_t kPageBytes = 64 * 1024;
+  constexpr std::size_t kPageRecords = kPageBytes / 2;
+  const trace::FrameTrace movie = trace::MakeStarWarsTrace(5, 240);
   const std::vector<double>& workload = movie.frame_bits();
   DpOptions options;
   options.rate_levels.push_back(0.0);
@@ -421,25 +425,24 @@ TEST(DpScheduler, PagedArenaMatchesRoomySerialSolve) {
   options.cost = {3000.0, 1.0 / movie.fps()};
   options.buffer_quantum_bits = 4.0 * kKilobit;
 
-  std::vector<std::size_t> arena_after;  // records after each epoch
+  std::vector<std::size_t> live;  // survivors per epoch
   options.inspect = [&](const DpFrontierView& view) {
-    arena_after.push_back(view.arena_nodes);
+    live.push_back(view.live_nodes);
   };
   const DpResult roomy = ComputeOptimalSchedule(workload, options);
   options.inspect = nullptr;
   ASSERT_EQ(roomy.recomputed_epochs, 0);
 
-  for (const std::int64_t checkpoint : {24, 40}) {
+  for (const std::int64_t checkpoint : {48, 80}) {
     // The sweep means something only if every block spans over two pages.
-    const auto epochs = static_cast<std::int64_t>(arena_after.size());
-    for (std::int64_t first = 0; first < epochs; first += checkpoint) {
-      const std::int64_t last = std::min(first + checkpoint, epochs) - 1;
-      const std::size_t before =
-          first == 0 ? 0 : arena_after[static_cast<std::size_t>(first - 1)];
-      ASSERT_GT(arena_after[static_cast<std::size_t>(last)] - before,
-                2 * kPageRecords)
-          << "block at epoch " << first;
+    const std::vector<std::size_t> blocks =
+        reference::ReferenceBlockRecordBytes(
+            live, options.rate_levels.size(),
+            static_cast<std::size_t>(checkpoint));
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      ASSERT_GT(blocks[b], 2 * kPageBytes) << "block " << b;
     }
+    const auto epochs = static_cast<std::int64_t>(live.size());
     // Epochs before the last block: what spilling every block replays.
     const std::int64_t before_last = (epochs - 1) / checkpoint * checkpoint;
     for (const std::size_t budget :
@@ -473,6 +476,134 @@ TEST(DpScheduler, PagedArenaMatchesRoomySerialSolve) {
       }
     }
   }
+}
+
+/// Solves `workload` roomy and serial, then checkpointed every
+/// `checkpoint` epochs, roomy and spilling every block, at 1 and 4
+/// threads. Every solve must match the roomy serial one, its schedule
+/// must price at the optimal cost, and its record bytes must be those the
+/// epochs' survivor counts give. Returns those counts.
+std::vector<std::size_t> ExpectRecordsMatchAcrossBudgetsAndThreads(
+    const std::vector<double>& workload, DpOptions options,
+    std::size_t checkpoint) {
+  const std::size_t k = options.rate_levels.size();
+  std::vector<std::size_t> live;  // survivors per epoch
+  options.inspect = [&](const DpFrontierView& view) {
+    live.push_back(view.live_nodes);
+  };
+  const DpResult roomy = ComputeOptimalSchedule(workload, options);
+  options.inspect = nullptr;
+  EXPECT_EQ(roomy.recomputed_epochs, 0);
+  EXPECT_EQ(roomy.peak_record_bytes,
+            reference::ReferenceBlockRecordBytes(live, k, live.size())[0]);
+  const std::optional<double> priced =
+      reference::ReferenceScheduleCost(workload, options, roomy.schedule);
+  EXPECT_TRUE(priced.has_value());
+  if (priced) {
+    EXPECT_NEAR(*priced, roomy.optimal_cost, 1e-9 * roomy.optimal_cost);
+  }
+
+  const std::vector<std::size_t> blocks =
+      reference::ReferenceBlockRecordBytes(live, k, checkpoint);
+  EXPECT_GT(blocks.size(), 2u);
+  const auto epochs = static_cast<std::int64_t>(live.size());
+  const auto cadence = static_cast<std::int64_t>(checkpoint);
+  const std::int64_t before_last = (epochs - 1) / cadence * cadence;
+  options.checkpoint_slots = cadence;
+  for (const std::size_t budget : {std::size_t{60'000'000}, std::size_t{1}}) {
+    options.max_resident_nodes = budget;
+    for (const std::size_t threads : {1u, 4u}) {
+      options.threads = threads;
+      const DpResult r = ComputeOptimalSchedule(workload, options);
+      SCOPED_TRACE(testing::Message()
+                   << "budget " << budget << " threads " << threads);
+      EXPECT_EQ(r.optimal_cost, roomy.optimal_cost);
+      EXPECT_TRUE(r.schedule == roomy.schedule);
+      EXPECT_EQ(r.total_nodes, roomy.total_nodes);
+      EXPECT_EQ(r.peak_live_nodes, roomy.peak_live_nodes);
+      if (budget == 1) {  // only the block being written stays resident
+        EXPECT_EQ(r.recomputed_epochs, before_last);
+        EXPECT_EQ(r.peak_record_bytes,
+                  *std::max_element(blocks.begin(), blocks.end()));
+      } else {
+        EXPECT_EQ(r.recomputed_epochs, 0);
+        EXPECT_EQ(r.peak_record_bytes,
+                  std::accumulate(blocks.begin(), blocks.end(),
+                                  std::size_t{0}));
+      }
+    }
+  }
+
+  return live;
+}
+
+/// Record width of each epoch: its survivor count and its parents, below
+/// the previous epoch's count, must fit.
+std::vector<std::size_t> RecordWidths(const std::vector<std::size_t>& live) {
+  std::vector<std::size_t> widths;
+  for (std::size_t e = 0; e < live.size(); ++e) {
+    widths.push_back(reference::ReferenceRecordWidth(
+        std::max(live[e], e == 0 ? 0 : live[e - 1])));
+  }
+  return widths;
+}
+
+/// True when some epoch of a block (not its first) changes width from the
+/// epoch before it in the direction `cmp` gives.
+template <class Cmp>
+bool WidthChangesInsideBlock(const std::vector<std::size_t>& widths,
+                             std::size_t checkpoint, Cmp cmp) {
+  for (std::size_t e = 1; e < widths.size(); ++e) {
+    if (e % checkpoint != 0 && cmp(widths[e], widths[e - 1])) return true;
+  }
+  return false;
+}
+
+TEST(DpScheduler, EveryRecordWidthMatchesAcrossBudgetsAndThreads) {
+  // Unquantized buffers on tab1's K = 100 grid widen the frontier from
+  // one seed per rate to over 65535 nodes, so one solve stores epochs at
+  // 1, 2 and 4 bytes and widens inside a block. Checkpointed, every block
+  // after the first opens with a seed epoch whose parents are checkpoint
+  // positions.
+  const trace::FrameTrace movie = trace::MakeStarWarsTrace(1, 240);
+  DpOptions options;
+  options.rate_levels.push_back(0.0);
+  const auto grid = UniformRateLevels(48.0 * kKilobit / movie.fps(),
+                                      2400.0 * kKilobit / movie.fps(), 100);
+  options.rate_levels.insert(options.rate_levels.end(), grid.begin(),
+                             grid.end());
+  options.buffer_bits = 300 * kKilobit;
+  options.cost = {3000.0, 1.0 / movie.fps()};
+  const std::vector<std::size_t> widths = RecordWidths(
+      ExpectRecordsMatchAcrossBudgetsAndThreads(movie.frame_bits(), options,
+                                                48));
+  for (const std::size_t width : {1u, 2u, 4u}) {
+    EXPECT_NE(std::find(widths.begin(), widths.end(), width), widths.end())
+        << "no " << width << "-byte epoch";
+  }
+  EXPECT_TRUE(WidthChangesInsideBlock(widths, 48, std::greater<>()));
+
+  // A frontier that swings across 255 nodes: an epoch of fewer survivors
+  // still takes 2 bytes when its parents index a wider previous epoch.
+  rcbr::Rng rng(21);
+  std::vector<double> workload(300);
+  for (double& a : workload) a = rng.Uniform(0.0, 10.0);
+  DpOptions swinging;
+  swinging.rate_levels = UniformRateLevels(0.0, 10.0, 11);
+  swinging.buffer_bits = 30.0;
+  swinging.cost = {4.0, 1.0};
+  const std::vector<std::size_t> live =
+      ExpectRecordsMatchAcrossBudgetsAndThreads(workload, swinging, 40);
+  const std::vector<std::size_t> swing = RecordWidths(live);
+  EXPECT_TRUE(WidthChangesInsideBlock(swing, 40, std::greater<>()));
+  EXPECT_TRUE(WidthChangesInsideBlock(swing, 40, std::less<>()));
+  bool parents_widen = false;
+  for (std::size_t e = 0; e < live.size(); ++e) {
+    if (reference::ReferenceRecordWidth(live[e]) < swing[e]) {
+      parents_widen = true;
+    }
+  }
+  EXPECT_TRUE(parents_widen);
 }
 
 }  // namespace

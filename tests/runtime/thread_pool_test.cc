@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <future>
 #include <numeric>
@@ -12,6 +14,28 @@ namespace rcbr::runtime {
 namespace {
 
 TEST(HardwareThreads, AtLeastOne) { EXPECT_GE(HardwareThreads(), 1u); }
+
+#ifdef __linux__
+TEST(HardwareThreads, CountsTheCallersAffinityMask) {
+  // Pinned to one of its allowed CPUs, the calling thread gets 1 worker.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+    GTEST_SKIP() << "cannot pin the test thread to CPU " << cpu;
+  }
+  const std::size_t pinned = HardwareThreads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(HardwareThreads(), static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ThreadPool, ClampsToOneWorker) {
   ThreadPool pool(0);

@@ -3,14 +3,17 @@
 
 Compares a BENCH_tab1_dp_runtime.json produced by `bench/tab1_dp_runtime`
 against the checked-in ceilings (tools/dp_runtime_floor.json) and fails
-if any matching K's wall-clock exceeds its ceiling, or if the optimal
+if any matching K's wall-clock exceeds its ceiling, if the optimal
 cost found drifts above its pinned bound (a fast DP that prunes valid
-transitions is not a speedup).
+transitions is not a speedup), or if the peak resident backtracking
+record bytes exceed theirs.
 
 The ceilings are deliberately loose — tens of times above what dedicated
 hardware measures — because CI runners are slow and noisy; the check is
 meant to catch a complexity-class slip in the trellis (frontier merge,
-arena append, streaming recompute), not a few percent of jitter.
+arena append, streaming recompute), not a few percent of jitter. The
+record-byte ceilings are tight instead: the count does not depend on
+the host, so a memory regression cannot hide in noise.
 
 Usage: check_dp_runtime.py BENCH_tab1_dp_runtime.json [floor.json]
 """
@@ -57,6 +60,18 @@ def main(argv):
                 f"bound {entry['max_cost']:.1f}"
             )
             failures.append(k)
+        if "max_record_bytes" in entry:
+            record_bytes = metrics.get("record_bytes")
+            ceiling = entry["max_record_bytes"]
+            if record_bytes is None:
+                print("  FAIL: no record_bytes metric in the benchmark output")
+                failures.append(k)
+            elif record_bytes > ceiling:
+                print(
+                    f"  FAIL: record bytes {record_bytes:.0f} above ceiling "
+                    f"{ceiling}"
+                )
+                failures.append(k)
     if checked == 0:
         print("no ceiling points matched the benchmark output", file=sys.stderr)
         return 2
