@@ -53,7 +53,7 @@ bool Proxy::Start() {
   return true;
 }
 
-void Proxy::FireCrashesUpTo(std::int64_t slot) {
+void Proxy::FireCrashesUpTo(double slot) {
   const auto crashes = schedule_.CrashesIn(crash_watermark_, slot);
   crash_watermark_ = std::max(crash_watermark_, slot);
   if (crashes.empty()) return;
@@ -67,7 +67,7 @@ void Proxy::FireCrashesUpTo(std::int64_t slot) {
 }
 
 bool Proxy::LetThrough(const Frame& frame, bool from_client) {
-  const std::int64_t slot = static_cast<std::int64_t>(frame.slot);
+  const double slot = static_cast<double>(frame.slot);
   if (schedule_.LinkDownAt(0, slot)) {
     ++stats_.dropped_down;
     obs::Count(options_.recorder, "net.proxy.dropped_down");
@@ -75,12 +75,13 @@ bool Proxy::LetThrough(const Frame& frame, bool from_client) {
   }
   if (IsControlFrame(frame.type)) {
     // Signaling-channel impairments (the paper's RM-cell bursts).
-    if (schedule_.ExtraDelaySecondsAt(slot) > options_.late_threshold_s) {
+    const signaling::ChannelConditions burst = schedule_.ConditionsAt(slot);
+    if (burst.extra_delay_s > options_.late_threshold_s) {
       ++stats_.dropped_late;
       obs::Count(options_.recorder, "net.proxy.dropped_late");
       return false;
     }
-    const double p = schedule_.LossProbabilityAt(slot);
+    const double p = burst.extra_loss_probability;
     if (p > 0 && HashUniform(options_.seed, from_client, frame.seq) < p) {
       ++stats_.dropped_loss;
       obs::Count(options_.recorder, "net.proxy.dropped_loss");
@@ -122,7 +123,7 @@ void Proxy::PumpSide(Pair& pair, bool from_client) {
       // the moment a frame first reaches their tick. The triggering
       // frame dies with the connection — the server it was addressed
       // to no longer exists.
-      FireCrashesUpTo(static_cast<std::int64_t>(frame.slot));
+      FireCrashesUpTo(static_cast<double>(frame.slot));
       if (sever_all_) return;
     }
     if (!LetThrough(frame, from_client)) continue;

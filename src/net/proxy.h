@@ -5,7 +5,11 @@
 // This proxy gets determinism back by construction. It sits between
 // rcbr_client and rcbrd on loopback, decodes every frame, and decides
 // each frame's fate with *tick arithmetic on the frame's own slot
-// stamp* plus a stateless per-(seed, direction, seq) hash:
+// stamp* plus a stateless per-(seed, direction, seq) hash. The clock is
+// the plan's FaultSchedule (sim/fault/fault_schedule.h) compiled at
+// slot-tick scale — the same compiled rules the simulator replays in
+// seconds — so tick T is slot T and an event at t seconds lands on tick
+// floor(t * slots_per_second):
 //
 //  * loss bursts (FaultKind::kRmLossBurst) drop control frames whose
 //    hash falls under the loss probability in force at their slot —
@@ -35,13 +39,13 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/recorder.h"
-#include "sim/fault/wall_timeline.h"
+#include "sim/fault/fault_schedule.h"
 
 namespace rcbr::net {
 
 struct ProxyOptions {
   std::uint16_t server_port = 0;
-  /// The fault schedule, sim seconds; compiled to the slot domain via
+  /// The fault plan, sim seconds; compiled to slot ticks via
   /// slots_per_second (= 1 / the client's slot_seconds).
   sim::fault::FaultPlan plan;
   double slots_per_second = 100;
@@ -89,13 +93,13 @@ class Proxy {
   void PumpSide(Pair& pair, bool from_client);
   /// True = forward, false = drop (stats say why).
   bool LetThrough(const Frame& frame, bool from_client);
-  void FireCrashesUpTo(std::int64_t slot);
+  void FireCrashesUpTo(double slot);
 
   ProxyOptions options_;
-  sim::fault::WallClockSchedule schedule_;
+  sim::fault::FaultSchedule schedule_;
   TcpListener listener_;
   std::vector<std::unique_ptr<Pair>> pairs_;
-  std::int64_t crash_watermark_ = -1;
+  double crash_watermark_ = -1;
   bool sever_all_ = false;
   ProxyStats stats_;
   std::atomic<bool> stop_{false};

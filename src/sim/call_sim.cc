@@ -25,7 +25,6 @@ CallSimResult RunCallSim(const std::vector<CallProfile>& profile_pool,
   sim.interval_seconds = options.interval_seconds;
   sim.policy = &policy;
   sim.recorder = options.recorder;
-  sim.expected_peak_calls = options.expected_peak_calls;
 
   const engine::SimulationResult r =
       engine::RunSimulation(profile_pool, sim, rng);

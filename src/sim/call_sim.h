@@ -121,10 +121,6 @@ struct CallSimOptions {
   /// grant/deny, and departure events (time = sim seconds, id = call id;
   /// rejects use the would-be id), plus call/attempt counters.
   obs::Recorder* recorder = nullptr;
-  /// Expected peak concurrent calls; pre-sizes the engine's event queue
-  /// and call arena (0 = derive from the offered load). Capacity hint
-  /// only — results are identical either way.
-  std::size_t expected_peak_calls = 0;
   /// Multi-resolution contract carried by every call (empty = scalar;
   /// the depth-1 ladder is pinned byte-identical to scalar). Under
   /// saturation the simulator admits at the deepest feasible rung

@@ -9,10 +9,13 @@
 // thread count: faults are inputs to the determinism contract
 // (docs/algorithms.md §7), not perturbations of it.
 //
-// The plan is pure data. FaultTimeline (fault_timeline.h) interprets it
-// against a running simulation: RunSimulation posts one event per plan
-// entry (plus one per loss-burst expiry), and each of those events
-// advances the timeline to the simulation clock.
+// The plan is pure data. FaultSchedule (fault_schedule.h) is the one
+// compiler of what it means — how bursts combine, how link downs and ups
+// pair — at either of two time scales: seconds for the simulator, where
+// FaultTimeline (fault_timeline.h) replays it (RunSimulation posts one
+// event per plan entry plus one per positive-duration burst end, and
+// each advances the timeline to the simulation clock), and slot ticks
+// for the daemon's impairment proxy (net/proxy.h).
 #pragma once
 
 #include <cstddef>

@@ -20,6 +20,7 @@
 #include "core/gop_heuristic.h"
 #include "core/online_heuristic.h"
 #include "core/rcbr_source.h"
+#include "fnv1a.h"
 #include "obs/recorder.h"
 #include "signaling/path.h"
 #include "signaling/port_controller.h"
@@ -30,15 +31,7 @@
 namespace rcbr::core {
 namespace {
 
-// FNV-1a, 64-bit: a stable fingerprint for pinning bytes.
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+using testutil::Fnv1a;
 
 void Append(std::string& out, const char* key, std::uint64_t value) {
   char buf[64];

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rcbr_source.h"
+#include "fnv1a.h"
 #include "obs/recorder.h"
 #include "signaling/lossy_channel.h"
 #include "signaling/path.h"
@@ -31,15 +32,7 @@
 namespace rcbr::core {
 namespace {
 
-// FNV-1a, 64-bit: a stable fingerprint for pinning bytes.
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+using testutil::Fnv1a;
 
 void Append(std::string& out, const char* key, std::uint64_t value) {
   char buf[64];

@@ -15,10 +15,13 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "fnv1a.h"
 #include "net/chaos.h"
 
 namespace rcbr::net {
 namespace {
+
+using testutil::Fnv1a;
 
 ChaosOptions SmallChaos(std::uint64_t seed) {
   ChaosOptions options;
@@ -116,16 +119,6 @@ TEST(ChaosTest, SameSeedsSameSessionLogByteForByte) {
   // The report's results block is a pure function of the seeds too.
   EXPECT_EQ(ResultsBlock(ChaosReportJson(options, first)),
             ResultsBlock(ChaosReportJson(options, second)));
-}
-
-// FNV-1a, 64-bit: a stable fingerprint for pinning bytes.
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 // Pins SmallChaos(5) itself, not just its run-to-run repeatability: the

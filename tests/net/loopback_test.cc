@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "fnv1a.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -27,6 +28,8 @@
 
 namespace rcbr::net {
 namespace {
+
+using testutil::Fnv1a;
 
 bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
 
@@ -333,8 +336,10 @@ TEST_F(ServerFixture, ResyncHelloRepairsACrashedServerByteExactly) {
     ASSERT_TRUE(welcome.has_value());
     ASSERT_TRUE(welcome->accepted);
   }
-  server_->InjectCrash();
+  // Read the generation before requesting the wipe: the serve loop may
+  // finish it before InjectCrash returns.
   const std::uint64_t generation = server_->crash_generation();
+  server_->InjectCrash();
   for (int spins = 0; spins < 200 && server_->crash_generation() == generation;
        ++spins) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -594,16 +599,6 @@ class LadderScriptServer {
   double rate_ = 0;
   std::uint32_t rung_ = 0;
 };
-
-// FNV-1a, 64-bit: a stable fingerprint for pinning bytes.
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 std::string RateBits(double value) {
   std::uint64_t bits;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fnv1a.h"
 #include "runtime/emit.h"
 #include "runtime/experiment.h"
 #include "sim/call_sim.h"
@@ -17,6 +18,8 @@
 
 namespace rcbr::runtime {
 namespace {
+
+using testutil::Fnv1a;
 
 // A small stepwise-CBR call profile for the call-level simulator.
 sim::CallProfile TestProfile() {
@@ -253,16 +256,6 @@ TEST(RunSweep, SeriesAreOffWithoutAWindow) {
       {});
   EXPECT_TRUE(result.series.empty());
   EXPECT_TRUE(ToTimeSeriesJsonl(result).empty());
-}
-
-// FNV-1a, 64-bit: a stable fingerprint for pinning artifact bytes.
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
 }
 
 // Emits 10 events into a 6-event head and a 4-event ring, firing a

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fnv1a.h"
 #include "obs/recorder.h"
 #include "signaling/lossy_channel.h"
 #include "signaling/path.h"
@@ -28,18 +29,10 @@
 namespace rcbr::signaling {
 namespace {
 
+using testutil::Fnv1a;
+
 constexpr int kRequests = 300;
 constexpr std::uint64_t kVcis = 3;
-
-// FNV-1a, 64-bit: a stable fingerprint for pinning bytes.
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 void Append(std::string& out, const char* key, std::uint64_t value) {
   char buf[64];

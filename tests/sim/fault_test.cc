@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "admission/policies.h"
+#include "fnv1a.h"
 #include "runtime/emit.h"
 #include "runtime/sweep.h"
 #include "sim/engine/simulation.h"
@@ -25,6 +26,8 @@
 
 namespace rcbr::sim::fault {
 namespace {
+
+using testutil::Fnv1a;
 
 // ---------------------------------------------------------------------
 // FaultPlan: seeded generation is pure data, sorted and bounded.
@@ -146,7 +149,8 @@ TEST(FaultTimeline, BurstsCombineByMaxAndExpire) {
   FaultPlan plan;
   plan.Add({1.0, FaultKind::kRmLossBurst, 0, 4.0, 0.5, 0.1});
   plan.Add({2.0, FaultKind::kRmLossBurst, 0, 1.0, 0.8, 0.05});
-  FaultTimeline timeline(&plan, 1);
+  obs::Recorder recorder;
+  FaultTimeline timeline(&plan, 1, &recorder);
   const auto ignore = [](const FaultEvent&, double) {};
   timeline.AdvanceTo(0.5, ignore);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_loss_probability, 0.0);
@@ -162,7 +166,8 @@ TEST(FaultTimeline, BurstsCombineByMaxAndExpire) {
   timeline.AdvanceTo(10.0, ignore);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_loss_probability, 0.0);
   EXPECT_DOUBLE_EQ(timeline.conditions().extra_delay_s, 0.0);
-  EXPECT_EQ(timeline.stats().bursts, 2);
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "RCBR_OBS=OFF";
+  EXPECT_EQ(recorder.metrics().Snapshot().counters.at("fault.bursts"), 2);
 }
 
 TEST(FaultTimeline, LinkEventsFlipStateAndFireCallbacksOnce) {
@@ -171,7 +176,8 @@ TEST(FaultTimeline, LinkEventsFlipStateAndFireCallbacksOnce) {
   plan.Add({2.0, FaultKind::kLinkDown, 0, 0, 0, 0});  // already down: no-op
   plan.Add({3.0, FaultKind::kLinkUp, 0, 0, 0, 0});
   plan.Add({4.0, FaultKind::kControllerCrash, 1, 0, 0, 0});
-  FaultTimeline timeline(&plan, 2);
+  obs::Recorder recorder;
+  FaultTimeline timeline(&plan, 2, &recorder);
   std::vector<std::pair<char, std::size_t>> fired;
   std::vector<double> fired_at;
   const auto record = [&](const FaultEvent& event, double now) {
@@ -194,9 +200,11 @@ TEST(FaultTimeline, LinkEventsFlipStateAndFireCallbacksOnce) {
   EXPECT_EQ(fired, expected);
   // The handler sees the time the owner advanced to, not the event's.
   EXPECT_EQ(fired_at, (std::vector<double>{2.5, 5.0, 5.0}));
-  EXPECT_EQ(timeline.stats().link_failures, 1);
-  EXPECT_EQ(timeline.stats().link_repairs, 1);
-  EXPECT_EQ(timeline.stats().crashes, 1);
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "RCBR_OBS=OFF";
+  const auto counters = recorder.metrics().Snapshot().counters;
+  EXPECT_EQ(counters.at("fault.link_failures"), 1);
+  EXPECT_EQ(counters.at("fault.link_repairs"), 1);
+  EXPECT_EQ(counters.at("fault.crashes"), 1);
 }
 
 TEST(FaultTimeline, RejectsPlanTargetingMissingLink) {
@@ -455,15 +463,6 @@ TEST(FaultSimulation, ComposedFaultRunIsThreadCountInvariant) {
 // (and any later engine change) must reproduce every output byte.
 // ---------------------------------------------------------------------
 
-std::uint64_t Fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 TEST(FaultSimulation, ComposedFaultRunMatchesPinnedOutputs) {
   runtime::SweepOptions options;
   options.base_seed = 20260806;
@@ -483,9 +482,9 @@ TEST(FaultSimulation, ComposedFaultRunMatchesPinnedOutputs) {
     // The obs counters and the event trace, byte for byte.
     const std::string json = runtime::ToJsonWithoutTimings(r);
     const std::string trace = runtime::ToTraceJsonl(r);
-    EXPECT_EQ(Fnv1a64(json), 0xe2af377906206b02ull) << json;
+    EXPECT_EQ(Fnv1a(json), 0xe2af377906206b02ull) << json;
     EXPECT_EQ(trace.size(), 65783u);
-    EXPECT_EQ(Fnv1a64(trace), 0x7de7e1767f6ac15bull);
+    EXPECT_EQ(Fnv1a(trace), 0x7de7e1767f6ac15bull);
   }
 }
 
@@ -527,7 +526,7 @@ TEST(FaultSimulation, FigFaultSweepQuickMatchesPinnedOutput) {
   fs::remove_all(dir);
   const std::string json = WithoutTimings(text.str());
   EXPECT_EQ(json.size(), 3875u);
-  EXPECT_EQ(Fnv1a64(json), 0xb5036d6df6526ae8ull) << json;
+  EXPECT_EQ(Fnv1a(json), 0xb5036d6df6526ae8ull) << json;
 }
 
 }  // namespace
