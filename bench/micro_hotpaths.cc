@@ -147,6 +147,34 @@ void BM_DpSchedulerPerSlot(benchmark::State& state) {
 }
 BENCHMARK(BM_DpSchedulerPerSlot)->Arg(1440)->Arg(2880);
 
+// The set-up solve of the repository benchmark's engine_mbac workload on
+// its first `range(0)` frames: the Fig. 6 grid of 41 levels, a 2 kb
+// buffer quantum, renegotiation every 6 frames and a drained end buffer.
+// Most entering buffers clamp to the floor buffer, which
+// BM_DpSchedulerPerSlot (no quantum, no decision period) never shows.
+void BM_DpSchedulerSetupSolve(benchmark::State& state) {
+  const trace::FrameTrace movie =
+      trace::MakeStarWarsTrace(1995, state.range(0));
+  core::DpOptions options;
+  const double step = 64.0 * kKilobit / movie.fps();
+  for (int k = 0; k <= 40; ++k) options.rate_levels.push_back(step * k);
+  options.buffer_bits = 300.0 * kKilobit;
+  options.cost = {3000.0, 1.0 / movie.fps()};
+  options.buffer_quantum_bits = 2.0 * kKilobit;
+  options.decision_period = 6;
+  options.final_buffer_bits = 0.0;
+  std::size_t total_nodes = 0;
+  for (auto _ : state) {
+    const core::DpResult result =
+        core::ComputeOptimalSchedule(movie.frame_bits(), options);
+    benchmark::DoNotOptimize(result.optimal_cost);
+    total_nodes = result.total_nodes;
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["total_nodes"] = static_cast<double>(total_nodes);
+}
+BENCHMARK(BM_DpSchedulerSetupSolve)->Arg(1440)->Arg(2880);
+
 // One memory-MBAC admission decision with `range(0)` live calls on
 // engine_mbac's 41-level grid. Every call carries 20 rate changes drawn
 // from the same marginal and the capacity scales with the call count, so

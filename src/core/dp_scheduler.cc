@@ -633,8 +633,7 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   const double quantum = cfg_.quantum;
   const double shift = er.shift;
   const double floor_q = er.floor_q;
-  const auto transform = [quantum, shift, floor_q](double b) {
-    const double q = std::max(b + shift, floor_q);
+  const auto quantize = [quantum](double q) {
     if (quantum <= 0 || q <= 0) return q;
     return std::ceil(q / quantum) * quantum;
   };
@@ -644,9 +643,39 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
     // for the first rate (chosen at call setup).
     const double b0 = 0.0;
     if (b0 > er.b_max + 1e-9) return;
-    out.Push(transform(b0), 0.0 + er.cost_add, kNoParent);
+    out.Push(quantize(std::max(b0 + shift, floor_q)), 0.0 + er.cost_add,
+             kNoParent);
     return;
   }
+
+  const Run own = cur.run(v);
+  const Run other = global_.run();
+  const double b_cut = er.b_max + 1e-9;
+
+  // A node with b + shift <= floor_q lands on the floor buffer `floor_b`,
+  // the lowest end buffer. On an integer grid every buffer is m·Q, so an
+  // unclamped node lands exactly on b + ceil(shift/Q)·Q unless shift/Q is
+  // within 1e-6 of an integer or the magnitudes leave the exact range
+  // (docs/algorithms.md §1, "Clamped prefixes and the grid shift").
+  const double floor_b = quantize(floor_q);
+  double grid_add = 0;
+  bool on_grid = false;
+  if (quantum > 0 && quantum == std::floor(quantum)) {
+    const double largest =
+        std::max(own.n != 0 ? own.buf[own.n - 1] : 0.0,
+                 other.n != 0 ? other.buf[other.n - 1] : 0.0);
+    const double reach = largest + std::abs(shift);
+    const double steps = shift / quantum;
+    const double up = std::ceil(steps);
+    on_grid = reach <= 0x1p30 * quantum && reach + quantum < 0x1p52 &&
+              up - steps > 1e-6 && steps - (up - 1) > 1e-6;
+    grid_add = up * quantum;
+  }
+  const auto transform = [=](double b) {
+    const double q = b + shift;
+    if (q <= floor_q) return floor_b;
+    return on_grid ? b + grid_add : quantize(q);
+  };
 
   // Fused transform + Pareto merge of the same-rate frontier (no switch
   // cost) and the alpha-shifted global frontier, streamed in transformed-
@@ -656,23 +685,37 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   // one transformed buffer, all own nodes go first iff the first one
   // weighs at most the first global one, which may be a skipped node: a
   // kept node compares at the weight of the skipped ones just before it
-  // on its buffer (docs/algorithms.md §1, "Dominance skips").
-  const Run own = cur.run(v);
-  const Run other = global_.run();
-  const double b_cut = er.b_max + 1e-9;
+  // on its buffer (docs/algorithms.md §1, "Dominance skips"). Of each
+  // stream's clamped prefix only the last node can survive, so the stream
+  // starts there; on floor_b, where every earlier node of the stream
+  // lies, it compares at the weight of the stream's node 0.
   const double cost_add = er.cost_add;
   const double alpha = cfg_.alpha;
-  std::size_t i = 0;
-  std::size_t j = 0;
+  const auto start = [&](const Run& r) {
+    const auto clamped = static_cast<std::size_t>(
+        std::partition_point(r.buf, r.buf + r.n,
+                             [&](double b) {
+                               return b <= b_cut && b + shift <= floor_q;
+                             }) -
+        r.buf);
+    return clamped != 0 ? clamped - 1 : 0;
+  };
+  std::size_t i = start(own);
+  std::size_t j = start(other);
   std::size_t k = 0;         // own nodes with raw buffer <= other.buf[j]
-  std::size_t kept_end = 0;  // one past the last global node fetched
+  std::size_t kept_end = j;  // where a walk-back stops
+  const double own_floor_w = own.n != 0 ? own.wgt[0] + cost_add : 0;
+  const double other_floor_w =
+      other.n != 0 ? other.wgt[0] + cost_add + alpha : 0;
   double bi = 0, wi = 0, bj = 0, wj = 0;
-  double wj_first = 0;  // the weight node j compares at on a tied buffer
+  // The weights nodes i and j compare at on a tied buffer.
+  double wi_first = 0, wj_first = 0;
   bool have_i = false, have_j = false;
   const auto fetch_own = [&] {
     if (i < own.n && own.buf[i] <= b_cut) {
       bi = transform(own.buf[i]);
       wi = own.wgt[i] + cost_add;
+      wi_first = bi == floor_b ? own_floor_w : wi;
       have_i = true;
     } else {
       have_i = false;
@@ -684,10 +727,14 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
       while (k < own.n && own.buf[k] <= other.buf[j]) ++k;
       if (k != 0 && own.wgt[k - 1] + cost_add < wj) continue;
       bj = transform(other.buf[j]);
-      wj_first = wj;
-      for (std::size_t p = j;
-           p > kept_end && transform(other.buf[p - 1]) == bj; --p) {
-        wj_first = other.wgt[p - 1] + cost_add + alpha;
+      if (bj == floor_b) {
+        wj_first = other_floor_w;
+      } else {
+        wj_first = wj;
+        for (std::size_t p = j;
+             p > kept_end && transform(other.buf[p - 1]) == bj; --p) {
+          wj_first = other.wgt[p - 1] + cost_add + alpha;
+        }
       }
       kept_end = j + 1;
       have_j = true;
@@ -698,7 +745,8 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   fetch_other();
   while (have_i || have_j) {
     const bool take_own =
-        !have_j || (have_i && (bi < bj || (bi == bj && wi <= wj_first)));
+        !have_j ||
+        (have_i && (bi < bj || (bi == bj && wi_first <= wj_first)));
     if (take_own) {
       out.Push(bi, wi, own.back[i]);
       ++i;
@@ -809,9 +857,10 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
   }
 
   // Record the survivors for backtracking, rate-major: the run ends, then
-  // each rate's contiguous backpointer run, which is then renumbered to
-  // offsets among this epoch's records. Parents index the entering
-  // frontier's records (or packed checkpoint), fewer than cur.live().
+  // each rate's contiguous backpointer run, which is renumbered to offsets
+  // among this epoch's records once the inspect hook has seen it. Parents
+  // index the entering frontier's records (or packed checkpoint), fewer
+  // than cur.live().
   std::uint32_t at = 0;
   for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
     at += static_cast<std::uint32_t>(nxt_.size(v));
@@ -820,11 +869,8 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
   const std::size_t bytes_before = block.bytes;
   block.BeginEpoch(RecordWidth(std::max(live, cur.live())));
   block.Append(run_end_.data(), cfg_.num_rates);
-  at = 0;
   for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
-    const std::size_t run = nxt_.size(v);
-    block.Append(nxt_.back.data() + nxt_.begin[v], run);
-    for (std::size_t i = 0; i < run; ++i) nxt_.back[nxt_.begin[v] + i] = at++;
+    block.Append(nxt_.back.data() + nxt_.begin[v], nxt_.size(v));
   }
   block.nodes += live;
 
@@ -857,9 +903,16 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
       view.arena_nodes = total_nodes_;
       view.buf = nxt_.buf.data();
       view.wgt = nxt_.wgt.data();
+      view.back = nxt_.back.data();
       view.begin = nxt_.begin.data();
       view.end = nxt_.end.data();
       opt_.inspect(view);
+    }
+  }
+  at = 0;
+  for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
+    for (std::uint32_t idx = nxt_.begin[v]; idx < nxt_.end[v]; ++idx) {
+      nxt_.back[idx] = at++;
     }
   }
   std::swap(cur, nxt_);

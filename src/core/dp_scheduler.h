@@ -20,7 +20,10 @@
 // parallelized over the runtime thread pool with a rate-major merge order,
 // so results are byte-identical for every thread count. The fold skips
 // runs, and the transform global nodes, that the running frontier already
-// dominates; no frontier or backpointer changes (docs/algorithms.md §1).
+// dominates. The transform starts each input at the last of the nodes
+// that the end-of-epoch floor clamps onto the lowest end buffer, and on a
+// whole-number buffer quantum it shifts a buffer by whole quanta instead
+// of dividing. No frontier or backpointer changes (docs/algorithms.md §1).
 //
 // Memory is bounded for arbitrarily long traces by streaming the
 // backtracking chain in blocks: the frontier is checkpointed every
@@ -68,10 +71,17 @@ struct DpFrontierView {
   std::span<const double> weights(std::size_t rate) const {
     return {wgt + begin[rate], end[rate] - begin[rate]};
   }
+  /// Rate v's parents: each node's predecessor as an offset among the
+  /// previous epoch's live nodes, counted rate-major (all ones in the
+  /// first epoch).
+  std::span<const std::uint32_t> parents(std::size_t rate) const {
+    return {back + begin[rate], end[rate] - begin[rate]};
+  }
 
   // Implementation wiring (SoA slices); use the accessors above.
   const double* buf = nullptr;
   const double* wgt = nullptr;
+  const std::uint32_t* back = nullptr;
   const std::uint32_t* begin = nullptr;
   const std::uint32_t* end = nullptr;
 };

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -307,7 +308,26 @@ struct UnskippedSolve {
   double cost = 0;
   int cross_rate_ties = 0;   // in the global fold
   int own_global_ties = 0;   // between a rate and the alpha-shifted global
+  // Merges whose floor buffer (the clamped end buffer) holds nodes of both
+  // streams, the lightest of each at one weight.
+  int floor_ties = 0;
+  // Merges on an integer quantum Q, by whether shift/Q lies more than
+  // 1e-6 from an integer.
+  int off_grid_shifts = 0;
+  int near_grid_shifts = 0;
+  // Every epoch's frontiers, each node with its predecessor.
+  std::vector<std::vector<std::vector<TracedNode>>> epochs;
 };
+
+/// Weight of the last node of `list` on `buffer`, if any.
+std::optional<double> LightestOn(const std::vector<TracedNode>& list,
+                                 double buffer) {
+  std::optional<double> weight;
+  for (const TracedNode& node : list) {
+    if (node.buffer == buffer) weight = node.weight;
+  }
+  return weight;
+}
 
 UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
                                   const DpOptions& options) {
@@ -367,10 +387,22 @@ UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
       } else {
         // `w + cost_add + 0.0` is bit-equal to the production's
         // `w + cost_add`.
-        now[v] = MergeTraced(transform(epochs.back()[v], 0.0, false),
-                             transform(global, options.cost.per_renegotiation,
-                                       true),
-                             solve.own_global_ties);
+        const std::vector<TracedNode> own =
+            transform(epochs.back()[v], 0.0, false);
+        const std::vector<TracedNode> shifted =
+            transform(global, options.cost.per_renegotiation, true);
+        const double floor_buffer =
+            reference::ReferenceQuantizeUp(floor_q, options);
+        const std::optional<double> own_floor = LightestOn(own, floor_buffer);
+        solve.floor_ties +=
+            own_floor.has_value() && own_floor == LightestOn(shifted, floor_buffer);
+        const double quantum = options.buffer_quantum_bits;
+        if (quantum > 0 && quantum == std::floor(quantum)) {
+          const double steps = shift / quantum;
+          const bool near = std::abs(steps - std::round(steps)) <= 1e-6;
+          ++(near ? solve.near_grid_shifts : solve.off_grid_shifts);
+        }
+        now[v] = MergeTraced(own, shifted, solve.own_global_ties);
       }
     }
     epochs.push_back(std::move(now));
@@ -388,7 +420,10 @@ UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
       }
     }
   }
-  if (best == nullptr) return solve;
+  if (best == nullptr) {
+    solve.epochs = std::move(epochs);
+    return solve;
+  }
   solve.cost = best->weight;
   std::vector<Step> steps(epochs.size());
   for (std::size_t e = epochs.size(); e-- > 0;) {
@@ -401,6 +436,7 @@ UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
     }
   }
   solve.schedule.emplace(std::move(steps), total);
+  solve.epochs = std::move(epochs);
   return solve;
 }
 
@@ -461,6 +497,112 @@ TEST(DpProperty, ExactTiesResolveAsWithoutDominanceSkips) {
   EXPECT_GT(feasible, 600);
   EXPECT_GT(cross_rate_ties, 1000);
   EXPECT_GT(own_global_ties, 1000);
+}
+
+/// Every node of the epoch in `view` has the parent the replay gave it:
+/// its predecessor's offset among the previous epoch's nodes, rate-major.
+void ExpectParentsAsReplayed(const DpFrontierView& view,
+                             const UnskippedSolve& replay,
+                             std::int64_t period) {
+  const auto e = static_cast<std::size_t>(view.first_slot / period);
+  if (e == 0) return;  // the seed epoch has no parents
+  ASSERT_LT(e, replay.epochs.size());
+  const std::vector<std::vector<TracedNode>>& before = replay.epochs[e - 1];
+  std::vector<std::size_t> rate_offset(before.size() + 1, 0);
+  for (std::size_t v = 0; v < before.size(); ++v) {
+    rate_offset[v + 1] = rate_offset[v] + before[v].size();
+  }
+  for (std::size_t v = 0; v < view.num_rates; ++v) {
+    const std::span<const std::uint32_t> parents = view.parents(v);
+    const std::vector<TracedNode>& now = replay.epochs[e][v];
+    ASSERT_EQ(parents.size(), now.size()) << "epoch " << e << " rate " << v;
+    for (std::size_t i = 0; i < parents.size(); ++i) {
+      EXPECT_EQ(parents[i], rate_offset[now[i].from_rate] + now[i].from_index)
+          << "epoch " << e << " rate " << v << " node " << i;
+    }
+  }
+}
+
+TEST(DpProperty, ClampedPrefixTiesResolveAsWithoutCollapse) {
+  // High rates drain most entering buffers to the floor buffer, where the
+  // scheduler keeps only the last node of each stream's clamped prefix
+  // and compares it at the weight of the stream's node 0. Integer rates
+  // and costs tie own and shifted-global nodes there exactly, so every
+  // node's parent is checked against the replay, not only the schedule.
+  // On integer quanta, arrivals in quarters put shift/Q off the integer
+  // grid, where the scheduler adds a whole number of quanta; integer
+  // arrivals put it on the grid and tenths within rounding of it, where
+  // it quantizes each buffer itself.
+  Rng rng(4243);
+  int floor_ties = 0;
+  int off_grid = 0;
+  int near_grid = 0;
+  int feasible = 0;
+  for (const double quantum : {1.0, 2.0, 3.0}) {
+    for (const double grain : {0.25, 1.0, 0.1}) {
+      // Sums of tenths round, and the brute force's slot-by-slot Lindley
+      // rounds differently from the composed epoch shift: an epoch can end
+      // an ulp apart and so a quantum apart. Tenths are scored against the
+      // replay only, which shares the scheduler's arithmetic.
+      const bool exact = grain != 0.1;
+      for (int trial = 0; trial < 120; ++trial) {
+        DpOptions options;
+        const int k = 4 + static_cast<int>(rng.Uniform(0.0, 4.0));
+        const double step = 1.0 + std::floor(rng.Uniform(0.0, 3.0));
+        for (int v = 0; v < k; ++v) options.rate_levels.push_back(step * v);
+        options.buffer_bits = 3.0 * std::floor(rng.Uniform(3.0, 10.0)) + 1.0;
+        options.buffer_quantum_bits = quantum;
+        options.cost = {step * std::floor(rng.Uniform(0.0, 4.0)), 1.0};
+        options.decision_period =
+            1 + static_cast<std::int64_t>(rng.Uniform(0.0, 3.0));
+        if (trial % 3 == 0) options.final_buffer_bits = 0;
+        const int slots = 8 + static_cast<int>(rng.Uniform(0.0, 30.0));
+        std::vector<double> workload(static_cast<std::size_t>(slots));
+        for (double& a : workload) {
+          a = grain * std::floor(rng.Uniform(0.0, 0.7 * step * k) / grain);
+        }
+
+        const UnskippedSolve want = ReplayWithoutSkips(workload, options);
+        floor_ties += want.floor_ties;
+        off_grid += want.off_grid_shifts;
+        near_grid += want.near_grid_shifts;
+        std::optional<double> reference_cost;
+        if (exact) {
+          reference_cost = reference::ReferenceOptimalCost(workload, options);
+          ASSERT_EQ(want.schedule.has_value(), reference_cost.has_value());
+        }
+        if (!want.schedule.has_value()) continue;
+        ++feasible;
+        if (exact) {
+          ASSERT_EQ(want.cost, *reference_cost);
+        }
+
+        for (const std::size_t threads : {1u, 4u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "quantum " << quantum << " grain " << grain
+                       << " trial " << trial << " threads " << threads);
+          options.threads = threads;
+          EpochReconstructor reconstructor(workload, options);
+          options.inspect = [&](const DpFrontierView& view) {
+            reconstructor.Check(view);
+            ExpectParentsAsReplayed(view, want, options.decision_period);
+          };
+          const DpResult got = ComputeOptimalSchedule(workload, options);
+          EXPECT_EQ(got.optimal_cost, want.cost);
+          EXPECT_TRUE(got.schedule == *want.schedule);
+          if (exact) {
+            EXPECT_EQ(reference::ReferenceScheduleCost(workload, options,
+                                                       got.schedule),
+                      reference_cost);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible, 1000);
+  EXPECT_GT(floor_ties, 7000);
+  EXPECT_GT(off_grid, 25000);
+  EXPECT_GT(near_grid, 9000);
 }
 
 TEST(DpProperty, ValidationRejectsMalformedOptions) {

@@ -606,5 +606,37 @@ TEST(DpScheduler, EveryRecordWidthMatchesAcrossBudgetsAndThreads) {
   EXPECT_TRUE(parents_widen);
 }
 
+TEST(DpScheduler, RecordWidthSkipsAWidthWhoseSentinelIsAValue) {
+  // An epoch's largest value is its last run end, its survivor count. At
+  // exactly 0xff or 0xffff it equals that width's all-ones no-parent
+  // sentinel, so the epoch takes the next width. Epoch 33 of this
+  // swinging frontier keeps 255 survivors after 254.
+  rcbr::Rng rng(1);
+  std::vector<double> workload(300);
+  for (double& a : workload) a = rng.Uniform(0.0, 10.0);
+  DpOptions swinging;
+  swinging.rate_levels = UniformRateLevels(0.0, 10.0, 11);
+  swinging.buffer_bits = 30.0;
+  swinging.cost = {4.0, 1.0};
+  const std::vector<std::size_t> live =
+      ExpectRecordsMatchAcrossBudgetsAndThreads(workload, swinging, 40);
+  ASSERT_GT(live.size(), 33u);
+  EXPECT_EQ(live[32], 254u);
+  EXPECT_EQ(live[33], 255u);
+  EXPECT_EQ(RecordWidths(live)[33], 2u);
+
+  // Without arrivals every rate keeps one node at an empty buffer, so
+  // 65535 rate levels keep exactly 0xffff survivors in every epoch.
+  DpOptions wide;
+  wide.rate_levels = UniformRateLevels(0.0, 1.0, 0xffff);
+  wide.buffer_bits = 1.0;
+  wide.cost = {1.0, 1.0};
+  const std::vector<std::size_t> flat =
+      ExpectRecordsMatchAcrossBudgetsAndThreads(std::vector<double>(3, 0.0),
+                                                wide, 1);
+  EXPECT_EQ(flat, std::vector<std::size_t>(3, 0xffff));
+  EXPECT_EQ(RecordWidths(flat), std::vector<std::size_t>(3, 4));
+}
+
 }  // namespace
 }  // namespace rcbr::core

@@ -5,15 +5,18 @@ Compares a BENCH_tab1_dp_runtime.json produced by `bench/tab1_dp_runtime`
 against the checked-in ceilings (tools/dp_runtime_floor.json) and fails
 if any matching K's wall-clock exceeds its ceiling, if the optimal
 cost found drifts above its pinned bound (a fast DP that prunes valid
-transitions is not a speedup), or if the peak resident backtracking
-record bytes exceed theirs.
+transitions is not a speedup), if the peak resident backtracking
+record bytes exceed theirs, or if the trellis size (total_nodes) is not
+exactly the pinned count.
 
 The ceilings are deliberately loose — tens of times above what dedicated
 hardware measures — because CI runners are slow and noisy; the check is
 meant to catch a complexity-class slip in the trellis (frontier merge,
 arena append, streaming recompute), not a few percent of jitter. The
 record-byte ceilings are tight instead: the count does not depend on
-the host, so a memory regression cannot hide in noise.
+the host, so a memory regression cannot hide in noise. The node counts
+are pinned exactly: every retained node is a Lemma-1 survivor, so a
+change to the frontiers fails here even when the cost still matches.
 
 Usage: check_dp_runtime.py BENCH_tab1_dp_runtime.json [floor.json]
 """
@@ -70,6 +73,14 @@ def main(argv):
                 print(
                     f"  FAIL: record bytes {record_bytes:.0f} above ceiling "
                     f"{ceiling}"
+                )
+                failures.append(k)
+        if "total_nodes" in entry:
+            nodes = metrics.get("total_nodes")
+            if nodes != entry["total_nodes"]:
+                print(
+                    f"  FAIL: total_nodes {nodes} is not the pinned "
+                    f"{entry['total_nodes']}"
                 )
                 failures.append(k)
     if checked == 0:
