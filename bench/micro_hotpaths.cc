@@ -3,6 +3,8 @@
 // memory-MBAC decisions, tilting-point solves, and trace synthesis.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "admission/policies.h"
 #include "core/dp_scheduler.h"
 #include "core/online_heuristic.h"
@@ -174,6 +176,33 @@ void BM_DpSchedulerSetupSolve(benchmark::State& state) {
   state.counters["total_nodes"] = static_cast<double>(total_nodes);
 }
 BENCHMARK(BM_DpSchedulerSetupSolve)->Arg(1440)->Arg(2880);
+
+// The repository benchmark's dp_offline solves: tab1_dp_runtime's grid of
+// K = `range(0)` levels plus 0, a 300 kb buffer and a 4 kb buffer quantum,
+// on a 900-frame trace. K = 20 is its set-up solve, K = 100 its timed one.
+void BM_DpSchedulerTab1Solve(benchmark::State& state) {
+  const trace::FrameTrace movie = trace::MakeStarWarsTrace(1995, 900);
+  core::DpOptions options;
+  options.rate_levels.push_back(0.0);
+  const std::vector<double> grid = core::UniformRateLevels(
+      48.0 * kKilobit / movie.fps(), 2400.0 * kKilobit / movie.fps(),
+      static_cast<std::size_t>(state.range(0)));
+  options.rate_levels.insert(options.rate_levels.end(), grid.begin(),
+                             grid.end());
+  options.buffer_bits = 300 * kKilobit;
+  options.cost = {3000.0, 1.0 / movie.fps()};
+  options.buffer_quantum_bits = 4.0 * kKilobit;
+  std::size_t total_nodes = 0;
+  for (auto _ : state) {
+    const core::DpResult result =
+        core::ComputeOptimalSchedule(movie.frame_bits(), options);
+    benchmark::DoNotOptimize(result.optimal_cost);
+    total_nodes = result.total_nodes;
+  }
+  state.SetItemsProcessed(state.iterations() * movie.frame_count());
+  state.counters["total_nodes"] = static_cast<double>(total_nodes);
+}
+BENCHMARK(BM_DpSchedulerTab1Solve)->Arg(20)->Arg(100);
 
 // One memory-MBAC admission decision with `range(0)` live calls on
 // engine_mbac's 41-level grid. Every call carries 20 rate changes drawn

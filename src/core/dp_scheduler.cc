@@ -221,14 +221,12 @@ bool Dominates(const Run& a, const Run& b) {
   return true;
 }
 
-/// Pareto-folds runs run_at(first), ..., run_at(last - 1) into `acc`, in
-/// that order, skipping the merge of any run `acc` already dominates.
-template <class RunAt>
-void FoldRuns(std::size_t first, std::size_t last, const RunAt& run_at,
-              ParetoList& acc, ParetoList& scratch) {
+/// Pareto-folds the runs of `cur` into `acc` in ascending rate order,
+/// skipping the merge of any run `acc` already dominates.
+void FoldRuns(const Frontier& cur, ParetoList& acc, ParetoList& scratch) {
   acc.clear();
-  for (std::size_t v = first; v < last; ++v) {
-    const Run r = run_at(v);
+  for (std::size_t v = 0; v < cur.begin.size(); ++v) {
+    const Run r = cur.run(v);
     if (r.n == 0) continue;
     if (acc.empty()) {
       for (std::size_t i = 0; i < r.n; ++i) acc.Push(r.buf[i], r.wgt[i], r.back[i]);
@@ -239,6 +237,13 @@ void FoldRuns(std::size_t first, std::size_t last, const RunAt& run_at,
     std::swap(acc, scratch);
   }
 }
+
+/// One buffer cell of the grid-indexed global frontier: the lightest node
+/// seen on it, as a flat frontier index (kNoParent while empty).
+struct GridCell {
+  double wgt = std::numeric_limits<double>::infinity();
+  std::uint32_t node = kNoParent;
+};
 
 /// Per-(epoch, rate) transition coefficients; see docs/algorithms.md §1.
 struct EpochCoeffs {
@@ -413,6 +418,7 @@ class Trellis {
   void AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
                     bool record);
   void BuildGlobal(const Frontier& cur);
+  bool BuildGlobalOnGrid(const Frontier& cur);
   void TransformRate(const Frontier& cur, std::size_t v, std::int64_t e,
                      SliceOut& out);
   void StartBlock(std::int64_t first_epoch);
@@ -432,8 +438,8 @@ class Trellis {
   Frontier cur_;
   Frontier nxt_;
   ParetoList global_;
-  std::vector<ParetoList> partial_;
-  std::vector<ParetoList> partial_scratch_;
+  ParetoList fold_scratch_;
+  std::vector<GridCell> cells_;  // BuildGlobalOnGrid's cells, reused
   std::vector<EpochCoeffs> coeffs_;
   std::vector<std::uint32_t> cap_off_;  // per-rate output offsets, size K+1
   std::vector<std::uint32_t> run_end_;  // one epoch's K run ends
@@ -557,8 +563,6 @@ Trellis::Trellis(const std::vector<double>& workload,
 
   cur_.ResizeRates(cfg_.num_rates);
   nxt_.ResizeRates(cfg_.num_rates);
-  partial_.resize(team_->workers());
-  partial_scratch_.resize(team_->workers());
   coeffs_.resize(cfg_.num_rates);
   cap_off_.resize(cfg_.num_rates + 1);
   run_end_.resize(cfg_.num_rates);
@@ -575,20 +579,69 @@ std::pair<std::size_t, std::size_t> Trellis::Chunk(std::size_t w) const {
 }
 
 void Trellis::BuildGlobal(const Frontier& cur) {
-  const auto rate_run = [&cur](std::size_t v) { return cur.run(v); };
-  if (team_->workers() == 1) {
-    FoldRuns(0, cfg_.num_rates, rate_run, global_, partial_scratch_[0]);
-    return;
+  if (BuildGlobalOnGrid(cur)) return;
+  FoldRuns(cur, global_, fold_scratch_);
+}
+
+/// The fold's result built by grid cell m = b/Q: each cell keeps its
+/// strictly lightest node (the lowest rate on an exact tie), and an
+/// ascending sweep keeps a cell iff it is lighter than every cell below
+/// it. Returns false, leaving global_ to the fold, when the quantum is 0,
+/// a buffer is not double(m)·Q, or the grid has far more cells than live
+/// nodes (docs/algorithms.md §1, "Grid-indexed global frontier").
+bool Trellis::BuildGlobalOnGrid(const Frontier& cur) {
+  const double quantum = cfg_.quantum;
+  if (quantum <= 0) return false;
+  // Each run's ends bound the buffers, and its first weight bounds its
+  // weights: a finite one lets an empty cell's +inf take any node.
+  const double inf = std::numeric_limits<double>::infinity();
+  double lo = inf;
+  double hi = -inf;
+  std::size_t live = 0;
+  for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
+    if (cur.size(v) == 0) continue;
+    if (!(cur.wgt[cur.begin[v]] < inf)) return false;
+    live += cur.size(v);
+    lo = std::min(lo, cur.buf[cur.begin[v]]);
+    hi = std::max(hi, cur.buf[cur.end[v] - 1]);
   }
-  team_->Run([&](std::size_t w) {
-    const auto [v0, v1] = Chunk(w);
-    FoldRuns(v0, v1, rate_run, partial_[w], partial_scratch_[w]);
-  });
-  // Fold the chunk partials in rate order (chunk w covers lower rates than
-  // chunk w+1), so the lowest rate still wins exact ties.
-  FoldRuns(0, team_->workers(),
-           [this](std::size_t w) { return partial_[w].run(); }, global_,
-           partial_scratch_[0]);
+  // std::nearbyint is a libm call without SSE4.1; adding 0.5 and
+  // truncating rounds a non-negative cell index inline. The signed
+  // conversions are one instruction each way, the unsigned ones are not.
+  const double inv_q = 1.0 / quantum;
+  const auto cell_of = [inv_q](double b) {
+    return static_cast<std::int64_t>(b * inv_q + 0.5);
+  };
+  if (live == 0 || !(lo >= 0) || !(hi * inv_q < 0x1p52)) return false;
+  const std::int64_t first = cell_of(lo);
+  const auto cells = static_cast<std::size_t>(cell_of(hi) - first + 1);
+  if (cells > 4 * live + 64) return false;
+  if (cells_.size() < cells) cells_.resize(cells);
+  std::fill_n(cells_.begin(), cells, GridCell{});
+
+  // Which node a cell keeps depends on the data, so the update is
+  // branch-free rather than a branch that mispredicts on it.
+  const double* buf = cur.buf.data();
+  const double* wgt = cur.wgt.data();
+  GridCell* grid = cells_.data();
+  for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
+    const std::uint32_t end = cur.end[v];
+    for (std::uint32_t idx = cur.begin[v]; idx < end; ++idx) {
+      const std::int64_t m = cell_of(buf[idx]);
+      if (static_cast<double>(m) * quantum != buf[idx]) return false;
+      GridCell& cell = grid[m - first];
+      const std::uint32_t keep = 0u - (wgt[idx] < cell.wgt ? 0u : 1u);
+      cell.wgt = std::min(cell.wgt, wgt[idx]);
+      cell.node = (cell.node & keep) | (idx & ~keep);
+    }
+  }
+  global_.clear();
+  for (std::size_t c = 0; c < cells; ++c) {
+    const std::uint32_t idx = cells_[c].node;
+    if (idx == kNoParent) continue;
+    global_.Push(cur.buf[idx], cur.wgt[idx], cur.back[idx]);
+  }
+  return true;
 }
 
 /// Transition coefficients over epoch `e`'s slots at rate level `v` —

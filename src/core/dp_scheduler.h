@@ -14,16 +14,20 @@
 // each sorted by buffer ascending with weight strictly descending — and
 // realizes the cross-rate pruning by merging each frontier with the
 // alpha-shifted global frontier at every step, which yields exactly the
-// Lemma-1-pruned node set in O(K * frontier) per slot. The global frontier
-// is built by a k-way Pareto fold over the sorted per-rate runs (lowest
-// rate wins exact (buffer, weight) ties), and the per-rate transform is
+// Lemma-1-pruned node set in O(K * frontier) per slot. On a buffer quantum
+// the global frontier is built by grid cell: one pass keeps each cell's
+// lightest node, one sweep over the cells keeps the Pareto ones. Without a
+// quantum, or on a grid far wider than the frontier, it is a Pareto fold of
+// the sorted per-rate runs in rate order that skips runs the running
+// frontier already dominates. Either way it is built serially and the
+// lowest rate wins exact (buffer, weight) ties. The per-rate transform is
 // parallelized over the runtime thread pool with a rate-major merge order,
-// so results are byte-identical for every thread count. The fold skips
-// runs, and the transform global nodes, that the running frontier already
-// dominates. The transform starts each input at the last of the nodes
-// that the end-of-epoch floor clamps onto the lowest end buffer, and on a
-// whole-number buffer quantum it shifts a buffer by whole quanta instead
-// of dividing. No frontier or backpointer changes (docs/algorithms.md §1).
+// so results are byte-identical for every thread count; it skips global
+// nodes that a same-rate node dominates. The transform starts each input
+// at the last of the nodes that the end-of-epoch floor clamps onto the
+// lowest end buffer, and on a whole-number buffer quantum it shifts a
+// buffer by whole quanta instead of dividing. None of these shortcuts
+// changes a frontier or backpointer (docs/algorithms.md §1).
 //
 // Memory is bounded for arbitrarily long traces by streaming the
 // backtracking chain in blocks: the frontier is checkpointed every
@@ -119,8 +123,8 @@ struct DpOptions {
   /// rotation stays feasible across the wrap seam.
   double final_buffer_bits = std::numeric_limits<double>::infinity();
 
-  /// Worker threads for the per-rate transform and the cross-rate merge
-  /// (0 = runtime::HardwareThreads(), 1 = fully sequential). Results are
+  /// Worker threads for the per-rate transform (0 =
+  /// runtime::HardwareThreads(), 1 = fully sequential). Results are
   /// byte-identical for every value. With threads > 1 a private
   /// runtime::ThreadPool is created for the call.
   std::size_t threads = 1;

@@ -9,10 +9,12 @@
 //  - the peak_live_nodes / total_nodes diagnostics match a recount;
 //  - results are byte-identical across worker-thread counts;
 //  - exact (buffer, weight) ties resolve as they do without the
-//    scheduler's dominance skips, to the same schedule.
+//    scheduler's dominance skips, to the same schedule;
+//  - the grid-indexed cross-rate frontier equals the rate-order fold.
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <optional>
 #include <span>
 #include <utility>
@@ -603,6 +605,142 @@ TEST(DpProperty, ClampedPrefixTiesResolveAsWithoutCollapse) {
   EXPECT_GT(floor_ties, 7000);
   EXPECT_GT(off_grid, 25000);
   EXPECT_GT(near_grid, 9000);
+}
+
+/// How the scheduler builds the next epoch's cross-rate frontier from the
+/// frontiers in `view`: by grid cell when every buffer b is double(m)·Q for
+/// m = b·(1/Q) rounded, and the cells from the lowest to the highest buffer
+/// number at most 4·live + 64; else by the rate-order fold. `ties` counts
+/// the buffers the grid keeps whose lightest weight two rates share.
+struct GridEpoch {
+  bool on_grid = false;
+  int ties = 0;
+};
+
+GridEpoch ClassifyGridEpoch(const DpFrontierView& view, double quantum) {
+  GridEpoch epoch;
+  if (quantum <= 0) return epoch;
+  const double inv_q = 1.0 / quantum;
+  const auto cell_of = [inv_q](double b) {
+    return static_cast<std::size_t>(b * inv_q + 0.5);
+  };
+  // Buffer -> its lightest weight and the number of rates holding it.
+  std::map<double, std::pair<double, int>> lightest;
+  for (std::size_t v = 0; v < view.num_rates; ++v) {
+    const auto buffers = view.buffers(v);
+    const auto weights = view.weights(v);
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      if (static_cast<double>(cell_of(buffers[i])) * quantum != buffers[i]) {
+        return epoch;
+      }
+      const auto [it, fresh] =
+          lightest.try_emplace(buffers[i], weights[i], 1);
+      if (fresh) continue;
+      if (weights[i] < it->second.first) {
+        it->second = {weights[i], 1};
+      } else if (weights[i] == it->second.first) {
+        ++it->second.second;
+      }
+    }
+  }
+  if (lightest.empty()) return epoch;
+  const std::size_t cells = cell_of(lightest.rbegin()->first) -
+                            cell_of(lightest.begin()->first) + 1;
+  if (cells > 4 * view.live_nodes + 64) return epoch;
+  epoch.on_grid = true;
+  double running = std::numeric_limits<double>::infinity();
+  for (const auto& [buffer, lightest_weight] : lightest) {
+    const auto [weight, rates] = lightest_weight;
+    if (weight >= running) continue;
+    running = weight;
+    epoch.ties += rates > 1;
+  }
+  return epoch;
+}
+
+/// Every node of the epoch in `view` has the buffer and weight the replay
+/// gave it.
+void ExpectFrontierAsReplayed(const DpFrontierView& view,
+                              const UnskippedSolve& replay,
+                              std::int64_t period) {
+  const auto e = static_cast<std::size_t>(view.first_slot / period);
+  ASSERT_LT(e, replay.epochs.size());
+  for (std::size_t v = 0; v < view.num_rates; ++v) {
+    const auto buffers = view.buffers(v);
+    const auto weights = view.weights(v);
+    const std::vector<TracedNode>& now = replay.epochs[e][v];
+    ASSERT_EQ(buffers.size(), now.size()) << "epoch " << e << " rate " << v;
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      EXPECT_EQ(buffers[i], now[i].buffer) << "epoch " << e << " rate " << v;
+      EXPECT_EQ(weights[i], now[i].weight) << "epoch " << e << " rate " << v;
+    }
+  }
+}
+
+TEST(DpProperty, GridGlobalMatchesRateOrderFold) {
+  // On a buffer quantum the scheduler builds the cross-rate frontier by
+  // grid cell: each cell keeps its strictly lightest node, the lowest rate
+  // on an exact tie, and an ascending sweep keeps a cell lighter than all
+  // below it. The exact-tie instances of
+  // ExactTiesResolveAsWithoutDominanceSkips tie (buffer, weight) pairs
+  // across rates on whole-number quanta, and non-integer quanta put the
+  // cells at double(m)·Q. A quantum of 1/64 on whole-number buffers spreads
+  // the grid past its bound of 4·live + 64 cells, where the scheduler
+  // folds the runs in rate order instead. Either way every node and its
+  // parent must be the replay's, whose fold merges every run.
+  Rng rng(3307);
+  int grid_ties = 0;
+  int grid_epochs = 0;
+  int fold_epochs = 0;
+  int feasible = 0;
+  for (const double quantum : {1.0, 3.0, 0.75, 0.3, 1.0 / 64}) {
+    for (int trial = 0; trial < 150; ++trial) {
+      DpOptions options;
+      const int k = 4 + static_cast<int>(rng.Uniform(0.0, 4.0));
+      const double step = 1.0 + std::floor(rng.Uniform(0.0, 3.0));
+      for (int v = 0; v < k; ++v) options.rate_levels.push_back(step * v);
+      options.buffer_bits = 3.0 * std::floor(rng.Uniform(2.0, 10.0)) + 1.0;
+      options.buffer_quantum_bits = quantum;
+      options.cost = {step * std::floor(rng.Uniform(0.0, 4.0)), 1.0};
+      options.decision_period =
+          1 + static_cast<std::int64_t>(rng.Uniform(0.0, 3.0));
+      if (trial % 3 == 0) options.final_buffer_bits = 0;
+      const int slots = 8 + static_cast<int>(rng.Uniform(0.0, 40.0));
+      std::vector<double> workload(static_cast<std::size_t>(slots));
+      for (double& a : workload) a = std::floor(rng.Uniform(0.0, step * k));
+
+      const UnskippedSolve want = ReplayWithoutSkips(workload, options);
+      if (!want.schedule.has_value()) continue;
+      ++feasible;
+
+      const std::int64_t period = options.decision_period;
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "quantum " << quantum << " trial "
+                                        << trial << " threads " << threads);
+        options.threads = threads;
+        options.inspect = [&](const DpFrontierView& view) {
+          ExpectFrontierAsReplayed(view, want, period);
+          ExpectParentsAsReplayed(view, want, period);
+          // The last epoch's frontiers build no cross-rate frontier.
+          if (threads != 1 || view.first_slot + period >= slots) return;
+          const GridEpoch epoch = ClassifyGridEpoch(view, quantum);
+          ++(epoch.on_grid ? grid_epochs : fold_epochs);
+          grid_ties += epoch.ties;
+        };
+        const DpResult got = ComputeOptimalSchedule(workload, options);
+        EXPECT_EQ(got.optimal_cost, want.cost);
+        EXPECT_TRUE(got.schedule == *want.schedule);
+      }
+    }
+  }
+  RecordProperty("feasible", feasible);
+  RecordProperty("grid_ties", grid_ties);
+  RecordProperty("grid_epochs", grid_epochs);
+  RecordProperty("fold_epochs", fold_epochs);
+  EXPECT_GT(feasible, 600);
+  EXPECT_GT(grid_ties, 20000);
+  EXPECT_GT(grid_epochs, 8000);
+  EXPECT_GT(fold_epochs, 1500);
 }
 
 TEST(DpProperty, ValidationRejectsMalformedOptions) {

@@ -9,6 +9,18 @@
 // per rate switch (the first epoch's rate is free), beta per
 // bandwidth-slot, occupancy quantized upward once per epoch, terminal
 // states filtered by final_buffer_bits.
+//
+// Mirrored up to floating-point rounding: the scheduler composes an epoch
+// as max(b + (P - r·slots), floor), while this replay steps it slot by
+// slot. For arrivals that are not binary fractions the two can round
+// apart, and the upward quantization then lands a quantum apart. On a
+// quantum-1 instance with arrivals in tenths, the scheduler ends an epoch
+// at 4 + (3.8 + 0.2 - 6) = 2, this replay at 4.8000000000000007 and then
+// 2.0000000000000009, which quantizes to 3: ReferenceScheduleCost calls
+// the DP's optimal schedule infeasible, and on another instance
+// ReferenceOptimalCost found 96 against the DP's 92. Brute-force
+// differential tests therefore use exactly representable arrivals (whole
+// numbers, quarters); see docs/algorithms.md, "Buffer-state quantization".
 #pragma once
 
 #include <algorithm>
