@@ -390,14 +390,6 @@ struct ArenaBlock {
   }
 };
 
-/// Frontier snapshot entering a block, its runs packed without gaps: the
-/// seed for on-demand recompute, plus the `back` map from checkpoint-flat
-/// indices to offsets among the previous block's last-epoch records (the
-/// cross-block backtracking link).
-struct Checkpoint {
-  Frontier frontier;
-};
-
 struct DpConfig {
   std::int64_t total_slots = 0;
   std::int64_t period = 1;
@@ -445,7 +437,11 @@ class Trellis {
   std::vector<std::uint32_t> run_end_;  // one epoch's K run ends
 
   std::vector<ArenaBlock> blocks_;
-  std::vector<Checkpoint> checkpoints_;  // entering block b (b >= 1)
+  /// The frontier entering block b (b >= 1), its runs packed without
+  /// gaps: the seed for on-demand recompute, plus the `back` map from
+  /// checkpoint-flat indices to offsets among the previous block's
+  /// last-epoch records (the cross-block backtracking link).
+  std::vector<Frontier> checkpoints_;
   std::int64_t block_epochs_ = 0;
   std::size_t resident_nodes_ = 0;
   std::size_t resident_bytes_ = 0;
@@ -732,13 +728,7 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
 
   // Fused transform + Pareto merge of the same-rate frontier (no switch
   // cost) and the alpha-shifted global frontier, streamed in transformed-
-  // buffer order, without materializing the transformed lists. A global
-  // node strictly heavier than the own node with the largest raw buffer at
-  // or below its own never survives, so it is skipped untransformed. On
-  // one transformed buffer, all own nodes go first iff the first one
-  // weighs at most the first global one, which may be a skipped node: a
-  // kept node compares at the weight of the skipped ones just before it
-  // on its buffer (docs/algorithms.md §1, "Dominance skips"). Of each
+  // buffer order, without materializing the transformed lists. Of each
   // stream's clamped prefix only the last node can survive, so the stream
   // starts there; on floor_b, where every earlier node of the stream
   // lies, it compares at the weight of the stream's node 0.
@@ -755,8 +745,6 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   };
   std::size_t i = start(own);
   std::size_t j = start(other);
-  std::size_t k = 0;         // own nodes with raw buffer <= other.buf[j]
-  std::size_t kept_end = j;  // where a walk-back stops
   const double own_floor_w = own.n != 0 ? own.wgt[0] + cost_add : 0;
   const double other_floor_w =
       other.n != 0 ? other.wgt[0] + cost_add + alpha : 0;
@@ -775,23 +763,13 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
     }
   };
   const auto fetch_other = [&] {
-    for (have_j = false; j < other.n && other.buf[j] <= b_cut; ++j) {
-      wj = other.wgt[j] + cost_add + alpha;
-      while (k < own.n && own.buf[k] <= other.buf[j]) ++k;
-      if (k != 0 && own.wgt[k - 1] + cost_add < wj) continue;
+    if (j < other.n && other.buf[j] <= b_cut) {
       bj = transform(other.buf[j]);
-      if (bj == floor_b) {
-        wj_first = other_floor_w;
-      } else {
-        wj_first = wj;
-        for (std::size_t p = j;
-             p > kept_end && transform(other.buf[p - 1]) == bj; --p) {
-          wj_first = other.wgt[p - 1] + cost_add + alpha;
-        }
-      }
-      kept_end = j + 1;
+      wj = other.wgt[j] + cost_add + alpha;
+      wj_first = bj == floor_b ? other_floor_w : wj;
       have_j = true;
-      return;
+    } else {
+      have_j = false;
     }
   };
   fetch_own();
@@ -820,7 +798,7 @@ void Trellis::StartBlock(std::int64_t first_epoch) {
     // packed position, so this block's first-epoch records name
     // checkpoint positions.
     checkpoints_.emplace_back();
-    Frontier& f = checkpoints_.back().frontier;
+    Frontier& f = checkpoints_.back();
     const std::size_t live = cur_.live();
     f.buf.resize(live);
     f.wgt.resize(live);
@@ -986,7 +964,7 @@ void Trellis::RecomputeBlock(std::size_t b) {
   if (b == 0) {
     scratch.ResizeRates(cfg_.num_rates);
   } else {
-    scratch = checkpoints_[b - 1].frontier;
+    scratch = checkpoints_[b - 1];
     for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
       for (std::uint32_t idx = scratch.begin[v]; idx < scratch.end[v];
            ++idx) {
@@ -1056,7 +1034,7 @@ DpResult Trellis::Solve() {
       cursor = blk.Get(ep, k + cursor);
     }
     blk.Free();  // keep the working set bounded
-    if (b > 0) cursor = checkpoints_[b - 1].frontier.back[cursor];
+    if (b > 0) cursor = checkpoints_[b - 1].back[cursor];
   }
 
   std::vector<Step> steps;

@@ -22,12 +22,11 @@
 // frontier already dominates. Either way it is built serially and the
 // lowest rate wins exact (buffer, weight) ties. The per-rate transform is
 // parallelized over the runtime thread pool with a rate-major merge order,
-// so results are byte-identical for every thread count; it skips global
-// nodes that a same-rate node dominates. The transform starts each input
-// at the last of the nodes that the end-of-epoch floor clamps onto the
-// lowest end buffer, and on a whole-number buffer quantum it shifts a
-// buffer by whole quanta instead of dividing. None of these shortcuts
-// changes a frontier or backpointer (docs/algorithms.md §1).
+// so results are byte-identical for every thread count. The transform
+// starts each input at the last of the nodes that the end-of-epoch floor
+// clamps onto the lowest end buffer, and on a whole-number buffer quantum
+// it shifts a buffer by whole quanta instead of dividing. None of these
+// shortcuts changes a frontier or backpointer (docs/algorithms.md §1).
 //
 // Memory is bounded for arbitrarily long traces by streaming the
 // backtracking chain in blocks: the frontier is checkpointed every

@@ -263,56 +263,63 @@ bool Client::DialAndHello(bool resync) {
 bool Client::ConnectSession() {
   const double full_ask_bps =
       options_.heuristic.initial_rate_bits_per_slot / options_.slot_seconds;
-  for (std::int64_t attempt = 0; attempt <= kMaxReconnects; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.reconnect_attempts;
-      ChargeSlots(SlotsFor(signaling::BackoffSeconds(
-          options_.retry, attempt - 1, &backoff_rng_)));
-    }
-    if (!DialAndHello(/*resync=*/false)) {
-      log_.Append(slot_, SessionEventKind::kReconnectFailed, 0, 0, 0,
-                  "dial attempt=" + std::to_string(attempt + 1));
-      continue;
-    }
-    // Walk the ladder best rung first on this connection: admission
-    // either grants some rung or blocks.
-    std::uint64_t welcome_seq = 0;
-    const sim::RungAnswer answer = contract_.Connect(
-        full_ask_bps, [&](std::uint32_t rung, double& rate) {
-          Frame hello = Hello(rate, rung);
-          Frame welcome;
-          if (!SendFrame(hello) ||
-              AwaitResponse(FrameType::kWelcome, hello.slot, &welcome) !=
-                  TxStatus::kAnswered) {
-            return sim::RungAnswer::kStopped;
-          }
-          if (!welcome.accepted) {
-            log_.Append(slot_, SessionEventKind::kConnectDenied, welcome.seq,
-                        rate, rung);
-            return sim::RungAnswer::kDenied;
-          }
-          rate = welcome.rate_bps;
-          welcome_seq = welcome.seq;
-          return sim::RungAnswer::kGranted;
-        });
-    if (answer == sim::RungAnswer::kGranted) {
-      log_.Append(slot_, SessionEventKind::kConnect, welcome_seq,
-                  granted_bps(), rung());
-      obs::Count(options_.recorder, "net.client.connects");
-      return true;
-    }
-    stream_.Close();
-    connected_ = false;
-    if (answer == sim::RungAnswer::kDenied) {
-      // The server answered every rung with a denial: admission is
-      // blocked, and hammering it with re-dials will not change that.
-      log_.Append(slot_, SessionEventKind::kGiveUp, 0, 0, 0,
-                  "admission_blocked");
-      stats_.gave_up = true;
-      return false;
-    }
+  signaling::RetryOptions dial = options_.retry;
+  dial.max_retries = kMaxReconnects;
+  const TxStatus end = signaling::RetryLoop(
+      dial, &backoff_rng_,
+      [&](std::int64_t attempt) {
+        if (!DialAndHello(/*resync=*/false)) {
+          log_.Append(slot_, SessionEventKind::kReconnectFailed, 0, 0, 0,
+                      "dial attempt=" + std::to_string(attempt + 1));
+          return TxStatus::kTimedOut;
+        }
+        // Walk the ladder best rung first on this connection: admission
+        // either grants some rung or blocks.
+        std::uint64_t welcome_seq = 0;
+        const sim::RungAnswer answer = contract_.Connect(
+            full_ask_bps, [&](std::uint32_t rung, double& rate) {
+              Frame hello = Hello(rate, rung);
+              Frame welcome;
+              if (!SendFrame(hello) ||
+                  AwaitResponse(FrameType::kWelcome, hello.slot, &welcome) !=
+                      TxStatus::kAnswered) {
+                return sim::RungAnswer::kStopped;
+              }
+              if (!welcome.accepted) {
+                log_.Append(slot_, SessionEventKind::kConnectDenied,
+                            welcome.seq, rate, rung);
+                return sim::RungAnswer::kDenied;
+              }
+              rate = welcome.rate_bps;
+              welcome_seq = welcome.seq;
+              return sim::RungAnswer::kGranted;
+            });
+        if (answer == sim::RungAnswer::kGranted) {
+          log_.Append(slot_, SessionEventKind::kConnect, welcome_seq,
+                      granted_bps(), rung());
+          obs::Count(options_.recorder, "net.client.connects");
+          return TxStatus::kAnswered;
+        }
+        stream_.Close();
+        connected_ = false;
+        if (answer == sim::RungAnswer::kDenied) {
+          // The server answered every rung with a denial: admission is
+          // blocked, and hammering it with re-dials will not change that.
+          log_.Append(slot_, SessionEventKind::kGiveUp, 0, 0, 0,
+                      "admission_blocked");
+          return TxStatus::kAborted;
+        }
+        return TxStatus::kTimedOut;
+      },
+      [](std::int64_t) { return true; },
+      [&](std::int64_t, double backoff) {
+        ++stats_.reconnect_attempts;
+        ChargeSlots(SlotsFor(backoff));
+      });
+  if (end == TxStatus::kAnswered) return true;
+  if (end == TxStatus::kTimedOut) {
+    log_.Append(slot_, SessionEventKind::kGiveUp, 0, 0, 0, "connect_budget");
   }
-  log_.Append(slot_, SessionEventKind::kGiveUp, 0, 0, 0, "connect_budget");
   stats_.gave_up = true;
   return false;
 }
@@ -342,32 +349,40 @@ bool Client::Reconnect() {
   obs::Count(options_.recorder, "net.client.link_suspect");
   stream_.Close();
   connected_ = false;
-  for (std::int64_t attempt = 0; attempt < kMaxReconnects; ++attempt) {
-    ++stats_.reconnect_attempts;
-    ChargeSlots(SlotsFor(
-        signaling::BackoffSeconds(options_.retry, attempt, &backoff_rng_)));
-    if (!DialAndHello(/*resync=*/true)) {
-      log_.Append(slot_, SessionEventKind::kReconnectFailed, 0, granted_bps(),
-                  rung(), "attempt=" + std::to_string(attempt + 1));
-      // A refused dial burns the response deadline too before the next
-      // backoff — charge it on the sim axis.
-      ChargeSlots(SlotsFor(options_.retry.timeout_s));
-      continue;
-    }
-    ++stats_.reconnects;
-    ++stats_.resyncs;
-    log_.Append(slot_, SessionEventKind::kReconnect, 0, granted_bps(), rung(),
-                "attempt=" + std::to_string(attempt + 1));
-    log_.Append(slot_, SessionEventKind::kResync, 0, granted_bps(), rung());
-    obs::Count(options_.recorder, "net.client.reconnects");
-    // The resync repaired the server from our acknowledged state; the
-    // audit proves it (and the chaos gate requires it to stay silent).
-    VerifyServerState();
-    if (!connected_) continue;  // audit killed the link; try again
-    contract_.OnRateImposed();
-    carry_bits_ = 0;
-    return true;
-  }
+  signaling::RetryOptions dial = options_.retry;
+  dial.max_retries = kMaxReconnects - 1;
+  const TxStatus end = signaling::RetryLoop(
+      dial, &backoff_rng_,
+      [&](std::int64_t attempt) {
+        ++stats_.reconnect_attempts;
+        if (!DialAndHello(/*resync=*/true)) {
+          log_.Append(slot_, SessionEventKind::kReconnectFailed, 0,
+                      granted_bps(), rung(),
+                      "attempt=" + std::to_string(attempt + 1));
+          // A refused dial burns the response deadline too before the
+          // next backoff — charge it on the sim axis.
+          ChargeSlots(SlotsFor(options_.retry.timeout_s));
+          return TxStatus::kTimedOut;
+        }
+        ++stats_.reconnects;
+        ++stats_.resyncs;
+        log_.Append(slot_, SessionEventKind::kReconnect, 0, granted_bps(),
+                    rung(), "attempt=" + std::to_string(attempt + 1));
+        log_.Append(slot_, SessionEventKind::kResync, 0, granted_bps(),
+                    rung());
+        obs::Count(options_.recorder, "net.client.reconnects");
+        // The resync repaired the server from our acknowledged state; the
+        // audit proves it (and the chaos gate requires it to stay silent).
+        VerifyServerState();
+        // An audit that killed the link sends us round again.
+        if (!connected_) return TxStatus::kTimedOut;
+        contract_.OnRateImposed();
+        carry_bits_ = 0;
+        return TxStatus::kAnswered;
+      },
+      [](std::int64_t) { return true; },
+      [&](std::int64_t, double backoff) { ChargeSlots(SlotsFor(backoff)); });
+  if (end == TxStatus::kAnswered) return true;
   log_.Append(slot_, SessionEventKind::kGiveUp, 0, granted_bps(), rung(),
               "reconnect_budget");
   stats_.gave_up = true;

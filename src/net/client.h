@@ -29,7 +29,8 @@
 //    gives up (RetryOptions::max_retries spent) or backs off per
 //    signaling::BackoffSeconds and retransmits;
 //  * a dead connection (EOF, reset, resync timeout) triggers reconnect
-//    with the same bounded backoff, then a Hello{resync} that repairs
+//    dials on the same loop (a backoff after each failed dial, none
+//    before the first), then a Hello{resync} that repairs
 //    the restarted server byte-exactly from the client's acknowledged
 //    rate, followed by a StateQuery audit (desyncs are recorded, the
 //    chaos gate requires zero);

@@ -73,8 +73,9 @@ void ValidateRetryOptions(const RetryOptions& retry);
 ///   backoff_base_s * backoff_multiplier^attempt,
 /// scaled by (1 + U(-jitter_fraction, +jitter_fraction)) drawn from
 /// `rng` when jitter is on. This is *the* backoff contract — RetryLoop
-/// and the daemon's reconnect loop (net/client.cc) both call it, so the
-/// sim-time retry tests pin the wall-clock behavior too.
+/// calls it for the renegotiator and for every net::Client loop (control
+/// transactions, connect and reconnect dials), so the sim-time retry
+/// tests pin the wall-clock behavior too.
 double BackoffSeconds(const RetryOptions& retry, std::int64_t attempt,
                       Rng* rng);
 
@@ -85,7 +86,9 @@ enum class AttemptEnd : std::uint8_t {
   kAborted,   // the transport died; nothing more can be sent
 };
 
-/// The acknowledged-request loop of RetryingRenegotiator and net::Client.
+/// The acknowledged-request loop of RetryingRenegotiator and net::Client
+/// (whose connect and reconnect dials run it too, a failed dial counting
+/// as a timeout).
 /// After each timed-out `attempt(k)` it runs `on_timeout(k)` — the
 /// caller's rescind and bookkeeping, false if the link died — and only
 /// then gives up (budget spent: kTimedOut) or runs `on_backoff(k,
