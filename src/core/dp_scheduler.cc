@@ -13,6 +13,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/dp_dense_step.h"
 #include "runtime/thread_pool.h"
 #include "util/error.h"
 #include "util/histogram.h"
@@ -151,7 +152,33 @@ struct Frontier {
   }
 };
 
-/// A tight Pareto list (the cross-rate global frontier and merge scratch).
+/// Writer over a preallocated output slice (one rate's, or a fold's),
+/// applying the Pareto push rule in place.
+struct SliceOut {
+  double* buf = nullptr;
+  double* wgt = nullptr;
+  std::uint32_t* back = nullptr;
+  std::uint32_t n = 0;
+
+  void Push(double b, double w, std::uint32_t bk) {
+    if (n != 0) {
+      const std::uint32_t last = n - 1;
+      if (b == buf[last]) {
+        if (w >= wgt[last]) return;
+        wgt[last] = w;
+        back[last] = bk;
+        return;
+      }
+      if (w >= wgt[last]) return;
+    }
+    buf[n] = b;
+    wgt[n] = w;
+    back[n] = bk;
+    ++n;
+  }
+};
+
+/// A tight Pareto list: the cross-rate global frontier built by grid cell.
 struct ParetoList {
   std::vector<double> buf;
   std::vector<double> wgt;
@@ -162,8 +189,6 @@ struct ParetoList {
     wgt.clear();
     back.clear();
   }
-  std::size_t size() const { return buf.size(); }
-  bool empty() const { return buf.empty(); }
   Run run() const { return {buf.data(), wgt.data(), back.data(), buf.size()}; }
 
   /// Appends (b, w) keeping the Pareto invariant: equal buffer keeps the
@@ -185,12 +210,11 @@ struct ParetoList {
   }
 };
 
-/// Merges two buffer-sorted runs into `out` (cleared first), sweeping with
-/// the Pareto rule. Exact (buffer, weight) ties prefer `a` — merges always
-/// fold in ascending rate order, so the lowest rate wins ties at every
-/// thread count.
-void MergeRuns(const Run& a, const Run& b, ParetoList& out) {
-  out.clear();
+/// Merges two buffer-sorted runs into `out`, sweeping with the Pareto
+/// rule. Exact (buffer, weight) ties prefer `a` — merges always fold in
+/// ascending rate order, so the lowest rate wins ties at every thread
+/// count.
+void MergeRuns(const Run& a, const Run& b, SliceOut& out) {
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < a.n || j < b.n) {
@@ -221,25 +245,53 @@ bool Dominates(const Run& a, const Run& b) {
   return true;
 }
 
+/// The fold's Pareto lists, in arrays that only grow: a fold writes at
+/// most the live nodes into them, in place.
+struct FoldList {
+  std::vector<double> buf;
+  std::vector<double> wgt;
+  std::vector<std::uint32_t> back;
+  std::size_t n = 0;
+
+  Run run() const { return {buf.data(), wgt.data(), back.data(), n}; }
+  SliceOut writer(std::size_t capacity) {
+    if (buf.size() < capacity) {
+      buf.resize(capacity);
+      wgt.resize(capacity);
+      back.resize(capacity);
+    }
+    return {buf.data(), wgt.data(), back.data(), 0};
+  }
+};
+
 /// Pareto-folds the runs of `cur` into `acc` in ascending rate order,
 /// skipping the merge of any run `acc` already dominates.
-void FoldRuns(const Frontier& cur, ParetoList& acc, ParetoList& scratch) {
-  acc.clear();
+void FoldRuns(const Frontier& cur, FoldList& acc, FoldList& scratch) {
+  const std::size_t live = cur.live();
+  acc.n = 0;
   for (std::size_t v = 0; v < cur.begin.size(); ++v) {
     const Run r = cur.run(v);
     if (r.n == 0) continue;
-    if (acc.empty()) {
-      for (std::size_t i = 0; i < r.n; ++i) acc.Push(r.buf[i], r.wgt[i], r.back[i]);
+    if (acc.n == 0) {
+      SliceOut out = acc.writer(live);
+      std::copy_n(r.buf, r.n, out.buf);
+      std::copy_n(r.wgt, r.n, out.wgt);
+      std::copy_n(r.back, r.n, out.back);
+      acc.n = r.n;
       continue;
     }
     if (Dominates(acc.run(), r)) continue;
-    MergeRuns(acc.run(), r, scratch);
+    SliceOut out = scratch.writer(live);
+    MergeRuns(acc.run(), r, out);
+    scratch.n = out.n;
     std::swap(acc, scratch);
   }
 }
 
-/// One buffer cell of the grid-indexed global frontier: the lightest node
-/// seen on it, as a flat frontier index (kNoParent while empty).
+/// One buffer cell of the grid-indexed global frontier. While the cells
+/// fill, the lightest node seen on it, as a flat frontier index (kNoParent
+/// while empty). After the sweep, the global envelope: the least weight on
+/// or below the cell and, where that drops, the global node's parent.
 struct GridCell {
   double wgt = std::numeric_limits<double>::infinity();
   std::uint32_t node = kNoParent;
@@ -252,32 +304,6 @@ struct EpochCoeffs {
   double shift = 0;     // q_end = max(b + shift, floor_q)
   double floor_q = 0;   // Lindley value of an initially empty buffer
   double cost_add = 0;  // beta * rate * slots
-};
-
-/// Writer over one rate's preallocated output slice, applying the Pareto
-/// push rule in place.
-struct SliceOut {
-  double* buf = nullptr;
-  double* wgt = nullptr;
-  std::uint32_t* back = nullptr;
-  std::uint32_t n = 0;
-
-  void Push(double b, double w, std::uint32_t bk) {
-    if (n != 0) {
-      const std::uint32_t last = n - 1;
-      if (b == buf[last]) {
-        if (w >= wgt[last]) return;
-        wgt[last] = w;
-        back[last] = bk;
-        return;
-      }
-      if (w >= wgt[last]) return;
-    }
-    buf[n] = b;
-    wgt[n] = w;
-    back[n] = bk;
-    ++n;
-  }
 };
 
 /// Backtracking records live in byte-addressed pages of 64 KiB. A page is
@@ -398,8 +424,17 @@ struct DpConfig {
   double alpha = 0;
   double beta = 0;
   double quantum = 0;
+  double inv_quantum = 0;     // 1 / quantum, when quantum > 0
   std::vector<double> bound;  // per-slot buffer bound
 };
+
+/// Cell m = b/Q of a non-negative buffer b, given inv_q = 1/Q.
+/// std::nearbyint is a libm call without SSE4.1; adding 0.5 and truncating
+/// rounds inline. The signed conversions are one instruction each way, the
+/// unsigned ones are not.
+std::int64_t CellOf(double b, double inv_q) {
+  return static_cast<std::int64_t>(b * inv_q + 0.5);
+}
 
 class Trellis {
  public:
@@ -412,7 +447,10 @@ class Trellis {
   void BuildGlobal(const Frontier& cur);
   bool BuildGlobalOnGrid(const Frontier& cur);
   void TransformRate(const Frontier& cur, std::size_t v, std::int64_t e,
-                     SliceOut& out);
+                     std::size_t w, SliceOut& out);
+  void DenseStep(const Run& own, std::size_t i, std::int64_t m_s,
+                 std::size_t span, double b_cut, double grid_add,
+                 double cost_add, std::size_t w, SliceOut& out);
   void StartBlock(std::int64_t first_epoch);
   /// Sizes the epoch table of `blk` once, so appends never move it.
   void ReserveEpochs(ArenaBlock& blk) const;
@@ -429,9 +467,17 @@ class Trellis {
 
   Frontier cur_;
   Frontier nxt_;
-  ParetoList global_;
-  ParetoList fold_scratch_;
+  ParetoList global_;  // built by grid cell
+  FoldList fold_;      // or by the rate-order fold
+  FoldList fold_scratch_;
+  Run global_run_;     // this epoch's global frontier, from either
   std::vector<GridCell> cells_;  // BuildGlobalOnGrid's cells, reused
+  bool grid_global_ = false;     // cells_ hold this epoch's global envelope
+  std::int64_t grid_first_ = 0;  // cell index of cells_[0]
+  /// Per-worker dense-step scratch: the own run's weights and parents by
+  /// input cell (+inf off its nodes).
+  std::vector<std::vector<double>> dense_wgt_;
+  std::vector<std::vector<std::uint32_t>> dense_back_;
   std::vector<EpochCoeffs> coeffs_;
   std::vector<std::uint32_t> cap_off_;  // per-rate output offsets, size K+1
   std::vector<std::uint32_t> run_end_;  // one epoch's K run ends
@@ -515,6 +561,7 @@ Trellis::Trellis(const std::vector<double>& workload,
   cfg_.alpha = options.cost.per_renegotiation;
   cfg_.beta = options.cost.per_bandwidth;
   cfg_.quantum = options.buffer_quantum_bits;
+  if (cfg_.quantum > 0) cfg_.inv_quantum = 1.0 / cfg_.quantum;
 
   // Per-slot buffer bound: constant B, or the last-d-slots arrival window
   // for the delay variant (see header).
@@ -556,6 +603,8 @@ Trellis::Trellis(const std::vector<double>& workload,
     pool_ = std::make_unique<runtime::ThreadPool>(workers - 1);
   }
   team_ = std::make_unique<Team>(pool_.get(), workers);
+  dense_wgt_.resize(workers);
+  dense_back_.resize(workers);
 
   cur_.ResizeRates(cfg_.num_rates);
   nxt_.ResizeRates(cfg_.num_rates);
@@ -575,15 +624,21 @@ std::pair<std::size_t, std::size_t> Trellis::Chunk(std::size_t w) const {
 }
 
 void Trellis::BuildGlobal(const Frontier& cur) {
-  if (BuildGlobalOnGrid(cur)) return;
-  FoldRuns(cur, global_, fold_scratch_);
+  grid_global_ = BuildGlobalOnGrid(cur);
+  if (grid_global_) {
+    global_run_ = global_.run();
+  } else {
+    FoldRuns(cur, fold_, fold_scratch_);
+    global_run_ = fold_.run();
+  }
 }
 
 /// The fold's result built by grid cell m = b/Q: each cell keeps its
 /// strictly lightest node (the lowest rate on an exact tie), and an
 /// ascending sweep keeps a cell iff it is lighter than every cell below
-/// it. Returns false, leaving global_ to the fold, when the quantum is 0,
-/// a buffer is not double(m)·Q, or the grid has far more cells than live
+/// it, leaving the envelope in cells_ for the dense step. Returns false,
+/// leaving the global frontier to the fold, when the quantum is 0, a
+/// buffer is not double(m)·Q, or the grid has far more cells than live
 /// nodes (docs/algorithms.md §1, "Grid-indexed global frontier").
 bool Trellis::BuildGlobalOnGrid(const Frontier& cur) {
   const double quantum = cfg_.quantum;
@@ -601,16 +656,10 @@ bool Trellis::BuildGlobalOnGrid(const Frontier& cur) {
     lo = std::min(lo, cur.buf[cur.begin[v]]);
     hi = std::max(hi, cur.buf[cur.end[v] - 1]);
   }
-  // std::nearbyint is a libm call without SSE4.1; adding 0.5 and
-  // truncating rounds a non-negative cell index inline. The signed
-  // conversions are one instruction each way, the unsigned ones are not.
-  const double inv_q = 1.0 / quantum;
-  const auto cell_of = [inv_q](double b) {
-    return static_cast<std::int64_t>(b * inv_q + 0.5);
-  };
+  const double inv_q = cfg_.inv_quantum;
   if (live == 0 || !(lo >= 0) || !(hi * inv_q < 0x1p52)) return false;
-  const std::int64_t first = cell_of(lo);
-  const auto cells = static_cast<std::size_t>(cell_of(hi) - first + 1);
+  const std::int64_t first = CellOf(lo, inv_q);
+  const auto cells = static_cast<std::size_t>(CellOf(hi, inv_q) - first + 1);
   if (cells > 4 * live + 64) return false;
   if (cells_.size() < cells) cells_.resize(cells);
   std::fill_n(cells_.begin(), cells, GridCell{});
@@ -623,7 +672,7 @@ bool Trellis::BuildGlobalOnGrid(const Frontier& cur) {
   for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
     const std::uint32_t end = cur.end[v];
     for (std::uint32_t idx = cur.begin[v]; idx < end; ++idx) {
-      const std::int64_t m = cell_of(buf[idx]);
+      const std::int64_t m = CellOf(buf[idx], inv_q);
       if (static_cast<double>(m) * quantum != buf[idx]) return false;
       GridCell& cell = grid[m - first];
       const std::uint32_t keep = 0u - (wgt[idx] < cell.wgt ? 0u : 1u);
@@ -632,11 +681,17 @@ bool Trellis::BuildGlobalOnGrid(const Frontier& cur) {
     }
   }
   global_.clear();
+  double running = inf;
   for (std::size_t c = 0; c < cells; ++c) {
-    const std::uint32_t idx = cells_[c].node;
-    if (idx == kNoParent) continue;
-    global_.Push(cur.buf[idx], cur.wgt[idx], cur.back[idx]);
+    GridCell& cell = cells_[c];
+    if (cell.wgt < running) {
+      running = cell.wgt;
+      global_.Push(cur.buf[cell.node], running, cur.back[cell.node]);
+      cell.node = cur.back[cell.node];
+    }
+    cell.wgt = running;
   }
+  grid_first_ = first;
   return true;
 }
 
@@ -669,7 +724,7 @@ EpochCoeffs ComputeCoeffs(const std::vector<double>& workload,
 }
 
 void Trellis::TransformRate(const Frontier& cur, std::size_t v,
-                            std::int64_t e, SliceOut& out) {
+                            std::int64_t e, std::size_t w, SliceOut& out) {
   const std::int64_t t0 = e * cfg_.period;
   const std::int64_t epoch_slots =
       std::min(cfg_.period, cfg_.total_slots - t0);
@@ -698,7 +753,7 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   }
 
   const Run own = cur.run(v);
-  const Run other = global_.run();
+  const Run other = global_run_;
   const double b_cut = er.b_max + 1e-9;
 
   // A node with b + shift <= floor_q lands on the floor buffer `floor_b`,
@@ -707,12 +762,11 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
   // within 1e-6 of an integer or the magnitudes leave the exact range
   // (docs/algorithms.md §1, "Clamped prefixes and the grid shift").
   const double floor_b = quantize(floor_q);
+  const double largest = std::max(own.n != 0 ? own.buf[own.n - 1] : 0.0,
+                                  other.n != 0 ? other.buf[other.n - 1] : 0.0);
   double grid_add = 0;
   bool on_grid = false;
   if (quantum > 0 && quantum == std::floor(quantum)) {
-    const double largest =
-        std::max(own.n != 0 ? own.buf[own.n - 1] : 0.0,
-                 other.n != 0 ? other.buf[other.n - 1] : 0.0);
     const double reach = largest + std::abs(shift);
     const double steps = shift / quantum;
     const double up = std::ceil(steps);
@@ -772,9 +826,7 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
       have_j = false;
     }
   };
-  fetch_own();
-  fetch_other();
-  while (have_i || have_j) {
+  const auto take_next = [&] {
     const bool take_own =
         !have_j ||
         (have_i && (bi < bj || (bi == bj && wi_first <= wj_first)));
@@ -787,7 +839,75 @@ void Trellis::TransformRate(const Frontier& cur, std::size_t v,
       ++j;
       fetch_other();
     }
+  };
+  fetch_own();
+  fetch_other();
+  while ((have_i && bi == floor_b) || (have_j && bj == floor_b)) take_next();
+  if (on_grid && grid_global_ && (have_i || have_j)) {
+    // Every remaining node is unclamped and lands on its cell + up, so
+    // the rest can run as the dense step over input cells [m_s, m_e]; it
+    // does unless the cells are too many per remaining node
+    // (docs/algorithms.md §1, "Dense step on the whole-number grid").
+    const double inv_q = cfg_.inv_quantum;
+    const std::int64_t none = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t m_s =
+        std::min(have_i ? CellOf(own.buf[i], inv_q) : none,
+                 have_j ? CellOf(other.buf[j], inv_q) : none);
+    std::int64_t m_e = CellOf(std::min(largest, b_cut), inv_q);
+    while (static_cast<double>(m_e) * quantum > b_cut) --m_e;
+    const std::int64_t span = m_e - m_s + 1;
+    if (dp_internal::TakesDenseStep(span, (own.n - i) + (other.n - j))) {
+      DenseStep(own, i, m_s, static_cast<std::size_t>(span), b_cut,
+                grid_add, cost_add, w, out);
+      return;
+    }
   }
+  while (have_i || have_j) take_next();
+}
+
+void Trellis::DenseStep(const Run& own, std::size_t i, std::int64_t m_s,
+                        std::size_t span, double b_cut, double grid_add,
+                        double cost_add, std::size_t w, SliceOut& out) {
+  // The own run's remaining nodes by input cell; +inf elsewhere never wins.
+  const double quantum = cfg_.quantum;
+  std::vector<double>& own_wgt = dense_wgt_[w];
+  std::vector<std::uint32_t>& own_back = dense_back_[w];
+  if (own_wgt.size() < span) {
+    own_wgt.resize(span);
+    own_back.resize(span);
+  }
+  std::fill_n(own_wgt.begin(), span, std::numeric_limits<double>::infinity());
+  for (; i < own.n && own.buf[i] <= b_cut; ++i) {
+    const auto k =
+        static_cast<std::size_t>(CellOf(own.buf[i], cfg_.inv_quantum) - m_s);
+    own_wgt[k] = own.wgt[i];
+    own_back[k] = own.back[i];
+  }
+
+  // Each cell offers its lighter stream, own on an exact tie, and is kept
+  // where it drops below the running minimum. A cell is written before
+  // the test and overwritten if it is not kept, and the winner is picked
+  // by mask, so the loop has no branch on the data; the slice holds one
+  // spare slot for that write.
+  const GridCell* global = cells_.data() + (m_s - grid_first_);
+  const double alpha = cfg_.alpha;
+  double running = out.n != 0 ? out.wgt[out.n - 1]
+                              : std::numeric_limits<double>::infinity();
+  double b = static_cast<double>(m_s) * quantum + grid_add;
+  std::uint32_t n = out.n;
+  for (std::size_t k = 0; k < span; ++k) {
+    const double wo = own_wgt[k] + cost_add;
+    const double wg = global[k].wgt + cost_add + alpha;
+    const std::uint32_t own_wins = 0u - (wo <= wg ? 1u : 0u);
+    const double wk = std::min(wo, wg);
+    out.buf[n] = b;
+    out.wgt[n] = wk;
+    out.back[n] = (own_back[k] & own_wins) | (global[k].node & ~own_wins);
+    n += wk < running ? 1u : 0u;
+    running = std::min(running, wk);
+    b += quantum;
+  }
+  out.n = n;
 }
 
 void Trellis::StartBlock(std::int64_t first_epoch) {
@@ -848,11 +968,12 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
   const bool initial = e == 0;
   if (!initial) BuildGlobal(cur);
 
-  // Output capacity per rate: everything the fused merge can emit.
+  // Output capacity per rate: everything the fused merge can emit, plus
+  // the dense step's spare slot.
   cap_off_[0] = 0;
   for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
     const std::size_t cap =
-        initial ? 1 : cur.size(v) + global_.size();
+        initial ? 1 : cur.size(v) + global_run_.n + 1;
     cap_off_[v + 1] = cap_off_[v] + static_cast<std::uint32_t>(cap);
   }
   nxt_.EnsureCapacity(cap_off_[cfg_.num_rates]);
@@ -863,7 +984,7 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
       SliceOut out{nxt_.buf.data() + cap_off_[v],
                    nxt_.wgt.data() + cap_off_[v],
                    nxt_.back.data() + cap_off_[v], 0};
-      TransformRate(cur, v, e, out);
+      TransformRate(cur, v, e, w, out);
       nxt_.begin[v] = cap_off_[v];
       nxt_.end[v] = cap_off_[v] + out.n;
     }
@@ -876,7 +997,7 @@ void Trellis::AdvanceEpoch(Frontier& cur, std::int64_t e, ArenaBlock& block,
   std::size_t live = 0;
   for (std::size_t v = 0; v < cfg_.num_rates; ++v) {
     if (coeffs_[v].feasible) {
-      candidates += initial ? 1 : cur.size(v) + global_.size();
+      candidates += initial ? 1 : cur.size(v) + global_run_.n;
     }
     live += nxt_.size(v);
   }

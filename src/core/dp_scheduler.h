@@ -25,8 +25,14 @@
 // so results are byte-identical for every thread count. The transform
 // starts each input at the last of the nodes that the end-of-epoch floor
 // clamps onto the lowest end buffer, and on a whole-number buffer quantum
-// it shifts a buffer by whole quanta instead of dividing. None of these
-// shortcuts changes a frontier or backpointer (docs/algorithms.md §1).
+// it shifts a buffer by whole quanta instead of dividing. There, past the
+// floor buffer, a rate whose inputs span few cells per node runs as a
+// dense step: each buffer cell offers the lighter of the rate's own node
+// and the alpha-shifted global envelope (own on an exact tie), and the
+// cells where the running minimum strictly drops are the frontier. The
+// choice between the dense step and the merge reads only the trellis
+// shape. None of these shortcuts changes a frontier or backpointer
+// (docs/algorithms.md §1).
 //
 // Memory is bounded for arbitrarily long traces by streaming the
 // backtracking chain in blocks: the frontier is checkpointed every

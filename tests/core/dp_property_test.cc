@@ -10,7 +10,9 @@
 //  - results are byte-identical across worker-thread counts;
 //  - exact (buffer, weight) ties resolve as they do without the
 //    scheduler's dominance skips, to the same schedule;
-//  - the grid-indexed cross-rate frontier equals the rate-order fold.
+//  - the grid-indexed cross-rate frontier equals the rate-order fold;
+//  - the dense step on whole-number grids writes the merge's frontiers and
+//    parents, ties included.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dp_dense_step.h"
 #include "core/dp_scheduler.h"
 #include "dp_reference.h"
 #include "util/error.h"
@@ -261,10 +264,11 @@ TEST(DpProperty, ByteIdenticalAcrossThreadCounts) {
 // The scheduler skips merging a run or transforming a node that the
 // running frontier already dominates. A skip must not change which node
 // survives an exact (buffer, weight) tie, or backtracking returns another,
-// equally cheap schedule. ReplayWithoutSkips (buffer bound only) folds
-// every run, transforms each input list whole without collapsing equal
-// end buffers, and merges by the production's two-cursor rule. It keeps
-// each node's predecessor and counts the ties it resolves.
+// equally cheap schedule. ReplayWithoutSkips folds every run, transforms
+// each input list whole without collapsing equal end buffers, and merges
+// by the production's two-cursor rule, under the per-slot bound of
+// either variant. It keeps each node's predecessor and counts the ties it
+// resolves.
 struct TracedNode {
   double buffer = 0;
   double weight = 0;
@@ -317,6 +321,15 @@ struct UnskippedSolve {
   // 1e-6 from an integer.
   int off_grid_shifts = 0;
   int near_grid_shifts = 0;
+  // Merges the scheduler runs as its dense step (DenseStepTaken), and
+  // among them: surviving nodes above the floor buffer that both streams
+  // offered at one weight from different predecessors, floor ties as
+  // above (from different predecessors), and unclamped inputs that land
+  // on the floor buffer.
+  int dense_steps = 0;
+  int dense_ties = 0;
+  int dense_floor_ties = 0;
+  int dense_unclamped_on_floor = 0;
   // Every epoch's frontiers, each node with its predecessor.
   std::vector<std::vector<std::vector<TracedNode>>> epochs;
 };
@@ -331,13 +344,116 @@ std::optional<double> LightestOn(const std::vector<TracedNode>& list,
   return weight;
 }
 
+using Frontiers = std::vector<std::vector<TracedNode>>;
+
+/// Whether the scheduler builds the cross-rate frontier of `frontiers` by
+/// grid cell: every buffer is double(m)·Q for m = b·(1/Q) rounded, and the
+/// cells from the lowest to the highest buffer number at most
+/// 4·live + 64.
+bool GridBuilt(const Frontiers& frontiers, double quantum) {
+  if (quantum <= 0) return false;
+  const double inv_q = 1.0 / quantum;
+  const auto cell_of = [inv_q](double b) {
+    return static_cast<std::int64_t>(b * inv_q + 0.5);
+  };
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  std::size_t live = 0;
+  for (const std::vector<TracedNode>& run : frontiers) {
+    for (const TracedNode& node : run) {
+      if (static_cast<double>(cell_of(node.buffer)) * quantum != node.buffer) {
+        return false;
+      }
+      lo = std::min(lo, node.buffer);
+      hi = std::max(hi, node.buffer);
+    }
+    live += run.size();
+  }
+  if (live == 0) return false;
+  const auto cells = static_cast<std::size_t>(cell_of(hi) - cell_of(lo) + 1);
+  return cells <= 4 * live + 64;
+}
+
+/// Whether the scheduler transforms rate input `own` against the global
+/// frontier `global` by its dense step (docs/algorithms.md §1, "Dense step
+/// on the whole-number grid"), restated: a whole-number quantum whose
+/// shift passes the near-integer and magnitude guards, a grid-built global
+/// frontier, and inputs left after each stream's floor group whose cell
+/// span the selection rule accepts against the nodes left in both lists.
+bool DenseStepTaken(const std::vector<TracedNode>& own,
+                    const std::vector<TracedNode>& global, bool grid_built,
+                    double shift, double floor_q, double b_max,
+                    const DpOptions& options) {
+  const double quantum = options.buffer_quantum_bits;
+  if (!grid_built || quantum != std::floor(quantum)) return false;
+  const auto last = [](const std::vector<TracedNode>& list) {
+    return list.empty() ? 0.0 : list.back().buffer;
+  };
+  const double largest = std::max(last(own), last(global));
+  const double reach = largest + std::abs(shift);
+  const double steps = shift / quantum;
+  const double up = std::ceil(steps);
+  if (!(reach <= 0x1p30 * quantum && reach + quantum < 0x1p52 &&
+        up - steps > 1e-6 && steps - (up - 1) > 1e-6)) {
+    return false;
+  }
+  const double b_cut = b_max + 1e-9;
+  const double floor_buffer = reference::ReferenceQuantizeUp(floor_q, options);
+  std::optional<double> first;  // lowest input past both floor groups
+  std::size_t left = 0;         // nodes past both floor groups
+  for (const std::vector<TracedNode>* list : {&own, &global}) {
+    std::size_t on_floor = 0;
+    for (const TracedNode& node : *list) {
+      if (node.buffer > b_cut) break;
+      if (reference::ReferenceQuantizeUp(
+              std::max(node.buffer + shift, floor_q), options) ==
+          floor_buffer) {
+        ++on_floor;
+        continue;
+      }
+      if (!first.has_value() || node.buffer < *first) first = node.buffer;
+      break;
+    }
+    left += list->size() - on_floor;
+  }
+  if (!first.has_value()) return false;
+  // The last cell at or below b_cut, capped at the last node's.
+  auto last_cell = std::llround(std::min(largest, b_cut) / quantum);
+  while (static_cast<double>(last_cell) * quantum > b_cut) --last_cell;
+  const std::int64_t cells = last_cell - std::llround(*first / quantum) + 1;
+  return dp_internal::TakesDenseStep(cells, left);
+}
+
+/// Whether `list` holds a node with the buffer and weight of `node` but
+/// another predecessor (with alpha = 0 the shifted global frontier offers
+/// the rate's own nodes at their own weights, a tie that picks nothing).
+bool OffersTie(const std::vector<TracedNode>& list, const TracedNode& node) {
+  return std::any_of(list.begin(), list.end(), [&](const TracedNode& n) {
+    return n.buffer == node.buffer && n.weight == node.weight &&
+           (n.from_rate != node.from_rate || n.from_index != node.from_index);
+  });
+}
+
+/// Nodes of `merged` above `floor_buffer` that `a` and `b` both offered on
+/// that buffer at that weight, from different predecessors.
+int TiedSurvivors(const std::vector<TracedNode>& merged,
+                  const std::vector<TracedNode>& a,
+                  const std::vector<TracedNode>& b, double floor_buffer) {
+  int ties = 0;
+  for (const TracedNode& node : merged) {
+    ties += node.buffer > floor_buffer && (OffersTie(a, node) ||
+                                           OffersTie(b, node));
+  }
+  return ties;
+}
+
 UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
                                   const DpOptions& options) {
-  using Frontiers = std::vector<std::vector<TracedNode>>;
   const auto total = static_cast<std::int64_t>(workload.size());
   const std::int64_t period = options.decision_period;
   const std::size_t num_rates = options.rate_levels.size();
-  const double bound = options.buffer_bits;
+  const std::vector<double> bound =
+      reference::ReferenceBound(workload, options);
   UnskippedSolve solve;
   std::vector<Frontiers> epochs;
   for (std::int64_t t0 = 0; t0 < total; t0 += period) {
@@ -352,6 +468,9 @@ UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
         global = MergeTraced(global, run, solve.cross_rate_ties);
       }
     }
+    const bool grid_built =
+        !epochs.empty() &&
+        GridBuilt(epochs.back(), options.buffer_quantum_bits);
     Frontiers now(num_rates);
     for (std::size_t v = 0; v < num_rates; ++v) {
       const double rate = options.rate_levels[v];
@@ -360,12 +479,12 @@ UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
       double floor_q = 0;
       double b_max = std::numeric_limits<double>::infinity();
       for (std::int64_t s = 0; s < slots && feasible; ++s) {
-        const double a = workload[static_cast<std::size_t>(t0 + s)];
-        prefix += a;
-        floor_q = std::max(floor_q + a - rate, 0.0);
-        feasible = floor_q <= bound;
+        const auto t = static_cast<std::size_t>(t0 + s);
+        prefix += workload[t];
+        floor_q = std::max(floor_q + workload[t] - rate, 0.0);
+        feasible = floor_q <= bound[t];
         b_max = std::min(
-            b_max, bound - prefix + rate * static_cast<double>(s + 1));
+            b_max, bound[t] - prefix + rate * static_cast<double>(s + 1));
       }
       if (!feasible) continue;
       const double shift = prefix - rate * static_cast<double>(slots);
@@ -396,8 +515,9 @@ UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
         const double floor_buffer =
             reference::ReferenceQuantizeUp(floor_q, options);
         const std::optional<double> own_floor = LightestOn(own, floor_buffer);
-        solve.floor_ties +=
+        const bool floor_tie =
             own_floor.has_value() && own_floor == LightestOn(shifted, floor_buffer);
+        solve.floor_ties += floor_tie;
         const double quantum = options.buffer_quantum_bits;
         if (quantum > 0 && quantum == std::floor(quantum)) {
           const double steps = shift / quantum;
@@ -405,6 +525,26 @@ UnskippedSolve ReplayWithoutSkips(const std::vector<double>& workload,
           ++(near ? solve.near_grid_shifts : solve.off_grid_shifts);
         }
         now[v] = MergeTraced(own, shifted, solve.own_global_ties);
+        if (DenseStepTaken(epochs.back()[v], global, grid_built, shift,
+                           floor_q, b_max, options)) {
+          ++solve.dense_steps;
+          solve.dense_ties += TiedSurvivors(now[v], own, shifted, floor_buffer);
+          solve.dense_floor_ties +=
+              floor_tie && !now[v].empty() &&
+              now[v].front().buffer == floor_buffer &&
+              (OffersTie(own, now[v].front()) ||
+               OffersTie(shifted, now[v].front()));
+          for (const std::vector<TracedNode>* input :
+               {&epochs.back()[v], &global}) {
+            for (const TracedNode& node : *input) {
+              if (node.buffer > b_max + 1e-9) break;
+              solve.dense_unclamped_on_floor +=
+                  node.buffer + shift > floor_q &&
+                  reference::ReferenceQuantizeUp(node.buffer + shift,
+                                                 options) == floor_buffer;
+            }
+          }
+        }
       }
     }
     epochs.push_back(std::move(now));
@@ -741,6 +881,92 @@ TEST(DpProperty, GridGlobalMatchesRateOrderFold) {
   EXPECT_GT(grid_ties, 20000);
   EXPECT_GT(grid_epochs, 8000);
   EXPECT_GT(fold_epochs, 1500);
+}
+
+TEST(DpProperty, DenseStepMatchesUnskippedMerge) {
+  // On a whole-number quantum whose shift passes the guards, the scheduler
+  // transforms a rate by its dense step when the inputs left after the
+  // floor cell span few enough cells. Small grids with integer rates and
+  // costs keep frontiers dense and tie own and shifted-global nodes
+  // exactly, above the floor buffer and on it. Arrivals in quarters put
+  // shift/Q off the grid, integer arrivals on it, and tenths within 1e-6
+  // of it, where the guard keeps the merge. Quarters also land unclamped
+  // inputs on the floor buffer. Some instances bound the delay instead of
+  // (or as well as) the buffer. Every node and its parent must be the
+  // replay's, at 1 and 4 threads.
+  Rng rng(5813);
+  int dense_steps = 0;
+  int dense_ties = 0;
+  int dense_floor_ties = 0;
+  int dense_unclamped_on_floor = 0;
+  int delay_dense_steps = 0;
+  int feasible = 0;
+  for (const double quantum : {1.0, 2.0, 3.0}) {
+    for (const double grain : {0.25, 1.0, 0.1}) {
+      for (int trial = 0; trial < 80; ++trial) {
+        DpOptions options;
+        const int k = 4 + static_cast<int>(rng.Uniform(0.0, 5.0));
+        const double step = 1.0 + std::floor(rng.Uniform(0.0, 3.0));
+        for (int v = 0; v < k; ++v) options.rate_levels.push_back(step * v);
+        options.buffer_bits = 3.0 * std::floor(rng.Uniform(3.0, 12.0)) + 1.0;
+        options.buffer_quantum_bits = quantum;
+        options.cost = {step * std::floor(rng.Uniform(0.0, 4.0)), 1.0};
+        options.decision_period =
+            1 + static_cast<std::int64_t>(rng.Uniform(0.0, 3.0));
+        if (trial % 3 == 0) options.final_buffer_bits = 0;
+        if (trial % 3 == 1) {
+          options.final_buffer_bits = std::floor(rng.Uniform(0.0, 8.0));
+        }
+        const bool delay = trial % 4 == 3;
+        if (delay) {
+          options.delay_bound_slots =
+              1 + static_cast<std::int64_t>(rng.Uniform(0.0, 4.0));
+          if (trial % 8 == 7) options.buffer_bits = 0;
+        }
+        const int slots = 8 + static_cast<int>(rng.Uniform(0.0, 30.0));
+        std::vector<double> workload(static_cast<std::size_t>(slots));
+        for (double& a : workload) {
+          a = grain * std::floor(rng.Uniform(0.0, 0.7 * step * k) / grain);
+        }
+
+        const UnskippedSolve want = ReplayWithoutSkips(workload, options);
+        if (!want.schedule.has_value()) continue;
+        ++feasible;
+        dense_steps += want.dense_steps;
+        dense_ties += want.dense_ties;
+        dense_floor_ties += want.dense_floor_ties;
+        dense_unclamped_on_floor += want.dense_unclamped_on_floor;
+        if (delay) delay_dense_steps += want.dense_steps;
+
+        const std::int64_t period = options.decision_period;
+        for (const std::size_t threads : {1u, 4u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "quantum " << quantum << " grain " << grain
+                       << " trial " << trial << " threads " << threads);
+          options.threads = threads;
+          options.inspect = [&](const DpFrontierView& view) {
+            ExpectFrontierAsReplayed(view, want, period);
+            ExpectParentsAsReplayed(view, want, period);
+          };
+          const DpResult got = ComputeOptimalSchedule(workload, options);
+          EXPECT_EQ(got.optimal_cost, want.cost);
+          EXPECT_TRUE(got.schedule == *want.schedule);
+        }
+      }
+    }
+  }
+  RecordProperty("feasible", feasible);
+  RecordProperty("dense_steps", dense_steps);
+  RecordProperty("dense_ties", dense_ties);
+  RecordProperty("dense_floor_ties", dense_floor_ties);
+  RecordProperty("dense_unclamped_on_floor", dense_unclamped_on_floor);
+  RecordProperty("delay_dense_steps", delay_dense_steps);
+  EXPECT_GT(feasible, 400);
+  EXPECT_GT(dense_steps, 2000);
+  EXPECT_GT(dense_ties, 100);
+  EXPECT_GT(dense_floor_ties, 50);
+  EXPECT_GT(dense_unclamped_on_floor, 20);
+  EXPECT_GT(delay_dense_steps, 200);
 }
 
 TEST(DpProperty, ValidationRejectsMalformedOptions) {
