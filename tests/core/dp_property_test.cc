@@ -969,6 +969,124 @@ TEST(DpProperty, DenseStepMatchesUnskippedMerge) {
   EXPECT_GT(delay_dense_steps, 200);
 }
 
+TEST(DpProperty, GridFillMatchesUnskippedReplayAcrossFallbacks) {
+  // The scheduler fills the next epoch's grid cells as its transform
+  // writes nodes, each worker its own cells merged in worker order, and
+  // folds an epoch the fill cannot cover. These solves switch between grid
+  // and fold epochs mid-solve: after a quiet start, non-integer quanta
+  // (0.3, and 1500.5 on arrivals in thousands) and a quantum of 1/64
+  // outgrow the cell bound while the frontier is sparse, and an unbounded
+  // buffer after a burst puts every buffer past the cells the fill
+  // prepares. Some instances
+  // bound the delay, and some spill their records, so backtracking replays
+  // blocks whose first epoch cannot use the last fill. Every node and its
+  // parent must be the replay's at 1, 3 (uneven rate chunks) and 4
+  // threads.
+  Rng rng(7129);
+  int feasible = 0;
+  int grid_epochs = 0;
+  int fold_epochs = 0;
+  int mixed_solves = 0;
+  int spilled_solves = 0;
+  int delay_solves = 0;
+  int unbounded_solves = 0;
+  struct Family {
+    double quantum;
+    double unit;  // arrivals, rates and buffers in multiples of this
+    bool unbounded;
+  };
+  for (const Family family : {Family{0.3, 1.0, false},
+                              Family{1500.5, 1000.0, false},
+                              Family{1.0 / 64, 1.0, false},
+                              Family{1.0, 1.0, true}}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      DpOptions options;
+      const int k = 4 + static_cast<int>(rng.Uniform(0.0, 4.0));
+      const double step =
+          family.unit * (1.0 + std::floor(rng.Uniform(0.0, 3.0)));
+      for (int v = 0; v < k; ++v) options.rate_levels.push_back(step * v);
+      options.buffer_bits =
+          family.unbounded
+              ? std::numeric_limits<double>::infinity()
+              : family.unit * (3.0 * std::floor(rng.Uniform(2.0, 10.0)) + 1.0);
+      options.buffer_quantum_bits = family.quantum;
+      options.cost = {step * std::floor(rng.Uniform(0.0, 4.0)), 1.0};
+      options.decision_period =
+          1 + static_cast<std::int64_t>(rng.Uniform(0.0, 3.0));
+      if (trial % 3 == 0) options.final_buffer_bits = 0;
+      const bool delay = trial % 4 == 3;
+      if (delay) {
+        options.delay_bound_slots =
+            1 + static_cast<std::int64_t>(rng.Uniform(0.0, 4.0));
+        if (trial % 8 == 7) options.buffer_bits = 0;
+      }
+      if (trial % 5 == 4) {
+        options.max_resident_nodes = 40;
+        options.checkpoint_slots = 2 * options.decision_period;
+      }
+      // A quiet first third keeps every buffer on one cell, so each solve
+      // starts on the grid before its frontier spreads.
+      const int slots = 12 + static_cast<int>(rng.Uniform(0.0, 40.0));
+      const int quiet = slots / 3;
+      std::vector<double> workload(static_cast<std::size_t>(slots));
+      for (int t = quiet; t < slots; ++t) {
+        workload[static_cast<std::size_t>(t)] =
+            family.unit *
+            std::floor(rng.Uniform(0.0, 0.7 * k * step) / family.unit);
+      }
+      if (family.unbounded) {
+        workload[static_cast<std::size_t>(quiet)] += 40.0 * step * k;
+        workload[static_cast<std::size_t>(quiet) + 1] += 40.0 * step * k;
+      }
+
+      const UnskippedSolve want = ReplayWithoutSkips(workload, options);
+      if (!want.schedule.has_value()) continue;
+      ++feasible;
+      delay_solves += delay;
+      unbounded_solves += family.unbounded;
+
+      const std::int64_t period = options.decision_period;
+      for (const std::size_t threads : {1u, 3u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "quantum " << family.quantum << " trial " << trial
+                     << " threads " << threads);
+        options.threads = threads;
+        int grid = 0;
+        int fold = 0;
+        options.inspect = [&](const DpFrontierView& view) {
+          ExpectFrontierAsReplayed(view, want, period);
+          ExpectParentsAsReplayed(view, want, period);
+          // The last epoch's frontiers build no cross-rate frontier.
+          if (view.first_slot + period >= slots) return;
+          ++(ClassifyGridEpoch(view, family.quantum).on_grid ? grid : fold);
+        };
+        const DpResult got = ComputeOptimalSchedule(workload, options);
+        EXPECT_EQ(got.optimal_cost, want.cost);
+        EXPECT_TRUE(got.schedule == *want.schedule);
+        if (threads != 1) continue;
+        grid_epochs += grid;
+        fold_epochs += fold;
+        mixed_solves += grid != 0 && fold != 0;
+        spilled_solves += got.recomputed_epochs != 0;
+      }
+    }
+  }
+  RecordProperty("feasible", feasible);
+  RecordProperty("grid_epochs", grid_epochs);
+  RecordProperty("fold_epochs", fold_epochs);
+  RecordProperty("mixed_solves", mixed_solves);
+  RecordProperty("spilled_solves", spilled_solves);
+  RecordProperty("delay_solves", delay_solves);
+  RecordProperty("unbounded_solves", unbounded_solves);
+  EXPECT_GT(feasible, 150);
+  EXPECT_GT(grid_epochs, 1000);
+  EXPECT_GT(fold_epochs, 500);
+  EXPECT_GT(mixed_solves, 20);
+  EXPECT_GT(spilled_solves, 10);
+  EXPECT_GT(delay_solves, 10);
+  EXPECT_GT(unbounded_solves, 10);
+}
+
 TEST(DpProperty, ValidationRejectsMalformedOptions) {
   const std::vector<double> workload = {1.0, 2.0, 1.0};
   const std::vector<double> levels = {0.0, 2.0, 4.0};
