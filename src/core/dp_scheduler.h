@@ -15,14 +15,16 @@
 // realizes the cross-rate pruning by merging each frontier with the
 // alpha-shifted global frontier at every step, which yields exactly the
 // Lemma-1-pruned node set in O(K * frontier) per slot. On a buffer quantum
-// the global frontier is built by grid cell: one pass keeps each cell's
-// lightest node, one sweep over the cells keeps the Pareto ones. Without a
-// quantum, or on a grid far wider than the frontier, it is a Pareto fold of
-// the sorted per-rate runs in rate order that skips runs the running
-// frontier already dominates. Either way it is built serially and the
-// lowest rate wins exact (buffer, weight) ties. The per-rate transform is
-// parallelized over the runtime thread pool with a rate-major merge order,
-// so results are byte-identical for every thread count. The transform
+// the global frontier is built by grid cell: while the transform writes an
+// epoch's nodes, each worker keeps each cell's lightest node, and the next
+// epoch merges the workers' cells in rate order and keeps the Pareto ones
+// in one sweep. Without a quantum, on a grid far wider than the frontier,
+// or where the cells could not hold every node, it is a Pareto fold of the
+// sorted per-rate runs in rate order that skips runs the running frontier
+// already dominates. Either way the lowest rate wins exact (buffer, weight)
+// ties. The per-rate transform is parallelized over the runtime thread
+// pool with a rate-major merge order, so results are byte-identical for
+// every thread count. The transform
 // starts each input at the last of the nodes that the end-of-epoch floor
 // clamps onto the lowest end buffer, and on a whole-number buffer quantum
 // it shifts a buffer by whole quanta instead of dividing. There, past the
